@@ -432,7 +432,13 @@ def cmd_replay(args) -> int:
     outputs = []
     for i, row in enumerate(result.data):
         normal = np.array([row[cols.index("nx")], row[cols.index("ny")], row[cols.index("nz")]])
-        body = liquid_geometry(container, normal, row[cols.index("height")])
+        height = row[cols.index("height")]
+        try:
+            LiquidPlane(unit_vector(normal), height)  # validates the record
+        except ValueError as exc:
+            _diag(f"replay: record {i}: {exc}")
+            return EXIT_USAGE
+        body = liquid_geometry(container, normal, height)
         path = outdir / f"step_{i:06d}.mesh"
         save_mesh(body, path)
         outputs.append(path)

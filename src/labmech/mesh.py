@@ -11,13 +11,16 @@ interior with the halfspace below a plane.  Conventions used throughout:
   ``o = bbox_center + height * normal``.
 * Meshes are closed, consistently outward-oriented triangle soups; every
   directed edge must appear exactly once together with its reverse.
-* Volumes come from the divergence theorem.  For clipped volumes the
-  flux reference point is placed on the clipping plane, so the cap faces
-  contribute zero flux and are never constructed in the height-solving
-  hot path; only clipped wall triangles are summed.  The cut
-  cross-section area (the exact derivative of clipped volume with respect
-  to height) falls out of the same pass via Green's theorem on the cut
-  chords.
+* One clipping core, after Mirtich (1996): for a mesh and a plane,
+  ``_clip_table`` lists the below-side wall pieces as node-index polygons
+  (mesh vertices plus one crossing node per sign-changing edge of the
+  mesh's edge table) and the cut chords, the piece edges lying on the
+  plane.  :func:`clip_volume` sums the pieces' divergence flux with the
+  reference point on the plane, so the cap contributes zero flux and is
+  never built in the height-solving hot path, and gets the cut
+  cross-section area (the exact derivative of clipped volume with
+  respect to height) from Green's theorem on the chords.
+  :func:`liquid_geometry` emits the same pieces and caps the chord loops.
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +47,27 @@ from .errors import (
 #: classified as on-plane, avoiding sliver geometry at vertex crossings.
 ONPLANE_SNAP_FRACTION = 1e-9
 
-#: Triangles with area below this fraction of diag^2 are rejected as degenerate.
+#: Triangles whose doubled area is at most this fraction of their longest
+#: edge squared are rejected as degenerate (a scale-free shape test).
 DEGENERATE_AREA_FRACTION = 1e-12
 
 #: Newton falls back to bisection when the cut area (dV/dh) drops below
 #: this fraction of diag^2.
 AREA_FLOOR_FRACTION = 1e-12
+
+
+def _cross(a, b) -> np.ndarray:
+    """Row-wise cross product of (3, m) component arrays, written out to
+    skip ``np.cross`` dispatch on small arrays."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def _sliver_floor(u, v) -> np.ndarray:
+    """Doubled-area floor of the triangles with sides u, v and -(u + v), as
+    (3, m) rows: below it a triangle is degenerate, whatever its size."""
+    w = u + v
+    longest_sq = np.maximum(np.maximum((u * u).sum(0), (v * v).sum(0)), (w * w).sum(0))
+    return DEGENERATE_AREA_FRACTION * longest_sq
 
 
 def unit_vector(v) -> np.ndarray:
@@ -65,9 +84,10 @@ class TriMesh:
     """Watertight triangle mesh with consistent outward orientation.
 
     Validation rejects out-of-range indices, non-finite vertices,
-    degenerate triangles (area <= 1e-12 * diag^2), duplicated directed
-    edges (non-manifold or inconsistently wound), and boundary edges.
-    An empty mesh is valid.
+    degenerate triangles (doubled area <= 1e-12 * longest edge^2, so the
+    test depends on shape, not size), duplicated directed edges
+    (non-manifold or inconsistently wound), and boundary edges.  An empty
+    mesh is valid.
     """
 
     vertices: np.ndarray
@@ -80,31 +100,41 @@ class TriMesh:
         object.__setattr__(self, "triangles", tris)
         if not np.isfinite(verts).all():
             raise ValueError("mesh vertices must be finite")
-        if tris.size == 0:
-            return
-        if tris.min() < 0 or tris.max() >= len(verts):
+        if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise ValueError("triangle indices out of range")
-        corners = verts[tris]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]),
-            axis=-1,
-        )
-        if (areas <= DEGENERATE_AREA_FRACTION * self.bbox_diag**2).any():
+        a, b, c = verts[tris].transpose(1, 2, 0)
+        u, v = b - a, c - b
+        if (np.sqrt((_cross(u, v) ** 2).sum(0)) <= _sliver_floor(u, v)).any():
             raise ValueError("mesh contains degenerate (near-zero-area) triangles")
-        self._check_watertight(tris, len(verts))
+        edges, tri_edges = self._check_watertight(tris, len(verts))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_tri_edges", tri_edges)
 
     @staticmethod
     def _check_watertight(tris, nverts):
-        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        key_fwd = edges[:, 0] * nverts + edges[:, 1]
-        if np.unique(key_fwd).size != key_fwd.size:
+        """Return the undirected edge table: ``edges`` (lower index first)
+        and ``tri_edges[t, k]``, the edge from corner k to corner k + 1 of
+        triangle t.  Closed and consistently oriented means every directed
+        edge is unique and every undirected edge is used exactly twice."""
+        start, end = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        directed = np.sort(start * nverts + end)
+        if (directed[1:] == directed[:-1]).any():
             raise NotWatertight(
                 "a directed edge appears more than once (non-manifold or "
                 "inconsistently oriented triangles)"
             )
-        key_rev = edges[:, 1] * nverts + edges[:, 0]
-        if not np.array_equal(np.sort(key_fwd), np.sort(key_rev)):
+        lo, hi = np.minimum(start, end), np.maximum(start, end)
+        undirected = lo * nverts + hi
+        order = np.argsort(undirected, kind="stable")
+        key = undirected[order]
+        # each key now occurs at most twice; sorted, the keys pair up
+        # exactly when every one occurs twice
+        if key.size % 2 or (key[0::2] != key[1::2]).any():
             raise NotWatertight("mesh has boundary edges (not closed)")
+        tri_edges = np.empty_like(order)
+        tri_edges[order] = np.arange(order.size) // 2
+        first = order[0::2]
+        return np.column_stack([lo[first], hi[first]]), tri_edges.reshape(-1, 3)
 
     @cached_property
     def bbox_min(self) -> np.ndarray:
@@ -138,7 +168,7 @@ class LiquidPlane:
         n = np.asarray(self.normal, dtype=float).reshape(3)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "height", float(self.height))
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # rejects NaN too
             raise ValueError("plane normal must be a unit vector (within 1e-12)")
         if not np.isfinite(self.height):
             raise ValueError("plane height must be finite")
@@ -166,24 +196,71 @@ def mesh_volume(mesh: TriMesh) -> float:
     )
 
 
-def _signed_heights(mesh, plane):
-    """Per-vertex signed distance to the plane, snapped to zero inside the
-    on-plane band."""
+class _ClipTable(NamedTuple):
+    """One mesh clipped by one plane, shared by every clipping caller.
+
+    Node ids ``0 .. V-1`` are the mesh vertices; id ``V + k`` is the k-th
+    crossing node, one per mesh edge whose endpoints lie strictly on
+    opposite sides, interpolated from the edge's lower vertex index so
+    that both triangles on the edge get the identical point.
+    """
+
+    origin: np.ndarray  # the plane point at ``height`` above the bbox center
+    heights: np.ndarray  # signed vertex heights, zero inside the snap band
+    nodes: np.ndarray  # node coordinates, vertices first
+    pieces: np.ndarray  # (m, 4) below-side walk polygons; triangles repeat node 2
+    chords: np.ndarray  # (c, 2) polygon steps with both nodes on the plane
+
+
+def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
+    """Clip every triangle with a vertex strictly below the plane.
+
+    Walking a triangle's boundary and keeping each vertex at or below the
+    plane plus each crossing node yields a 3- or 4-node polygon in the
+    triangle's own orientation; a whole kept triangle is its own walk.
+    Faces lying in the plane hold no volume below and are dropped.
+    """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
-    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
-    return np.where(np.abs(s) <= snap, 0.0, s), o
+    s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
+    sign = np.sign(s)
+    crossing = sign[mesh._edges[:, 0]] * sign[mesh._edges[:, 1]] < 0.0
+    lo, hi = mesh._edges[crossing].T
+    t = (s[lo] / (s[lo] - s[hi]))[:, None]
+    v_lo = mesh.vertices[lo]
+    nodes = np.concatenate([mesh.vertices, v_lo + t * (mesh.vertices[hi] - v_lo)])
+    edge_node = np.full(len(crossing), -1)
+    edge_node[crossing] = len(s) + np.arange(len(lo))
+
+    below = sign[mesh.triangles] < 0.0
+    rows = np.flatnonzero(below[:, 0] | below[:, 1] | below[:, 2])
+    corners = mesh.triangles[rows]
+    cuts = edge_node[mesh._tri_edges[rows]]
+    # walk order: corner 0, edge 0-1, corner 1, edge 1-2, corner 2, edge 2-0
+    walk = np.dstack([corners, cuts]).reshape(-1, 6)
+    keep = np.dstack([s[corners] <= 0.0, cuts >= 0]).reshape(-1, 6)
+    flat = walk[keep]
+    count = keep.sum(axis=1)
+    first = np.cumsum(count) - count
+    pieces = flat[np.column_stack([first, first + 1, first + 2, first + count - 1])]
+
+    on_plane = np.concatenate([s == 0.0, np.ones(len(lo), dtype=bool)])[pieces]
+    nxt = pieces[:, [1, 2, 3, 0]]
+    chord = on_plane & on_plane[:, [1, 2, 3, 0]] & (pieces != nxt)
+    chords = np.column_stack([pieces[chord], nxt[chord]])
+    return _ClipTable(o, s, nodes, pieces, chords)
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     """Volume of the container interior below the plane, plus the cut area.
 
-    Each triangle is clipped against the halfspace and its divergence flux
-    is accumulated with the reference point on the plane, so the cap needs
-    no explicit construction.  The cut area is assembled from the clip
-    chords via Green's theorem; planes that contain whole mesh faces
-    contribute no chords there (the height solver's bisection fallback
-    covers those flat spots).
+    The volume is the divergence flux of the below-side wall pieces with
+    the reference point on the plane, so the cap needs no explicit
+    construction.  The cut area is Green's sum over the cut chords: every
+    step of a piece's boundary walk whose two nodes both lie on the plane,
+    including in-plane edges of whole kept triangles (an edge shared by two
+    kept triangles cancels).  It equals the area of the cap that
+    :func:`liquid_geometry` builds.
 
     Parameters
     ----------
@@ -197,59 +274,23 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         plane misses the mesh), and ``empty``/``full`` flags for planes
         below/above the whole mesh.
     """
-    if len(mesh) == 0:
-        return ClipResult(volume=0.0, cut_area=0.0, empty=True, full=True)
-    s, o = _signed_heights(mesh, plane)
-    n = plane.normal
-    st = s[mesh.triangles]
-    tri = mesh.vertices[mesh.triangles]
-    npos = (st > 0.0).sum(axis=1)
-    nneg = (st < 0.0).sum(axis=1)
-
-    def flux(a, b, c):
-        return np.einsum("ij,ij->i", np.cross(a - o, b - o), c - o).sum() / 6.0
-
-    volume = 0.0
-    area = 0.0
-    kept = npos == 0
-    if kept.any():
-        volume += flux(tri[kept, 0], tri[kept, 1], tri[kept, 2])
-
-    mixed = (npos > 0) & (nneg > 0)
-    if mixed.any():
-        tri_m = tri[mixed]
-        st_m = st[mixed]
-        for roll in range(3):
-            order = np.roll(np.arange(3), -roll)
-            a, b, c = tri_m[:, order[0]], tri_m[:, order[1]], tri_m[:, order[2]]
-            sa, sb, sc = st_m[:, order[0]], st_m[:, order[1]], st_m[:, order[2]]
-            # exactly one vertex strictly below, rolled to position a
-            m1 = (sa < 0.0) & (sb >= 0.0) & (sc >= 0.0)
-            if m1.any():
-                ta = (sa[m1] / (sa[m1] - sb[m1]))[:, None]
-                tc = (sc[m1] / (sc[m1] - sa[m1]))[:, None]
-                i_ab = a[m1] + ta * (b[m1] - a[m1])
-                i_ca = c[m1] + tc * (a[m1] - c[m1])
-                volume += flux(a[m1], i_ab, i_ca)
-                area += 0.5 * (np.cross(i_ca - o, i_ab - o) @ n).sum()
-            # two vertices strictly below (a, b), one strictly above (c)
-            m2 = (sa < 0.0) & (sb < 0.0) & (sc > 0.0)
-            if m2.any():
-                tb = (sb[m2] / (sb[m2] - sc[m2]))[:, None]
-                tc = (sc[m2] / (sc[m2] - sa[m2]))[:, None]
-                i_bc = b[m2] + tb * (c[m2] - b[m2])
-                i_ca = c[m2] + tc * (a[m2] - c[m2])
-                volume += flux(a[m2], b[m2], i_bc) + flux(a[m2], i_bc, i_ca)
-                area += 0.5 * (np.cross(i_ca - o, i_bc - o) @ n).sum()
-
-    empty = bool(nneg.sum() == 0)
+    table = _clip_table(mesh, plane)
+    # quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has d = c,
+    # and a.(b x c) + a.(c x d) = a.(c x (d - b))
+    rel = (table.nodes - table.origin).T
+    a, b, c, d = np.take(rel, table.pieces.T, axis=1).swapaxes(0, 1)
+    volume = (a * _cross(c, d - b)).sum() / 6.0
+    # the cap runs each chord backwards
+    u, w = np.take(rel, table.chords.T, axis=1).swapaxes(0, 1)
+    area = 0.5 * (plane.normal @ _cross(w, u)).sum()
+    empty = len(table.pieces) == 0
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
     return ClipResult(
         volume=0.0 if empty else max(float(volume), 0.0),
         cut_area=max(float(area), 0.0),
         empty=empty,
-        full=bool(npos.sum() == 0),
+        full=bool((table.heights <= 0.0).all()),
     )
 
 
@@ -370,110 +411,65 @@ def solve_height(
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     """Closed mesh of the liquid body below the plane.
 
-    Wall triangles are clipped against the plane; cut edges are chained
-    into closed loops and each loop is fan-triangulated from its centroid
-    to cap the body.  Intersection points are computed once per mesh edge
-    so the output is watertight by construction.  The centroid fan is
-    valid for the star-shaped (in practice convex) cut loops produced by
-    the containers in scope; a loop that fans inconsistently raises
+    The wall is the below-side pieces of the clip table that
+    :func:`clip_volume` sums, each fanned into triangles; the cut chords
+    are chained into closed loops and each loop is fan-triangulated from
+    its area centroid to cap the body.  Pieces share crossing nodes, so the
+    output is watertight by construction.  The centroid fan is valid for
+    the star-shaped (in practice convex) cut loops produced by the
+    containers in scope; a loop that fans inconsistently raises
     :class:`NonStarShapedCutLoop`, and a cut boundary that fails to close
     raises :class:`OpenCutLoop`.
 
     Returns an empty mesh when the plane lies below the container and the
-    input mesh itself when it lies above.
+    input mesh itself when it lies above.  Vertices are listed in node
+    order (mesh vertices by index, then crossing nodes by edge, then cap
+    centroids by loop), so identical inputs give identical meshes.
     """
     plane = LiquidPlane(unit_vector(normal), height)
-    if len(mesh) == 0:
-        return mesh
-    s, o = _signed_heights(mesh, plane)
-    if (s >= 0.0).all():
+    table = _clip_table(mesh, plane)
+    if len(table.pieces) == 0:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    if (s <= 0.0).all():
+    if (table.heights <= 0.0).all():
         return mesh
 
-    verts = mesh.vertices
-    node_index: dict = {}
-    out_vertices: list[np.ndarray] = []
-
-    def node(key):
-        idx = node_index.get(key)
-        if idx is None:
-            if key[0] == "v":
-                coords = verts[key[1]]
-            else:
-                _, i, j = key
-                t = s[i] / (s[i] - s[j])
-                coords = verts[i] + t * (verts[j] - verts[i])
-            idx = len(out_vertices)
-            out_vertices.append(coords)
-            node_index[key] = idx
-        return idx
-
-    out_tris: list[tuple[int, int, int]] = []
-    chords: list[tuple] = []
-
-    for i0, i1, i2 in mesh.triangles:
-        si = (s[i0], s[i1], s[i2])
-        if si[0] >= 0.0 and si[1] >= 0.0 and si[2] >= 0.0:
-            continue  # dropped (in-plane faces have no volume below)
-        if si[0] <= 0.0 and si[1] <= 0.0 and si[2] <= 0.0:
-            out_tris.append((node(("v", i0)), node(("v", i1)), node(("v", i2))))
-            # an in-plane edge of a kept triangle is a cut chord unless its
-            # kept neighbor contributes the reverse (cancelled below)
-            for a, b in ((i0, i1), (i1, i2), (i2, i0)):
-                if s[a] == 0.0 and s[b] == 0.0:
-                    chords.append((("v", int(a)), ("v", int(b))))
-            continue
-        # mixed: walk the triangle boundary, keeping the below side
-        poly: list[tuple] = []
-        for a, b in ((i0, i1), (i1, i2), (i2, i0)):
-            if s[a] <= 0.0:
-                poly.append(("v", int(a)))
-            if s[a] * s[b] < 0.0:
-                poly.append(("e", int(min(a, b)), int(max(a, b))))
-        ids = [node(k) for k in poly]
-        for m in range(1, len(ids) - 1):
-            out_tris.append((ids[0], ids[m], ids[m + 1]))
-        for m in range(len(poly)):
-            u, w = poly[m], poly[(m + 1) % len(poly)]
-            if _on_plane(u, s) and _on_plane(w, s):
-                chords.append((u, w))
-
-    loops = _chain_loops(chords)
+    fans = table.pieces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    out_tris = [fans[fans[:, 1] != fans[:, 2]]]
+    out_vertices = [table.nodes]
+    next_id = len(table.nodes)
     nrm = plane.normal
-    sliver = 1e-12 * mesh.bbox_diag**2
-    for loop in loops:
+    for loop in _chain_loops(zip(*table.chords.T.tolist())):
         if len(loop) < 3:
             continue  # two-node loop bounds zero area
-        coords = np.array([out_vertices[node(k)] for k in loop])
+        coords = table.nodes[loop]
         # area centroid of the loop polygon: the node mean can land exactly
         # on a chord line (collinear chord subdivisions shift it), which
         # would degenerate the fan
         ref = coords[0]
         doubled = np.cross(coords[1:-1] - ref, coords[2:] - ref) @ nrm
         total = doubled.sum()
-        if total <= 2.0 * sliver:
+        if total <= DEGENERATE_AREA_FRACTION * (np.ptp(coords, axis=0) ** 2).sum():
             raise NonStarShapedCutLoop(
                 f"cut loop of {len(loop)} nodes encloses no usable area"
             )
         piece_centers = (ref + coords[1:-1] + coords[2:]) / 3.0
         centroid = (doubled[:, None] * piece_centers).sum(axis=0) / total
-        signed = np.cross(coords - centroid, np.roll(coords, -1, axis=0) - centroid) @ nrm
-        if (signed <= sliver).any():
+        # every fan triangle must pass the TriMesh shape test with the
+        # cap's orientation
+        spokes = (coords - centroid).T
+        rims = np.roll(spokes, -1, axis=1) - spokes
+        if (nrm @ _cross(spokes, rims) <= _sliver_floor(spokes, rims)).any():
             raise NonStarShapedCutLoop(
                 f"cut loop of {len(loop)} nodes is not star-shaped around its centroid"
             )
-        ids = [node(k) for k in loop]
-        c_idx = len(out_vertices)
-        out_vertices.append(centroid)
-        for m in range(len(ids)):
-            out_tris.append((c_idx, ids[m], ids[(m + 1) % len(ids)]))
+        out_vertices.append(centroid[None])
+        out_tris.append(np.column_stack([np.full(len(loop), next_id), loop, np.roll(loop, -1)]))
+        next_id += 1
 
-    return TriMesh(np.array(out_vertices), np.array(out_tris, dtype=np.int64))
-
-
-def _on_plane(key, s) -> bool:
-    return key[0] == "e" or s[key[1]] == 0.0
+    tris = np.concatenate(out_tris)
+    used = np.zeros(next_id, dtype=bool)
+    used[tris] = True
+    return TriMesh(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris])
 
 
 def _chain_loops(chords):

@@ -10,6 +10,7 @@ import pytest
 from labmech import (
     HelixSpec,
     LiquidPlane,
+    ReplayTrace,
     box_mesh,
     clip_volume,
     load_mesh,
@@ -19,6 +20,7 @@ from labmech import (
     sdf_thread,
     solve_height,
     unit_vector,
+    write_trace,
 )
 from labmech.cli import main
 
@@ -447,6 +449,25 @@ class TestReplay:
         assert blobs[0] == blobs[1] == blobs[2]
         body = load_mesh(files[0])
         assert mesh_volume(body) == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "columns, value, message",
+        [(("nx", "ny", "nz"), 0.0, "zero vector"), (("height",), np.nan, "finite")],
+        ids=["zero-normal", "nan-height"],
+    )
+    def test_bad_record_exits_2(self, tmp_path, cube_path, capsys, columns, value, message):
+        good = read_trace(self.make_trace(tmp_path, cube_path, capsys, steps=3))
+        data = good.data.copy()
+        data[1, [good.columns.index(c) for c in columns]] = value
+        bad = tmp_path / "bad.trace"
+        write_trace(ReplayTrace(kind="liquid", columns=good.columns, data=data), bad)
+        code, _, err = run(
+            ["replay", "--trace", bad, "--export", "meshes",
+             "--mesh", cube_path, "--outdir", tmp_path / "frames"],
+            capsys,
+        )
+        assert code == 2
+        assert "record 1" in err and message in err
 
     def test_malformed_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"

@@ -8,6 +8,7 @@ from labmech import (
     LiquidPlane,
     MeshFormatError,
     NoConvergence,
+    NonStarShapedCutLoop,
     NotWatertight,
     TriMesh,
     VolumeOutOfRange,
@@ -114,6 +115,12 @@ class TestClipVolume:
         above = clip_volume(cube, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.7))
         assert above.full and above.volume == pytest.approx(1.0, rel=1e-12)
 
+    def test_empty_mesh(self):
+        empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        res = clip_volume(empty, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.0))
+        assert (res.volume, res.cut_area, res.empty, res.full) == (0.0, 0.0, True, True)
+        assert len(liquid_geometry(empty, [0.0, 0.0, 1.0], 0.0)) == 0
+
     def test_monte_carlo_random_planes(self, cube):
         rng = np.random.default_rng(83)
         pts = rng.uniform(0.0, 1.0, (2_000_000, 3))
@@ -152,6 +159,22 @@ class TestClipVolume:
             up = clip_volume(cube, LiquidPlane(normal, h + delta)).volume
             dn = clip_volume(cube, LiquidPlane(normal, h - delta)).volume
             assert (up - dn) / (2 * delta) == pytest.approx(area, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "mesh, normal",
+        [
+            (box_mesh(), unit_vector([1.0, 1.0, 0.0])),
+            (icosphere_mesh(radius=15e-3, subdivisions=3), np.array([0.0, 0.0, 1.0])),
+        ],
+        ids=["cube-diagonal", "icosphere-3-equator"],
+    )
+    def test_cut_area_counts_in_plane_edges(self, mesh, normal):
+        # the plane at h = 0 contains mesh edges whose triangles lie below
+        delta = 1e-6 * mesh.bbox_diag
+        area = clip_volume(mesh, LiquidPlane(normal, 0.0)).cut_area
+        up = clip_volume(mesh, LiquidPlane(normal, delta)).volume
+        dn = clip_volume(mesh, LiquidPlane(normal, -delta)).volume
+        assert (up - dn) / (2 * delta) == pytest.approx(area, rel=1e-4)
 
 
 class TestSolveHeight:
@@ -277,6 +300,35 @@ class TestLiquidGeometry:
 
         with pytest.raises(OpenCutLoop):
             _chain_loops([(0, 1), (1, 2)])
+
+    def test_small_wall_piece_is_kept(self, tmp_path):
+        # a plane just above an icosphere vertex clips a well-shaped wall
+        # triangle of area 3.5e-13 * diag^2; the shape test must accept it
+        sphere = icosphere_mesh(radius=15e-3, subdivisions=3)
+        normal = [0.07035190605864018, 0.049573259563879334, 0.9962896673408435]
+        body = liquid_geometry(sphere, normal, 0.0030328827791561005)
+        path = tmp_path / "body.mesh"
+        save_mesh(body, path)
+        back = load_mesh(path)  # watertight, or it raises
+        assert mesh_volume(back) == pytest.approx(9.110075167497895e-06, rel=1e-9)
+
+    def test_thin_cap_along_an_edge(self, cube):
+        # a plane 1.4e-6 above the bottom edge cuts a thin cap: its smallest
+        # fan triangle has area 4.7e-13 * diag^2, below the old absolute
+        # floor, and doubled area 1.1e-11 * longest edge^2, above the shape floor
+        normal = unit_vector([0.0, 1.0, 1.0])
+        height = -0.7071053669729851
+        body = liquid_geometry(cube, normal, height)
+        expected = clip_volume(cube, LiquidPlane(normal, height)).volume
+        assert mesh_volume(body) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.xfail(raises=NonStarShapedCutLoop, strict=True, reason=(
+        "the centroid fan of a thin cap with a node 1e-7 from a corner "
+        "makes a triangle that fails the shape test"
+    ))
+    def test_thin_cap_with_node_near_a_corner(self, cube):
+        normal = unit_vector([9.61523948e-01, -2.74721128e-01, 1.09888451e-06])
+        liquid_geometry(cube, normal, -0.6181218509648088)
 
     def test_vertices_snap_onto_the_plane(self, cube):
         # a plane within the snap band of the bottom face classifies those
