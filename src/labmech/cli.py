@@ -453,6 +453,23 @@ def cmd_replay(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that parses as a negative float (``-1e-3``,
+    ``-.5``, ``-inf``) as a value, not as an option; argparse on its own
+    accepts only the ``-1`` and ``-0.5`` shapes.  Subcommand parsers
+    inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-"):
+            try:
+                float(arg_string)
+            except ValueError:
+                pass
+            else:
+                return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_helix_flags(sub):
     sub.add_argument("--r1", type=float, help="helix radius")
     sub.add_argument("--r2", type=float, help="gauge (wire) radius")
@@ -463,7 +480,7 @@ def _add_helix_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="labmech",
         description="Laboratory-mechanism physics kernel: thread fields, detents, "
         "eccentric drives, quasi-static liquids.",

@@ -12,15 +12,19 @@ interior with the halfspace below a plane.  Conventions used throughout:
 * Meshes are closed, consistently outward-oriented triangle soups; every
   directed edge must appear exactly once together with its reverse.
 * One clipping core, after Mirtich (1996): for a mesh and a plane,
-  ``_clip_table`` lists the below-side wall pieces as node-index polygons
-  (mesh vertices plus one crossing node per sign-changing edge of the
-  mesh's edge table) and the cut chords, the piece edges lying on the
-  plane.  :func:`clip_volume` sums the pieces' divergence flux with the
-  reference point on the plane, so the cap contributes zero flux and is
-  never built in the height-solving hot path, and gets the cut
-  cross-section area (the exact derivative of clipped volume with
-  respect to height) from Green's theorem on the chords.
-  :func:`liquid_geometry` emits the same pieces and caps the chord loops.
+  ``_clip_table`` splits the below side into *whole* triangles (every
+  vertex strictly below) and the *band* (some, but not all, vertices
+  below).  Only the band is clipped: its below-side pieces become
+  node-index polygons (mesh vertices plus one crossing node per
+  sign-changing edge of the mesh's edge table), and the cut chords are
+  the piece edges lying on the plane.  :func:`clip_volume` sums the
+  divergence flux with the reference point on the plane, so the cap
+  contributes zero flux and is never built in the height-solving hot
+  path: the band pieces directly, the whole triangles from per-container
+  terms that :class:`TriMesh` computes once.  The cut cross-section area
+  (the exact derivative of clipped volume with respect to height) comes
+  from Green's theorem on the chords.  :func:`liquid_geometry` emits the
+  whole triangles and the same band pieces, and caps the chord loops.
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -87,15 +91,19 @@ class TriMesh:
     degenerate triangles (doubled area <= 1e-12 * longest edge^2, so the
     test depends on shape, not size), duplicated directed edges
     (non-manifold or inconsistently wound), and boundary edges.  An empty
-    mesh is valid.
+    mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
+    the inputs, so the bounding box, the edge table and the flux terms
+    cached from them cannot go stale.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        tris = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        verts = np.array(self.vertices, dtype=float).reshape(-1, 3)
+        tris = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        verts.flags.writeable = False
+        tris.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         if not np.isfinite(verts).all():
@@ -152,6 +160,28 @@ class TriMesh:
     def bbox_diag(self) -> float:
         return float(np.linalg.norm(self.bbox_max - self.bbox_min))
 
+    @cached_property
+    def _capacity(self) -> float:
+        """Interior volume: signed tetrahedra det(v0, v1, v2)/6 anchored at
+        the origin."""
+        if len(self) == 0:
+            return 0.0
+        c = self.vertices[self.triangles]
+        return float(np.einsum("ij,ij->i", np.cross(c[:, 0], c[:, 1]), c[:, 2]).sum() / 6.0)
+
+    @cached_property
+    def _whole_flux(self) -> np.ndarray:
+        """(4, T) per-triangle flux terms with corners a, b, c taken relative
+        to the bbox center: row 0 is det(a, b, c), rows 1-3 are
+        a x b + b x c + c x a.  For a point p relative to the center,
+        det(a - p, b - p, c - p) = det(a, b, c) - p . (a x b + b x c + c x a),
+        so whole triangles are summed against any plane point at once."""
+        a, b, c = (self.vertices - self.bbox_center)[self.triangles].transpose(1, 2, 0)
+        ab = _cross(a, b)
+        flux = np.concatenate([[(ab * c).sum(0)], ab + _cross(b, c) + _cross(c, a)])
+        flux.flags.writeable = False
+        return flux
+
     def __len__(self) -> int:
         return len(self.triangles)
 
@@ -187,13 +217,8 @@ class ClipResult:
 def mesh_volume(mesh: TriMesh) -> float:
     """Interior volume by the divergence theorem: sum of signed tetrahedra
     det(v0, v1, v2)/6 anchored at the origin.  Positive for outward
-    orientation; exact for polyhedra."""
-    if len(mesh) == 0:
-        return 0.0
-    c = mesh.vertices[mesh.triangles]
-    return float(
-        np.einsum("ij,ij->i", np.cross(c[:, 0], c[:, 1]), c[:, 2]).sum() / 6.0
-    )
+    orientation; exact for polyhedra.  Computed once per mesh."""
+    return mesh._capacity
 
 
 class _ClipTable(NamedTuple):
@@ -208,17 +233,30 @@ class _ClipTable(NamedTuple):
     origin: np.ndarray  # the plane point at ``height`` above the bbox center
     heights: np.ndarray  # signed vertex heights, zero inside the snap band
     nodes: np.ndarray  # node coordinates, vertices first
-    pieces: np.ndarray  # (m, 4) below-side walk polygons; triangles repeat node 2
+    whole: np.ndarray  # (T,) triangles with every vertex strictly below
+    pieces: np.ndarray  # (m, 4) band walk polygons; triangles repeat node 2
     chords: np.ndarray  # (c, 2) polygon steps with both nodes on the plane
+
+    @property
+    def empty(self) -> bool:
+        """No vertex lies strictly below the plane."""
+        return len(self.pieces) == 0 and not self.whole.any()
+
+    @property
+    def full(self) -> bool:
+        """No vertex lies strictly above the plane."""
+        return bool((self.heights <= 0.0).all())
 
 
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
-    """Clip every triangle with a vertex strictly below the plane.
+    """Split the below side into whole triangles and clipped band pieces.
 
-    Walking a triangle's boundary and keeping each vertex at or below the
-    plane plus each crossing node yields a 3- or 4-node polygon in the
-    triangle's own orientation; a whole kept triangle is its own walk.
-    Faces lying in the plane hold no volume below and are dropped.
+    A whole triangle lies strictly below and is kept as it is; it has no
+    node on the plane, so it yields no chord.  Walking a band triangle's
+    boundary and keeping each vertex at or below the plane plus each
+    crossing node yields a 3- or 4-node polygon in the triangle's own
+    orientation.  Faces lying in the plane hold no volume below and are
+    dropped.
     """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
@@ -232,8 +270,10 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     edge_node = np.full(len(crossing), -1)
     edge_node[crossing] = len(s) + np.arange(len(lo))
 
-    below = sign[mesh.triangles] < 0.0
-    rows = np.flatnonzero(below[:, 0] | below[:, 1] | below[:, 2])
+    # column-wise & and | beat a reduction along the short axis
+    b0, b1, b2 = s[mesh.triangles.T] < 0.0
+    whole = b0 & b1 & b2
+    rows = np.flatnonzero((b0 | b1 | b2) & ~whole)
     corners = mesh.triangles[rows]
     cuts = edge_node[mesh._tri_edges[rows]]
     # walk order: corner 0, edge 0-1, corner 1, edge 1-2, corner 2, edge 2-0
@@ -248,19 +288,23 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     nxt = pieces[:, [1, 2, 3, 0]]
     chord = on_plane & on_plane[:, [1, 2, 3, 0]] & (pieces != nxt)
     chords = np.column_stack([pieces[chord], nxt[chord]])
-    return _ClipTable(o, s, nodes, pieces, chords)
+    return _ClipTable(o, s, nodes, whole, pieces, chords)
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     """Volume of the container interior below the plane, plus the cut area.
 
-    The volume is the divergence flux of the below-side wall pieces with
-    the reference point on the plane, so the cap needs no explicit
-    construction.  The cut area is Green's sum over the cut chords: every
-    step of a piece's boundary walk whose two nodes both lie on the plane,
-    including in-plane edges of whole kept triangles (an edge shared by two
-    kept triangles cancels).  It equals the area of the cap that
-    :func:`liquid_geometry` builds.
+    The volume is the divergence flux of the below-side surface with the
+    reference point on the plane, so the cap needs no explicit
+    construction.  Whole triangles (every vertex strictly below) add their
+    flux from the mesh's cached per-triangle terms, one dot product for all
+    of them; only the band triangles that the plane cuts are clipped into
+    pieces.  The cut area is Green's sum over the cut chords, referenced to
+    a chord node so that a small cut far from the bbox center keeps its
+    accuracy: every step of a band piece's boundary walk whose two nodes
+    both lie on the plane, including in-plane edges of kept triangles (an
+    edge shared by two kept triangles cancels).  It equals the area of the
+    cap that :func:`liquid_geometry` builds.
 
     Parameters
     ----------
@@ -275,22 +319,26 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         below/above the whole mesh.
     """
     table = _clip_table(mesh, plane)
-    # quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has d = c,
-    # and a.(b x c) + a.(c x d) = a.(c x (d - b))
-    rel = (table.nodes - table.origin).T
-    a, b, c, d = np.take(rel, table.pieces.T, axis=1).swapaxes(0, 1)
-    volume = (a * _cross(c, d - b)).sum() / 6.0
-    # the cap runs each chord backwards
-    u, w = np.take(rel, table.chords.T, axis=1).swapaxes(0, 1)
+    # whole triangles: the plane point is height * normal off the bbox center
+    whole = mesh._whole_flux @ table.whole.astype(float)
+    six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
+    # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
+    # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
+    a, b, c, d = (table.nodes[table.pieces.T] - table.origin).transpose(0, 2, 1)
+    six_volume += (a * _cross(c, d - b)).sum()
+    # the cap runs each chord backwards; ends[0, :1] is the first chord's
+    # first node (an empty slice when there are no chords)
+    ends = table.nodes[table.chords.T]
+    u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
     area = 0.5 * (plane.normal @ _cross(w, u)).sum()
-    empty = len(table.pieces) == 0
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
+    empty = table.empty
     return ClipResult(
-        volume=0.0 if empty else max(float(volume), 0.0),
+        volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
         cut_area=max(float(area), 0.0),
         empty=empty,
-        full=bool((table.heights <= 0.0).all()),
+        full=table.full,
     )
 
 
@@ -317,9 +365,17 @@ def height_search(
     Newton steps use the cut area as the exact derivative dV/dh and fall
     back to bisection whenever the step would leave the bracket (the
     mesh's support interval along the normal) or the cut area degenerates.
-    Iteration continues past the volume tolerance until the height stops
-    moving in floating point, so round-trips are stable to the bracket's
-    resolution.
+    Iteration continues past the volume tolerance until the Newton step is
+    at most ``4 * eps * bbox_diag``, the floating-point resolution of a
+    height on this mesh: the step estimates the remaining height error, so
+    the height is then converged whatever its magnitude (a root at h = 0,
+    the half-full symmetric container, included).  A bisection step that no
+    longer moves the height ends the solve too.  Where a plane snaps mesh
+    vertices onto itself, the volume grows slower than the cut area says;
+    when the cut area stays put while the residual keeps its sign and falls
+    by less than 10x, the step uses the secant slope of the last two
+    iterates instead.  The mesh's capacity is cached on it, so a solve
+    clips and does not re-integrate the mesh.
 
     Parameters
     ----------
@@ -340,7 +396,7 @@ def height_search(
     n = np.asarray(normal, dtype=float).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > 1e-12:
         raise ValueError("normal must be a unit vector (within 1e-12)")
-    total = mesh_volume(mesh)
+    total = mesh._capacity
     target = float(target_volume)
     if not np.isfinite(target) or target < 0.0 or target > total * (1.0 + 1e-12):
         raise VolumeOutOfRange(
@@ -355,10 +411,12 @@ def height_search(
 
     vtol = tol_rel * total
     area_floor = AREA_FLOOR_FRACTION * mesh.bbox_diag**2
+    step_floor = 4.0 * np.finfo(float).eps * mesh.bbox_diag
     lo, hi = h_lo, h_hi
     h = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
     h = float(h)
     f = np.nan
+    prev = None  # (height, residual, cut area) of the previous iteration
     for iteration in range(1, max_iter + 1):
         res = clip_volume(mesh, LiquidPlane(n, h))
         f = res.volume - target
@@ -368,12 +426,29 @@ def height_search(
             lo = h
         else:
             hi = h
+        slope = res.cut_area
+        if prev is not None:
+            h_old, f_old, area_old = prev
+            # within the snap band of a vertex the volume grows slower than
+            # the cut area says, so Newton converges only linearly: the area
+            # stays put while the residual keeps its sign and shrinks by less
+            # than 10x.  The secant through the last two iterates measures
+            # the actual slope there.
+            if (
+                f * f_old > 0.0
+                and abs(f) > 0.1 * abs(f_old)
+                and abs(res.cut_area - area_old) <= 0.01 * res.cut_area
+            ):
+                secant = (f - f_old) / (h - h_old)
+                if secant > area_floor:
+                    slope = secant
+        prev = (h, f, res.cut_area)
         if res.cut_area > area_floor:
-            h_new = h - f / res.cut_area
-            if h_new == h:
-                # the Newton correction f/A estimates the remaining height
-                # error; once it falls below fp resolution, h is done even
-                # if the opposite bracket end never moved
+            h_new = h - f / slope
+            if abs(h_new - h) <= step_floor:
+                # the Newton correction estimates the remaining height error;
+                # once it falls below the mesh's fp resolution, h is done
+                # even if the opposite bracket end never moved
                 if abs(f) <= vtol:
                     return HeightSearch(height=h, residual=abs(f), iterations=iteration)
                 raise NoConvergence(
@@ -411,30 +486,31 @@ def solve_height(
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     """Closed mesh of the liquid body below the plane.
 
-    The wall is the below-side pieces of the clip table that
-    :func:`clip_volume` sums, each fanned into triangles; the cut chords
-    are chained into closed loops and each loop is fan-triangulated from
-    its area centroid to cap the body.  Pieces share crossing nodes, so the
-    output is watertight by construction.  The centroid fan is valid for
-    the star-shaped (in practice convex) cut loops produced by the
-    containers in scope; a loop that fans inconsistently raises
-    :class:`NonStarShapedCutLoop`, and a cut boundary that fails to close
-    raises :class:`OpenCutLoop`.
+    The wall is the whole triangles of the clip table that
+    :func:`clip_volume` sums, as they are, and its band pieces, each fanned
+    into triangles; the cut chords are chained into closed loops and each
+    loop is fan-triangulated from its area centroid to cap the body.
+    Pieces share crossing nodes, so the output is watertight by
+    construction.  The centroid fan is valid for the star-shaped (in
+    practice convex) cut loops produced by the containers in scope; a loop
+    that fans inconsistently raises :class:`NonStarShapedCutLoop`, and a
+    cut boundary that fails to close raises :class:`OpenCutLoop`.
 
     Returns an empty mesh when the plane lies below the container and the
     input mesh itself when it lies above.  Vertices are listed in node
     order (mesh vertices by index, then crossing nodes by edge, then cap
-    centroids by loop), so identical inputs give identical meshes.
+    centroids by loop) and triangles as whole triangles, band fans, caps,
+    so identical inputs give identical meshes.
     """
     plane = LiquidPlane(unit_vector(normal), height)
     table = _clip_table(mesh, plane)
-    if len(table.pieces) == 0:
+    if table.empty:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    if (table.heights <= 0.0).all():
+    if table.full:
         return mesh
 
     fans = table.pieces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    out_tris = [fans[fans[:, 1] != fans[:, 2]]]
+    out_tris = [mesh.triangles[table.whole], fans[fans[:, 1] != fans[:, 2]]]
     out_vertices = [table.nodes]
     next_id = len(table.nodes)
     nrm = plane.normal

@@ -6,6 +6,7 @@ going through the code paths under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -216,6 +217,20 @@ def bisect_height(mesh, normal, target, tol=1e-12, max_iter=200):
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def exact_chord_area(starts, ends, normal):
+    """Green's sum 0.5 * normal . sum(end x start) over directed chords (the
+    cap runs each chord backwards), in exact rational arithmetic on the
+    float inputs, rounded once at the end."""
+    n = [Fraction(x) for x in normal]
+    total = Fraction(0)
+    for u, w in zip(starts, ends):
+        u = [Fraction(x) for x in u]
+        w = [Fraction(x) for x in w]
+        cross = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
+        total += sum(a * b for a, b in zip(n, cross))
+    return float(total / 2)
 
 
 def inside_box(points, origin, size):

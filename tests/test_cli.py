@@ -204,6 +204,50 @@ class TestClip:
         assert code == 2
 
 
+class TestNegativeValues:
+    """A value such as -1e-3 is read as a number, not as an option."""
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["--height", "-1e-3"], ["--height=-1e-3"]),
+            (["--height", "-2.5E-1"], ["--height=-2.5E-1"]),
+            (["--height", "-.2"], ["--height=-.2"]),
+        ],
+    )
+    def test_clip_height(self, cube_path, capsys, spaced, joined):
+        base = ["clip", "--mesh", cube_path, "--normal", "0", "0", "1"]
+        code, out, err = run(base + spaced, capsys)
+        assert (code, err) == (0, "")
+        assert run(base + joined, capsys) == (0, out, "")
+
+    def test_clip_normal(self, cube_path, capsys):
+        base = ["clip", "--mesh", cube_path, "--height", "0", "--normal"]
+        code, out, err = run(base + ["-1e-3", "0", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert run(base + ["-0.001", "0", "1"], capsys) == (0, out, "")
+
+    def test_fill_height_guess(self, cube_path, capsys):
+        base = ["fill-height", "--mesh", cube_path, "--normal", "0", "0", "1", "--volume", "0.3"]
+        code, out, err = run(base + ["--guess", "-1e-3"], capsys)
+        assert (code, err) == (0, "")
+        assert run(base + ["--guess=-1e-3"], capsys) == (0, out, "")
+
+    def test_score_lists(self, capsys):
+        tail = ["--target", "1", "1", "--final", "0.5", "0.5", "--weights", "0.5", "0.5"]
+        code, out, err = run(["score", "--initial", "-1e-1", "-5e-2", *tail], capsys)
+        assert (code, err) == (0, "")
+        assert run(["score", "--initial", "-0.1", "-0.05", *tail], capsys) == (0, out, "")
+
+    def test_non_finite_value_is_bad_input(self, cube_path, capsys):
+        code, _, err = run(
+            ["clip", "--mesh", cube_path, "--normal", "0", "0", "1", "--height", "-inf"],
+            capsys,
+        )
+        assert code == 2
+        assert "finite" in err
+
+
 class TestFillHeight:
     def test_half_volume(self, cube_path, capsys):
         code, out, _ = run(

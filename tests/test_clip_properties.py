@@ -1,5 +1,7 @@
-"""Property tests of the clipping core: the liquid body agrees with
-clip_volume, is watertight, and the cut area is the volume derivative.
+"""Property tests of the clipping core and the height solve built on it:
+the liquid body agrees with clip_volume, is watertight, and the cut area is
+the volume derivative; the height solve meets its budget and agrees with
+bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from labmech import (
     LiquidPlane,
     NonStarShapedCutLoop,
@@ -25,7 +28,7 @@ from labmech import (
     save_mesh,
     unit_vector,
 )
-from labmech.mesh import ONPLANE_SNAP_FRACTION
+from labmech.mesh import ONPLANE_SNAP_FRACTION, height_search
 
 FIXTURES = {
     "cube": box_mesh(),
@@ -117,3 +120,54 @@ def test_cut_area_is_volume_derivative(case):
     up = clip_volume(mesh, LiquidPlane(normal, height + delta)).volume
     dn = clip_volume(mesh, LiquidPlane(normal, height - delta)).volume
     assert (up - dn) / (2.0 * delta) == pytest.approx(area, rel=1e-4)
+
+
+@st.composite
+def fills(draw):
+    """(fixture name, unit normal, target volume) with the normal free or
+    normal to a face, and the target a free fill, exact half fill, or the
+    volume below the plane through a vertex of that face (so a face normal
+    puts the whole face in the plane)."""
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    mesh = FIXTURES[name]
+    corners = mesh.vertices[mesh.triangles[draw(st.integers(0, len(mesh) - 1))]]
+    if draw(st.booleans()):
+        normal = unit_vector(draw(directions))
+    else:
+        face = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+        normal = draw(st.sampled_from([1.0, -1.0])) * unit_vector(face)
+    capacity = mesh_volume(mesh)
+    kind = draw(st.sampled_from(["free", "half", "vertex"]))
+    if kind == "free":
+        target = draw(st.floats(1e-6, 1.0 - 1e-6)) * capacity
+    elif kind == "half":
+        target = 0.5 * capacity
+    else:
+        height = float((corners[draw(st.integers(0, 2))] - mesh.bbox_center) @ normal)
+        # a plane through an extreme vertex or face holds none or all of the
+        # volume, the solver's trivial returns; next to them the volume is
+        # flat in the height, which no height oracle resolves
+        support = (mesh.vertices - mesh.bbox_center) @ normal
+        snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+        assume(support.min() + snap < height < support.max() - snap)
+        target = clip_volume(mesh, LiquidPlane(normal, height)).volume
+    return name, normal, target
+
+
+@PROPERTY_SETTINGS
+@given(case=fills())
+def test_height_solve_meets_budget_and_bisection(case):
+    name, normal, target = case
+    mesh = FIXTURES[name]
+    capacity = mesh_volume(mesh)
+    found = height_search(mesh, normal, target)
+    if name != "l-prism" and 0.01 <= target / capacity <= 0.99:
+        # acceptance criterion 10's budget, on the convex containers; cold
+        # solves of near-empty and near-full fills still overrun it (see
+        # test_near_full_meets_iteration_budget in test_mesh.py)
+        assert found.iterations <= 20
+    volume = clip_volume(mesh, LiquidPlane(normal, found.height)).volume
+    assert abs(volume - target) <= 1e-9 * capacity
+    assert found.residual <= 1e-9 * capacity
+    reference = oracles.bisect_height(mesh, normal, target)
+    assert abs(found.height - reference) <= 1e-9 * mesh.bbox_diag

@@ -25,6 +25,7 @@ from labmech import (
     solve_height,
     unit_vector,
 )
+from labmech.mesh import _clip_table
 from labmech.mesh import height_search as _height_search
 
 
@@ -71,6 +72,23 @@ class TestTriMesh:
         tris[0, 0] = 99
         with pytest.raises(ValueError, match="out of range"):
             TriMesh(cube.vertices, tris)
+
+    def test_arrays_are_read_only(self, cube):
+        with pytest.raises(ValueError, match="read-only"):
+            cube.vertices *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            cube.triangles[0] = cube.triangles[1]
+        assert cube.bbox_diag == pytest.approx(np.sqrt(3.0))
+
+    def test_inputs_are_copied(self, cube):
+        verts, tris = cube.vertices.copy(), cube.triangles.copy()
+        mesh = TriMesh(verts, tris)
+        capacity, diag = mesh_volume(mesh), mesh.bbox_diag
+        verts *= 2.0
+        tris[:, [1, 2]] = tris[:, [2, 1]]
+        np.testing.assert_array_equal(mesh.vertices, cube.vertices)
+        np.testing.assert_array_equal(mesh.triangles, cube.triangles)
+        assert (mesh_volume(mesh), mesh.bbox_diag) == (capacity, diag)
 
 
 class TestMeshVolume:
@@ -120,6 +138,21 @@ class TestClipVolume:
         res = clip_volume(empty, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.0))
         assert (res.volume, res.cut_area, res.empty, res.full) == (0.0, 0.0, True, True)
         assert len(liquid_geometry(empty, [0.0, 0.0, 1.0], 0.0)) == 0
+
+    def test_grazing_cut_area_matches_exact_sum(self):
+        # near-empty cuts far from the bbox center: Green's sum referenced
+        # to a point far from the chords would cancel large terms
+        mesh = cylinder_mesh(segments=48)
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            normal = unit_vector([*rng.normal(scale=0.05, size=2), 1.0])
+            support = (mesh.vertices - mesh.bbox_center) @ normal
+            depth = 10.0 ** rng.uniform(-7.0, -4.0) * mesh.bbox_diag
+            plane = LiquidPlane(normal, support.min() + depth)
+            table = _clip_table(mesh, plane)
+            starts, ends = table.nodes[table.chords.T]
+            exact = oracles.exact_chord_area(starts, ends, normal)
+            assert abs(clip_volume(mesh, plane).cut_area - exact) <= 1e-12 * exact
 
     def test_monte_carlo_random_planes(self, cube):
         rng = np.random.default_rng(83)
@@ -213,6 +246,56 @@ class TestSolveHeight:
             solve_height(cube, [0.0, 0.0, 1.0], 2.0)
         with pytest.raises(VolumeOutOfRange):
             solve_height(cube, [0.0, 0.0, 1.0], -0.1)
+
+    @pytest.mark.parametrize(
+        "mesh, normal, warm",
+        [
+            (cylinder_mesh(segments=48), np.array([0.0, 0.0, 1.0]), False),
+            (box_mesh(), unit_vector([1.0, 0.0, 1.0]), True),
+            (icosphere_mesh(subdivisions=4), unit_vector([1.0, 0.0, 1.0]), False),
+            (icosphere_mesh(subdivisions=4), unit_vector([0.3, -0.5, 1.0]), True),
+            (icosphere_mesh(subdivisions=4), unit_vector([-0.2, 0.9, 0.1]), True),
+        ],
+        ids=["cylinder-48-cold", "cube-tilted-warm", "icosphere-4-tilted-cold",
+             "icosphere-4-oblique-warm", "icosphere-4-sideways-warm"],
+    )
+    def test_half_fill_meets_iteration_budget(self, mesh, normal, warm):
+        # the root sits at h ~ 0, where a stopping rule relative to |h|
+        # chases volume roundoff
+        capacity = mesh_volume(mesh)
+        h_prev = None
+        if warm:
+            h_prev = _height_search(mesh, normal, 0.5 * capacity).height + 1e-3 * mesh.bbox_diag
+        found = _height_search(mesh, normal, 0.5 * capacity, h_prev=h_prev)
+        assert found.iterations <= 20
+        assert found.residual <= 1e-9 * capacity
+        reference = oracles.bisect_height(mesh, normal, 0.5 * capacity)
+        assert abs(found.height - reference) <= 1e-9 * mesh.bbox_diag
+
+    @pytest.mark.parametrize(
+        "mesh, normal, vertex",
+        [
+            (box_mesh(), unit_vector([1.0, -1.0, 1.0]), 2),
+            (cylinder_mesh(segments=48), unit_vector([1.0, 1.0, 0.0]), 0),
+        ],
+        ids=["cube-three-vertices", "cylinder-48-side-vertices"],
+    )
+    def test_plane_through_vertices_meets_iteration_budget(self, mesh, normal, vertex):
+        # the root is a plane that snaps mesh vertices onto itself, where
+        # the volume grows slower than the cut area says
+        height = (mesh.vertices[vertex] - mesh.bbox_center) @ normal
+        target = clip_volume(mesh, LiquidPlane(normal, height)).volume
+        found = _height_search(mesh, normal, target)
+        assert found.iterations <= 20
+        assert abs(found.height - height) <= 1e-9 * mesh.bbox_diag
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "safeguarded Newton creeps toward a near-full root from a cold start: "
+        "each step covers a fraction of the remaining distance"
+    ))
+    def test_near_full_meets_iteration_budget(self, cube):
+        normal = unit_vector([-0.75, -0.6, -0.285])
+        assert _height_search(cube, normal, 1.0 - 1e-4).iterations <= 20
 
     def test_iteration_budget_exhaustion(self, cube):
         with pytest.raises(NoConvergence):
