@@ -16,12 +16,11 @@ from labmech import (
     box_mesh,
     clip_volume,
     cylinder_mesh,
+    height_search,
     l_prism_mesh,
     mesh_volume,
-    solve_height,
     unit_vector,
 )
-from labmech.mesh import height_search
 
 containers = {
     "unit cube": box_mesh(),
@@ -33,7 +32,8 @@ print("level heights for a horizontal surface at 10..90% fill:")
 for name, mesh in containers.items():
     total = mesh_volume(mesh)
     heights = [
-        solve_height(mesh, [0.0, 0.0, 1.0], f * total) for f in (0.1, 0.25, 0.5, 0.75, 0.9)
+        height_search(mesh, [0.0, 0.0, 1.0], f * total).height
+        for f in (0.1, 0.25, 0.5, 0.75, 0.9)
     ]
     print(f"  {name} (capacity {total:.4f}):")
     print("    " + "  ".join(f"{h:+.4f}" for h in heights))

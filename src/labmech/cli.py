@@ -3,8 +3,12 @@ Command-line front end for batch evaluation and artifact export.
 
 Commands: sdf-grid, liquid, clip, fill-height, detent-sim, screw-sim,
 score, replay.  Results go to files or stdout; diagnostics go to stderr;
-exit codes are the only failure channel (0 ok, 2 bad input/parse, 3
-solver or mesh failure, 4 volume out of range).
+exit codes are the only failure channel: 0 ok; 2 bad input or parse
+failure (bad flags, config, trajectory, profile, mesh file or trace, and
+unreadable files); 3 solver or mesh failure (an open or non-manifold
+mesh, no convergence, a diverging state, a cut that cannot be capped); 4
+liquid volume out of range.  Commands raise and :func:`main` maps the
+error to its code.
 
 Parameters are taken from flags, from a JSON config document
 (``--config``, schema version 1 with optional ``helix``, ``detent``, and
@@ -32,24 +36,22 @@ from .errors import (
     LabmechError,
     MalformedTrace,
     MeshFormatError,
-    NoConvergence,
-    NonFiniteState,
-    NotWatertight,
     VolumeOutOfRange,
 )
 from .harness import (
     FrameTrajectory,
     ProgressSpec,
     SceneConfig,
+    _uniform_step,
     progress_score,
     run_knob_scene,
     run_liquid_scene,
     run_screw_scene,
 )
 from .helix import HelixSpec, sdf_thread
-from .mesh import LiquidPlane, clip_volume, liquid_geometry, load_mesh, save_mesh, solve_height, unit_vector
+from .mesh import LiquidPlane, clip_volume, height_search, liquid_geometry, load_mesh, save_mesh, unit_vector
 from .pendulum import PendulumParams
-from .trace import ReplayTrace, read_trace, trace_table, write_trace
+from .trace import read_trace, trace_table, write_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,15 +61,11 @@ EXIT_VOLUME = 4
 CONFIG_VERSION = 1
 
 
-def _diag(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(command, args, inputs, outputs, started) -> None:
+def _write_manifest(command, args, inputs, outputs, duration) -> None:
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -78,7 +76,7 @@ def _write_manifest(command, args, inputs, outputs, started) -> None:
         "parameters": params,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "duration_s": time.perf_counter() - started,
+        "duration_s": duration,
     }
     path = Path(str(outputs[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -90,8 +88,6 @@ def _load_config(path):
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except OSError as exc:
-        raise ValueError(str(exc))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     if doc.get("version") != CONFIG_VERSION:
@@ -101,82 +97,80 @@ def _load_config(path):
     return doc
 
 
-def _merge(section: dict, args, keys) -> dict:
-    """Overlay CLI flags (when given) onto a config section."""
+def _section(path, name, args, keys, required, prefix="") -> dict:
+    """Section ``name`` of the config document at ``path`` (dotted for a
+    nested section; empty without a document) with the flags given for
+    ``keys`` laid over it; the flag for key ``k`` is ``args.<prefix><k>``.
+    Raises ValueError naming the ``required`` keys still missing."""
+    section = _load_config(path) if path else {}
+    for part in name.split("."):
+        section = section.get(part, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: section '{name}' must be a JSON object")
     merged = dict(section)
     for key in keys:
-        value = getattr(args, key, None)
+        value = getattr(args, prefix + key)
         if value is not None:
             merged[key] = value
+    missing = [k for k in required if k not in merged]
+    if missing:
+        raise ValueError(f"missing {name} parameters: {', '.join(missing)}")
     return merged
 
 
 def _helix_from(args) -> HelixSpec:
-    section = {}
-    if args.config:
-        section = _load_config(args.config).get("helix", {})
-    merged = _merge(section, args, ("r1", "r2", "p", "l", "h"))
-    missing = [k for k in ("r1", "r2", "p", "l", "h") if k not in merged]
-    if missing:
-        raise ValueError(f"missing helix parameters: {', '.join(missing)}")
-    return HelixSpec(**{k: merged[k] for k in ("r1", "r2", "p", "l", "h")})
+    keys = ("r1", "r2", "p", "l", "h")
+    merged = _section(args.config, "helix", args, keys, keys)
+    return HelixSpec(**{k: merged[k] for k in keys})
+
+
+def _read_table(path, widths) -> np.ndarray:
+    """Float rows of a whitespace-separated text table, skipping blank and
+    ``#`` lines; all rows have one width, which is one of ``widths``."""
+    rows = []
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) not in widths:
+            expected = " or ".join(str(w) for w in widths)
+            raise ValueError(f"{path}: line {ln}: expected {expected} columns, got {len(fields)}")
+        if rows and len(fields) != len(rows[0]):
+            raise ValueError(f"{path}: line {ln}: inconsistent column count")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise ValueError(f"{path}: line {ln}: non-numeric field") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows)
 
 
 def _load_trajectory(path) -> FrameTrajectory:
     """Tabular text: columns time ax ay az, optionally qw qx qy qz."""
-    times, accels, quats = [], [], []
-    width = None
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(str(exc))
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) not in (4, 8):
-            raise ValueError(f"{path}: line {ln}: expected 4 or 8 columns, got {len(fields)}")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise ValueError(f"{path}: line {ln}: inconsistent column count")
-        try:
-            values = [float(v) for v in fields]
-        except ValueError:
-            raise ValueError(f"{path}: line {ln}: non-numeric field")
-        times.append(values[0])
-        accels.append(values[1:4])
-        if width == 8:
-            quats.append(values[4:8])
-    if not times:
-        raise ValueError(f"{path}: empty trajectory")
+    table = _read_table(path, (4, 8))
     try:
         return FrameTrajectory(
-            np.array(times), np.array(accels), np.array(quats) if quats else None
+            table[:, 0], table[:, 1:4], table[:, 4:] if table.shape[1] == 8 else None
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each raises on failure and returns the (inputs, outputs) it
+# wrote, or None when it only prints
 
 
-def cmd_sdf_grid(args) -> int:
-    started = time.perf_counter()
-    try:
-        spec = _helix_from(args)
-        mins = np.array(args.min, dtype=float)
-        maxs = np.array(args.max, dtype=float)
-        res = [int(r) for r in args.res]
-        if (maxs <= mins).any():
-            raise ValueError("grid max corner must exceed min corner componentwise")
-        if min(res) < 2:
-            raise ValueError("grid resolution must be at least 2 per axis")
-    except ValueError as exc:
-        _diag(f"sdf-grid: {exc}")
-        return EXIT_USAGE
+def cmd_sdf_grid(args):
+    spec = _helix_from(args)
+    mins = np.array(args.min, dtype=float)
+    maxs = np.array(args.max, dtype=float)
+    res = [int(r) for r in args.res]
+    if (maxs <= mins).any():
+        raise ValueError("grid max corner must exceed min corner componentwise")
+    if min(res) < 2:
+        raise ValueError("grid resolution must be at least 2 per axis")
     axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     values = sdf_thread(spec, grid).distance
@@ -184,61 +178,36 @@ def cmd_sdf_grid(args) -> int:
     with out.open("w") as fh:
         for (x, y, z), d in zip(grid, values):
             fh.write(f"{float(x)!r}\t{float(y)!r}\t{float(z)!r}\t{float(d)!r}\n")
-    inputs = [args.config] if args.config else []
-    _write_manifest("sdf-grid", args, inputs, [out], started)
-    return EXIT_OK
+    return [args.config] if args.config else [], [out]
 
 
 def _scene_from(args) -> tuple[SceneConfig, list]:
-    section = {}
-    inputs = []
-    if args.scene:
-        section = _load_config(args.scene).get("scene", {})
-        inputs.append(args.scene)
-    merged = _merge(
-        section, args, ("gravity", "mesh", "liquid_volume", "dt", "duration")
+    merged = _section(
+        args.scene, "scene", args, ("gravity", "mesh", "liquid_volume", "dt", "duration"),
+        ("mesh", "liquid_volume"),
     )
-    pend = dict(section.get("pendulum", {}))
-    for key in ("length", "mass", "damping_phi", "damping_theta", "epsilon"):
-        value = getattr(args, f"pend_{key}", None)
-        if value is not None:
-            pend[key] = value
-    if "mesh" not in merged:
-        raise ValueError("no container mesh given (flag --mesh or scene key 'mesh')")
-    if "liquid_volume" not in merged:
-        raise ValueError("no liquid volume given (flag --liquid-volume or key 'liquid_volume')")
-    if "length" not in pend:
-        raise ValueError("no pendulum length given (flag --pend-length or key pendulum.length)")
+    pend = _section(
+        args.scene, "scene.pendulum", args,
+        ("length", "mass", "damping_phi", "damping_theta", "epsilon"), ("length",), "pend_",
+    )
     mesh_path = Path(merged["mesh"])
     if not mesh_path.is_absolute() and args.scene:
         mesh_path = Path(args.scene).parent / mesh_path
-    container = _load_mesh_arg(mesh_path)
-    inputs.append(mesh_path)
     config = SceneConfig(
         gravity=np.asarray(merged.get("gravity", (0.0, 0.0, -9.81)), dtype=float),
-        container=container,
+        container=load_mesh(mesh_path),
         pendulum=PendulumParams(**pend),
         liquid_volume=merged["liquid_volume"],
         dt=merged.get("dt", 1e-3),
         duration=merged.get("duration", 1.0),
     )
-    return config, inputs
+    return config, [p for p in (args.scene, mesh_path) if p]
 
 
-def cmd_liquid(args) -> int:
-    started = time.perf_counter()
-    try:
-        config, inputs = _scene_from(args)
-        trajectory = _load_trajectory(args.trajectory)
-        inputs.append(args.trajectory)
-    except (ValueError, MeshFormatError, NotWatertight, TypeError) as exc:
-        _diag(f"liquid: {exc}")
-        return EXIT_USAGE
-    try:
-        result = run_liquid_scene(config, trajectory)
-    except (NoConvergence, VolumeOutOfRange, NonFiniteState) as exc:
-        _diag(f"liquid: solver failed: {exc}")
-        return EXIT_SOLVER
+def cmd_liquid(args):
+    config, inputs = _scene_from(args)
+    trajectory = _load_trajectory(args.trajectory)
+    result = run_liquid_scene(config, trajectory)
     write_trace(result, args.output)
     last = result.data[-1]
     cols = result.columns
@@ -251,94 +220,35 @@ def cmd_liquid(args) -> int:
             float(result.column("residual").max()) if len(result) else 0.0,
         )
     )
-    _write_manifest("liquid", args, inputs, [Path(args.output)], started)
-    return EXIT_OK
+    return [*inputs, args.trajectory], [Path(args.output)]
 
 
-def _load_mesh_arg(path):
-    try:
-        return load_mesh(path)
-    except (MeshFormatError, NotWatertight):
-        raise
-    except (OSError, ValueError) as exc:
-        # unreadable file or content failing mesh validation: a parse-class
-        # failure for exit-code purposes
-        raise MeshFormatError(str(exc))
-
-
-def cmd_clip(args) -> int:
-    try:
-        mesh = _load_mesh_arg(args.mesh)
-    except MeshFormatError as exc:
-        _diag(f"clip: {exc}")
-        return EXIT_USAGE
-    except NotWatertight as exc:
-        _diag(f"clip: {exc}")
-        return EXIT_SOLVER
-    try:
-        plane = LiquidPlane(unit_vector(args.normal), args.height)
-    except ValueError as exc:
-        _diag(f"clip: {exc}")
-        return EXIT_USAGE
-    result = clip_volume(mesh, plane)
+def cmd_clip(args):
+    mesh = load_mesh(args.mesh)
+    result = clip_volume(mesh, LiquidPlane(unit_vector(args.normal), args.height))
     print(f"{result.volume:.15f} {result.cut_area:.15f}")
-    return EXIT_OK
 
 
-def cmd_fill_height(args) -> int:
-    try:
-        mesh = _load_mesh_arg(args.mesh)
-    except MeshFormatError as exc:
-        _diag(f"fill-height: {exc}")
-        return EXIT_USAGE
-    except NotWatertight as exc:
-        _diag(f"fill-height: {exc}")
-        return EXIT_SOLVER
-    try:
-        normal = unit_vector(args.normal)
-    except ValueError as exc:
-        _diag(f"fill-height: {exc}")
-        return EXIT_USAGE
-    try:
-        height = solve_height(mesh, normal, args.volume, args.guess)
-    except VolumeOutOfRange as exc:
-        _diag(f"fill-height: {exc}")
-        return EXIT_VOLUME
-    except NoConvergence as exc:
-        _diag(f"fill-height: {exc}")
-        return EXIT_SOLVER
-    print(f"{height:.15f}")
-    return EXIT_OK
+def cmd_fill_height(args):
+    mesh = load_mesh(args.mesh)
+    found = height_search(mesh, unit_vector(args.normal), args.volume, args.guess)
+    print(f"{found.height:.15f}")
 
 
-def cmd_detent_sim(args) -> int:
-    started = time.perf_counter()
-    try:
-        section = {}
-        if args.config:
-            section = _load_config(args.config).get("detent", {})
-        merged = _merge(section, args, ("positions", "stiffness", "damping", "inertia"))
-        for key in ("positions", "stiffness", "inertia"):
-            if key not in merged:
-                raise ValueError(f"missing detent parameter: {key}")
-        profile = DetentProfile(
-            positions=np.asarray(merged["positions"], dtype=float),
-            stiffness=merged["stiffness"],
-            damping=merged.get("damping", 0.0),
-        )
-        if args.dt <= 0 or args.duration <= 0:
-            raise ValueError("dt and duration must be positive")
-    except ValueError as exc:
-        _diag(f"detent-sim: {exc}")
-        return EXIT_USAGE
-    try:
-        result = run_knob_scene(
-            profile, args.torque, merged["inertia"],
-            dt=args.dt, duration=args.duration, q0=args.q0, qdot0=args.qdot0,
-        )
-    except NonFiniteState as exc:
-        _diag(f"detent-sim: solver failed: {exc}")
-        return EXIT_SOLVER
+def cmd_detent_sim(args):
+    merged = _section(
+        args.config, "detent", args, ("positions", "stiffness", "damping", "inertia"),
+        ("positions", "stiffness", "inertia"),
+    )
+    profile = DetentProfile(
+        positions=np.asarray(merged["positions"], dtype=float),
+        stiffness=merged["stiffness"],
+        damping=merged.get("damping", 0.0),
+    )
+    result = run_knob_scene(
+        profile, args.torque, merged["inertia"],
+        dt=args.dt, duration=args.duration, q0=args.q0, qdot0=args.qdot0,
+    )
     write_trace(result, args.output)
     last = result.data[-1]
     print(
@@ -346,107 +256,71 @@ def cmd_detent_sim(args) -> int:
             last[1], last[2], int(last[3])
         )
     )
-    inputs = [args.config] if args.config else []
-    _write_manifest("detent-sim", args, inputs, [Path(args.output)], started)
-    return EXIT_OK
+    return [args.config] if args.config else [], [Path(args.output)]
 
 
-def cmd_screw_sim(args) -> int:
-    started = time.perf_counter()
-    inputs = [p for p in (args.config, args.profile) if p]
-    try:
-        spec = _helix_from(args)
-        if args.profile:
-            rows = []
-            for ln, raw in enumerate(Path(args.profile).read_text().splitlines(), 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ValueError(f"{args.profile}: line {ln}: expected 'time angle'")
-                rows.append((float(fields[0]), float(fields[1])))
-            if not rows:
-                raise ValueError(f"{args.profile}: empty profile")
-            times = np.array([r[0] for r in rows])
-            angles = np.array([r[1] for r in rows])
-            dt = times[1] - times[0] if len(times) > 1 else args.dt
-        else:
-            steps = int(round(args.duration / args.dt)) + 1
-            angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps)
-            dt = args.dt
-    except (ValueError, OSError) as exc:
-        _diag(f"screw-sim: {exc}")
-        return EXIT_USAGE
+def cmd_screw_sim(args):
+    spec = _helix_from(args)
+    if args.profile:
+        table = _read_table(args.profile, (2,))
+        angles = table[:, 1]
+        try:
+            dt = _uniform_step(table[:, 0]) if len(table) > 1 else args.dt
+        except ValueError as exc:
+            raise ValueError(f"{args.profile}: {exc}") from None
+    else:
+        if not 0.0 < args.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {args.dt}")
+        steps = int(round(args.duration / args.dt)) + 1
+        angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps)
+        dt = args.dt
     result = run_screw_scene(spec, angles, dt=dt)
     write_trace(result, args.output)
     last = result.data[-1]
     print(f"final_angle {last[1]:.15f} final_axial {last[2]:.15f}")
-    _write_manifest("screw-sim", args, inputs, [Path(args.output)], started)
-    return EXIT_OK
+    return [p for p in (args.config, args.profile) if p], [Path(args.output)]
 
 
-def cmd_score(args) -> int:
-    try:
-        spec = ProgressSpec(
-            initial=args.initial, target=args.target,
-            final=args.final, weights=args.weights,
-        )
-    except (ValueError, DegenerateTerm) as exc:
-        _diag(f"score: {exc}")
-        return EXIT_USAGE
+def cmd_score(args):
+    spec = ProgressSpec(
+        initial=args.initial, target=args.target,
+        final=args.final, weights=args.weights,
+    )
     print(f"{progress_score(spec):.15f}")
-    return EXIT_OK
 
 
-def cmd_replay(args) -> int:
-    started = time.perf_counter()
-    try:
-        result = read_trace(args.trace)
-    except MalformedTrace as exc:
-        _diag(f"replay: {exc} (record {exc.record})")
-        return EXIT_USAGE
-    except OSError as exc:
-        _diag(f"replay: {exc}")
-        return EXIT_USAGE
+def cmd_replay(args):
     if args.export == "table":
+        if not args.output:
+            raise ValueError("table export needs --output")
         out = Path(args.output)
-        out.write_text(trace_table(result))
-        _write_manifest("replay", args, [args.trace], [out], started)
-        return EXIT_OK
+        out.write_text(trace_table(read_trace(args.trace)))
+        return [args.trace], [out]
     # mesh export: rebuild the liquid body for every record
+    if not args.outdir:
+        raise ValueError("mesh export needs --outdir")
+    result = read_trace(args.trace)
     if result.kind != "liquid":
-        _diag(f"replay: mesh export needs a liquid trace, got kind '{result.kind}'")
-        return EXIT_USAGE
+        raise ValueError(f"mesh export needs a liquid trace, got kind '{result.kind}'")
     if not args.mesh:
-        _diag("replay: mesh export needs --mesh (the container)")
-        return EXIT_USAGE
-    try:
-        container = _load_mesh_arg(args.mesh)
-    except (MeshFormatError, NotWatertight) as exc:
-        _diag(f"replay: {exc}")
-        return EXIT_USAGE
+        raise ValueError("mesh export needs --mesh (the container)")
+    if not len(result):
+        raise ValueError("trace has no records")
+    container = load_mesh(args.mesh)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cols = result.columns
     outputs = []
     for i, row in enumerate(result.data):
         normal = np.array([row[cols.index("nx")], row[cols.index("ny")], row[cols.index("nz")]])
-        height = row[cols.index("height")]
         try:
-            LiquidPlane(unit_vector(normal), height)  # validates the record
-        except ValueError as exc:
-            _diag(f"replay: record {i}: {exc}")
-            return EXIT_USAGE
-        body = liquid_geometry(container, normal, height)
+            body = liquid_geometry(container, normal, row[cols.index("height")])
+        except (ValueError, LabmechError) as exc:
+            raise type(exc)(f"record {i}: {exc}") from exc
         path = outdir / f"step_{i:06d}.mesh"
         save_mesh(body, path)
         outputs.append(path)
-    if not outputs:
-        _diag("replay: trace has no records")
-        return EXIT_USAGE
-    _write_manifest("replay", args, [args.trace, args.mesh], outputs, started)
-    return EXIT_OK
+    return [args.trace, args.mesh], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -567,23 +441,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "replay":
-        if args.export == "table" and not args.output:
-            _diag("replay: table export needs --output")
-            return EXIT_USAGE
-        if args.export == "meshes" and not args.outdir:
-            _diag("replay: mesh export needs --outdir")
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    # exception type -> exit code: the first match in this order wins, and
+    # an exception of any other type is a bug and propagates
+    exit_codes = {
+        ValueError: EXIT_USAGE,
+        TypeError: EXIT_USAGE,
+        OSError: EXIT_USAGE,
+        MeshFormatError: EXIT_USAGE,
+        MalformedTrace: EXIT_USAGE,
+        DegenerateTerm: EXIT_USAGE,
+        VolumeOutOfRange: EXIT_VOLUME,
+        LabmechError: EXIT_SOLVER,
+    }
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except LabmechError as exc:
-        _diag(f"{args.command}: {exc}")
-        return EXIT_SOLVER
-    except OSError as exc:
-        _diag(f"{args.command}: {exc}")
-        return EXIT_USAGE
+        written = args.func(args)
+    except tuple(exit_codes) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return next(code for kind, code in exit_codes.items() if isinstance(exc, kind))
+    if written:
+        _write_manifest(args.command, args, *written, time.perf_counter() - started)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -76,9 +76,9 @@ def orbit_point(spec: EccentricSpec, theta: float) -> np.ndarray:
 class HingePair:
     """Two parallel hinge joints kinematically constrained to opposite angles.
 
-    There is no constraint solver here: setting either hinge drives the
-    other to its negative, so the sum-to-zero coupling holds exactly by
-    construction.
+    There is no constraint solver here: :meth:`set_angle` puts the first
+    hinge at the drive angle and the second at its negative, so the
+    sum-to-zero coupling holds exactly by construction.
     """
 
     def __init__(self, spec: EccentricSpec):
@@ -88,12 +88,6 @@ class HingePair:
     def set_angle(self, theta: float) -> None:
         """Drive angle: first hinge to ``theta``, second to ``-theta``."""
         self._theta = float(theta)
-
-    def set_first(self, angle: float) -> None:
-        self.set_angle(angle)
-
-    def set_second(self, angle: float) -> None:
-        self.set_angle(-float(angle))
 
     @property
     def angles(self) -> tuple[float, float]:

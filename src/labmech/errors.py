@@ -50,8 +50,9 @@ class MeshFormatError(LabmechError):
 
 
 class MalformedTrace(LabmechError):
-    """A trace file failed validation. Carries the failing record index."""
+    """A trace file failed validation. Carries the failing record index,
+    which the message names."""
 
     def __init__(self, message, record=None):
-        super().__init__(message)
+        super().__init__(message if record is None else f"record {record}: {message}")
         self.record = record

@@ -37,6 +37,17 @@ SCREW_COLUMNS = ("time", "angle", "axial")
 KNOB_COLUMNS = ("time", "q", "qdot", "index")
 
 
+def _uniform_step(times) -> float:
+    """Spacing of two or more timestamps; raises ValueError unless they
+    are strictly increasing and uniformly spaced (within 1e-9 relative)."""
+    gaps = np.diff(times)
+    if not (gaps > 0.0).all():
+        raise ValueError("timestamps must be strictly increasing")
+    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("timestamps must be uniformly spaced")
+    return gaps[0]
+
+
 @dataclass(frozen=True, eq=False)
 class FrameTrajectory:
     """Uniformly sampled container-frame motion: timestamps, linear
@@ -59,11 +70,7 @@ class FrameTrajectory:
         if not (np.isfinite(times).all() and np.isfinite(accels).all()):
             raise ValueError("trajectory samples must be finite")
         if len(times) > 1:
-            gaps = np.diff(times)
-            if (gaps <= 0.0).any():
-                raise ValueError("timestamps must be strictly increasing")
-            if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-                raise ValueError("timestamps must be uniformly spaced")
+            _uniform_step(times)
         if self.orientations is not None:
             quats = np.asarray(self.orientations, dtype=float).reshape(-1, 4)
             object.__setattr__(self, "orientations", quats)
@@ -232,8 +239,14 @@ def run_knob_scene(
     qdot0: float = 0.0,
 ) -> ReplayTrace:
     """Step a knob under an external torque (scalar, or one sample per step)
-    and record position, velocity, and the nearest detent index."""
+    and record position, velocity, and the nearest detent index.  Raises
+    ValueError unless ``dt`` is positive and ``duration`` covers at least
+    one whole step."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     steps = int(round(duration / dt))
+    if steps < 1:
+        raise ValueError(f"duration {duration} covers no whole step at dt {dt}")
     torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
     rows = np.empty((steps, len(KNOB_COLUMNS)))

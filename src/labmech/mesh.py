@@ -472,17 +472,6 @@ def height_search(
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
-def solve_height(
-    mesh: TriMesh,
-    normal,
-    target_volume: float,
-    h_prev: float | None = None,
-) -> float:
-    """Height whose clipped volume equals ``target_volume``; see
-    :func:`height_search` for the solver contract."""
-    return height_search(mesh, normal, target_volume, h_prev).height
-
-
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     """Closed mesh of the liquid body below the plane.
 

@@ -190,28 +190,15 @@ def step_pendulum(
     params: PendulumParams, state: PendulumState, accel, dt: float
 ) -> PendulumState:
     """One RK4 step of duration ``dt`` with ``accel`` held constant."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    gx, gy, gz = (float(a) for a in accel)
-    try:
-        y = _step(
-            params.mass, params.length, params.damping_phi, params.damping_theta,
-            params.epsilon,
-            (state.phi, state.theta, state.phidot, state.thetadot),
-            gx, gy, gz, dt,
-        )
-    except (OverflowError, ValueError) as exc:
-        raise NonFiniteState(f"pendulum step overflowed: {exc}") from exc
-    if not all(math.isfinite(v) for v in y):
-        raise NonFiniteState(f"pendulum state diverged: {y}")
-    return PendulumState(*y)
+    return integrate_pendulum(params, state, accel, dt, 1)
 
 
 def integrate_pendulum(
     params: PendulumParams, state: PendulumState, accel, dt: float, steps: int
 ) -> PendulumState:
-    """Integrate ``steps`` RK4 steps under constant forcing (fast path for
-    long horizons; identical arithmetic to repeated :func:`step_pendulum`)."""
+    """Integrate ``steps`` RK4 steps under constant forcing; one step is
+    :func:`step_pendulum`.  Raises :class:`NonFiniteState` when a step
+    overflows or leaves a non-finite state."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if steps < 0:

@@ -13,12 +13,12 @@ from labmech import (
     ReplayTrace,
     box_mesh,
     clip_volume,
+    height_search,
     load_mesh,
     mesh_volume,
     read_trace,
     save_mesh,
     sdf_thread,
-    solve_height,
     unit_vector,
     write_trace,
 )
@@ -265,7 +265,7 @@ class TestFillHeight:
             capsys,
         )
         assert code == 0
-        expected = solve_height(box_mesh(), [0, 0, 1], 0.37)
+        expected = height_search(box_mesh(), [0, 0, 1], 0.37).height
         assert float(out) == pytest.approx(expected, abs=1e-15)
 
     def test_overfull_exits_4(self, cube_path, capsys):
@@ -527,6 +527,82 @@ class TestReplay:
         code, _, err = run(["replay", "--trace", tmp_path / "x", "--export", "table"], capsys)
         assert code == 2
         assert "--output" in err
+
+
+class TestExitCodes:
+    """Each failure exits with its documented code and a one-line
+    ``<command>: `` diagnostic, never a traceback."""
+
+    HELIX = TestSdfGrid.HELIX
+    DETENT = ["--positions", "0", "0.5", "--stiffness", "10"]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        open_mesh = tmp_path / "open.mesh"
+        open_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        traj = tmp_path / "traj.txt"
+        traj.write_text("0.0 0 0 0\n")
+        liquid = tmp_path / "liquid.trace"
+        write_trace(
+            ReplayTrace(kind="liquid", columns=("nx", "ny", "nz", "height"),
+                        data=[[0.0, 0.0, 1.0, 0.0]] * 3),
+            liquid,
+        )
+        truncated = tmp_path / "truncated.trace"
+        truncated.write_bytes(liquid.read_bytes()[:-8])
+        profiles = {
+            "equal": "0.0 0.0\n0.0 1.0\n",
+            "gappy": "0 0.0\n1 1.0\n5 2.0\n",
+            "nan": "0.0 0.0\n0.1 nan\n",
+            "text": "0.0 0.0\n0.1 one\n",
+        }
+        for name, body in profiles.items():
+            (tmp_path / f"{name}.txt").write_text(body)
+        return {
+            "dir": tmp_path, "open": open_mesh, "traj": traj,
+            "liquid": liquid, "truncated": truncated,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, code, fragment",
+        [
+            (["liquid", "--trajectory", "{traj}", "--output", "{dir}/run.trace",
+              "--mesh", "{open}", "--liquid-volume", "0.1", "--pend-length", "0.02"],
+             3, "boundary edges"),
+            (["replay", "--trace", "{liquid}", "--export", "meshes", "--mesh", "{open}",
+              "--outdir", "{dir}/frames"], 3, "boundary edges"),
+            (["screw-sim", *HELIX, "--profile", "{dir}/equal.txt",
+              "--output", "{dir}/s.trace"], 2, "strictly increasing"),
+            (["screw-sim", *HELIX, "--profile", "{dir}/gappy.txt",
+              "--output", "{dir}/s.trace"], 2, "uniformly spaced"),
+            (["screw-sim", *HELIX, "--profile", "{dir}/nan.txt",
+              "--output", "{dir}/s.trace"], 2, "finite"),
+            (["screw-sim", *HELIX, "--profile", "{dir}/text.txt",
+              "--output", "{dir}/s.trace"], 2, "text.txt: line 2: non-numeric"),
+            (["screw-sim", *HELIX, "--dt", "0", "--output", "{dir}/s.trace"],
+             2, "dt must be positive"),
+            (["screw-sim", *HELIX, "--dt", "-1", "--output", "{dir}/s.trace"],
+             2, "dt must be positive"),
+            (["detent-sim", *DETENT, "--inertia", "0", "--output", "{dir}/k.trace"],
+             2, "inertia must be positive"),
+            (["detent-sim", *DETENT, "--inertia", "0.005", "--dt", "1", "--duration", "0.1",
+              "--output", "{dir}/k.trace"], 2, "covers no whole step"),
+            (["replay", "--trace", "{truncated}", "--export", "table",
+              "--output", "{dir}/t.tsv"], 2, "record 2: data section"),
+        ],
+        ids=[
+            "liquid-open-mesh", "replay-open-mesh", "screw-equal-times",
+            "screw-uneven-times", "screw-nan-angle", "screw-text-field", "screw-dt-0",
+            "screw-dt-negative", "detent-zero-inertia", "detent-short-duration",
+            "replay-truncated-trace",
+        ],
+    )
+    def test_failure_exit_code(self, files, capsys, argv, code, fragment):
+        exit_code, out, err = run([a.format(**files) for a in argv], capsys)
+        assert (exit_code, out) == (code, "")
+        assert err.startswith(f"{argv[0]}: ")
+        assert fragment in err
+        assert "Traceback" not in err
 
 
 class TestConsoleEntryPoint:

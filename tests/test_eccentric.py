@@ -109,9 +109,9 @@ class TestHingePair:
 
     def test_either_hinge_drives_the_other(self):
         pair = HingePair(EccentricSpec(1.0))
-        pair.set_first(0.4)
+        pair.set_angle(0.4)
         assert pair.angles == (0.4, -0.4)
-        pair.set_second(0.9)
+        pair.set_angle(-0.9)  # the second hinge driven to 0.9
         assert pair.angles == (-0.9, 0.9)
         assert sum(pair.angles) == 0.0
 

@@ -22,7 +22,6 @@ from labmech import (
     load_mesh,
     mesh_volume,
     save_mesh,
-    solve_height,
     unit_vector,
 )
 from labmech.mesh import _clip_table
@@ -212,14 +211,14 @@ class TestClipVolume:
 
 class TestSolveHeight:
     def test_half_full_cube(self, cube):
-        h = solve_height(cube, [0.0, 0.0, 1.0], 0.5)
+        h = _height_search(cube, [0.0, 0.0, 1.0], 0.5).height
         assert h == pytest.approx(0.0, abs=1e-12)  # plane z = 0.5
 
     def test_empty_target_returns_lower_support(self, cube):
-        assert solve_height(cube, [0.0, 0.0, 1.0], 0.0) == -0.5
+        assert _height_search(cube, [0.0, 0.0, 1.0], 0.0).height == -0.5
 
     def test_full_target_returns_upper_support(self, cube):
-        assert solve_height(cube, [0.0, 0.0, 1.0], mesh_volume(cube)) == 0.5
+        assert _height_search(cube, [0.0, 0.0, 1.0], mesh_volume(cube)).height == 0.5
 
     def test_diagonal_normal_matches_bisection(self, cube):
         normal = unit_vector([1.0, 1.0, 1.0])
@@ -232,20 +231,20 @@ class TestSolveHeight:
         normal = unit_vector([0.2, -0.4, 1.0])
         for h in np.linspace(-0.4, 0.4, 9):
             target = clip_volume(cube, LiquidPlane(normal, h)).volume
-            back = solve_height(cube, normal, target)
+            back = _height_search(cube, normal, target).height
             assert abs(back - h) <= 1e-9 * cube.bbox_diag
 
     def test_warm_start_agrees_with_cold_start(self, cube):
         normal = unit_vector([0.1, 0.9, 0.6])
-        cold = solve_height(cube, normal, 0.37)
-        warm = solve_height(cube, normal, 0.37, h_prev=cold + 1e-3)
+        cold = _height_search(cube, normal, 0.37).height
+        warm = _height_search(cube, normal, 0.37, h_prev=cold + 1e-3).height
         assert abs(cold - warm) <= 1e-12 * cube.bbox_diag
 
     def test_volume_out_of_range(self, cube):
         with pytest.raises(VolumeOutOfRange):
-            solve_height(cube, [0.0, 0.0, 1.0], 2.0)
+            _height_search(cube, [0.0, 0.0, 1.0], 2.0)
         with pytest.raises(VolumeOutOfRange):
-            solve_height(cube, [0.0, 0.0, 1.0], -0.1)
+            _height_search(cube, [0.0, 0.0, 1.0], -0.1)
 
     @pytest.mark.parametrize(
         "mesh, normal, warm",
