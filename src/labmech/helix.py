@@ -24,10 +24,20 @@ approximation there.
 Distances to the centerline are unsigned (a curve has no interior); the
 thread surface field :func:`sdf_thread` subtracts ``r2`` and is negative
 inside the wire.
+
+Cost model: a batch query makes one ``atan2`` and one ``cos``/``sin`` pass
+per point, for the aligned candidate clamped into the window; the endpoint
+candidate is evaluated only for the points whose turn index was clamped.
+The winner's offset and distance are kept, not recomputed.
+:func:`thread_engagement` builds each nut's probe cloud once (cached per
+nut and sampling) and per call only maps it through the pose and makes one
+:func:`sdf_thread` call on the whole cloud.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -166,43 +176,63 @@ def _aligned_turn(spec, pts):
     return t0, k
 
 
-def _distances(spec, pts, t):
-    return np.linalg.norm(helix_point(spec, t) - pts, axis=-1)
+def _offsets(spec, pts, t):
+    """Offset ``P - H(t)`` of each query from its candidate, and its length.
+
+    The length is summed in the order ``np.linalg.norm`` uses over a length-3
+    axis, so it is bitwise equal to it, at a fraction of the cost.
+    """
+    dx = pts[:, 0] - spec.r1 * np.cos(t)
+    dy = pts[:, 1] - spec.r1 * np.sin(t)
+    dz = pts[:, 2] - spec.p * t
+    return np.stack([dx, dy, dz], axis=-1), np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _bounded_best(spec, pts):
-    """Winning candidate parameter of the bounded case analysis per point."""
+def _nearest(spec, pts):
+    """Winning candidate of the bounded case analysis per query: its
+    parameter ``t``, the offset ``P - H(t)`` and the distance ``|P - H(t)|``.
+
+    The aligned turn, clamped into the window, is evaluated for every query;
+    the window endpoint only for the queries whose turn was clamped.
+    """
     t0, k = _aligned_turn(spec, pts)
-    lo = np.ceil(spec.l - t0 / TWO_PI)
-    hi = np.floor(spec.h - t0 / TWO_PI)
-    interior = (lo <= k) & (k <= hi)
+    turns = t0 / TWO_PI
+    lo = np.ceil(spec.l - turns)
+    hi = np.floor(spec.h - turns)
     below = k < lo
-    t_aligned = TWO_PI * k + t0
-    # candidate a: the window endpoint; candidate b: aligned turn clamped inside
-    t_a = np.where(interior, t_aligned, np.where(below, spec.t_min, spec.t_max))
-    t_b = np.where(interior, t_aligned, TWO_PI * np.where(below, lo, hi) + t0)
-    d_a = _distances(spec, pts, t_a)
-    d_b = _distances(spec, pts, t_b)
-    return np.where(d_b < d_a, t_b, t_a)
+    # a window shorter than a turn can have lo > hi: below wins, as in the
+    # case analysis, so this is not np.clip
+    k_in = np.where(below, lo, np.minimum(k, hi))
+    t = TWO_PI * k_in + t0
+    delta, dist = _offsets(spec, pts, t)
+    clamped = np.flatnonzero(k_in != k)
+    if clamped.size:
+        t_end = np.where(below[clamped], spec.t_min, spec.t_max)
+        delta_end, dist_end = _offsets(spec, pts[clamped], t_end)
+        # ties go to the endpoint
+        end_wins = ~(dist[clamped] < dist_end)
+        won = clamped[end_wins]
+        t[won] = t_end[end_wins]
+        delta[won] = delta_end[end_wins]
+        dist[won] = dist_end[end_wins]
+    return t, delta, dist
 
 
-def _result(spec, pts, t_best, single, offset=0.0):
-    """Assemble an SdfResult from the winning candidate parameters."""
-    delta = pts - helix_point(spec, t_best)
-    dist = np.linalg.norm(delta, axis=-1)
+def _result(t, delta, dist, single, offset=0.0):
+    """Assemble an SdfResult from the winning candidates' parameters,
+    offsets and distances."""
     degenerate = dist == 0.0
-    safe = np.where(degenerate, 1.0, dist)
-    grad = delta / safe[:, None]
+    grad = delta / np.where(degenerate, 1.0, dist)[:, None]
     grad[degenerate] = 0.0
     if single:
         return SdfResult(
             distance=float(dist[0]) + offset,
             gradient=grad[0],
-            nearest_t=float(t_best[0]),
+            nearest_t=float(t[0]),
             degenerate=bool(degenerate[0]),
         )
     return SdfResult(
-        distance=dist + offset, gradient=grad, nearest_t=t_best, degenerate=degenerate
+        distance=dist + offset, gradient=grad, nearest_t=t, degenerate=degenerate
     )
 
 
@@ -215,7 +245,8 @@ def sdf_unbounded(spec: HelixSpec, point) -> SdfResult:
     """
     pts, single = _as_points(point)
     t0, k = _aligned_turn(spec, pts)
-    return _result(spec, pts, TWO_PI * k + t0, single)
+    t = TWO_PI * k + t0
+    return _result(t, *_offsets(spec, pts, t), single)
 
 
 def sdf_bounded(spec: HelixSpec, point) -> SdfResult:
@@ -245,7 +276,7 @@ def sdf_bounded(spec: HelixSpec, point) -> SdfResult:
         candidate).
     """
     pts, single = _as_points(point)
-    return _result(spec, pts, _bounded_best(spec, pts), single)
+    return _result(*_nearest(spec, pts), single)
 
 
 def sdf_thread(spec: HelixSpec, point) -> SdfResult:
@@ -255,7 +286,7 @@ def sdf_thread(spec: HelixSpec, point) -> SdfResult:
     Gradient and nearest parameter are those of the centerline field.
     """
     pts, single = _as_points(point)
-    return _result(spec, pts, _bounded_best(spec, pts), single, offset=-spec.r2)
+    return _result(*_nearest(spec, pts), single, offset=-spec.r2)
 
 
 def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarray:
@@ -299,6 +330,58 @@ def screw_pose(spec: HelixSpec, angle: float) -> np.ndarray:
     return pose
 
 
+def _probe_sampling(angular_step_deg, wire_directions):
+    """Validate the probe sampling of :func:`thread_engagement`; return it
+    as the ``(float, int)`` pair that keys the probe cache."""
+    step = np.nan
+    if isinstance(angular_step_deg, numbers.Real):
+        try:
+            step = float(angular_step_deg)
+        except OverflowError:  # an int past the float range
+            pass
+    if not 0.0 < step < np.inf:
+        raise ValueError(
+            f"angular_step_deg must be finite and positive, got {angular_step_deg!r}"
+        )
+    if not (
+        isinstance(wire_directions, numbers.Integral)
+        and not isinstance(wire_directions, bool)
+        and wire_directions > 0
+    ):
+        raise ValueError(
+            f"wire_directions must be a positive integer, got {wire_directions!r}"
+        )
+    return step, int(wire_directions)
+
+
+@functools.lru_cache(maxsize=8)
+def _nut_probes(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -> np.ndarray:
+    """The nut's probe cloud in its own frame, read-only: the centerline at
+    a fixed angular step, then ``wire_directions`` points on the wire
+    surface around each centerline point."""
+    step = np.radians(angular_step_deg)
+    ts = np.arange(nut.t_min, nut.t_max + 0.5 * step, step)
+    center = helix_point(nut, ts)
+    # orthonormal frame along the wire: radial, and tangent x radial
+    radial = np.stack([np.cos(ts), np.sin(ts), np.zeros_like(ts)], axis=-1)
+    tangent = np.stack(
+        [-nut.r1 * np.sin(ts), nut.r1 * np.cos(ts), np.full_like(ts, nut.p)], axis=-1
+    )
+    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
+    binormal = np.cross(tangent, radial)
+
+    psi = np.arange(wire_directions) * (TWO_PI / wire_directions)
+    ring = (
+        np.cos(psi)[None, :, None] * radial[:, None, :]
+        + np.sin(psi)[None, :, None] * binormal[:, None, :]
+    )
+    probes = np.concatenate(
+        [center, (center[:, None, :] + nut.r2 * ring).reshape(-1, 3)]
+    )
+    probes.setflags(write=False)
+    return probes
+
+
 @dataclass(frozen=True)
 class EngagementReport:
     """Narrowphase proximity between two thread surfaces."""
@@ -331,6 +414,12 @@ def thread_engagement(
         ``min_clearance`` approximates the surface-to-surface distance
         when the threads are separated and bottoms out at the bolt field's
         centerline value under deep overlap; ``overlapping`` is its sign.
+
+    Raises
+    ------
+    ValueError
+        If ``relative_pose`` is not 4x4, ``angular_step_deg`` is not finite
+        and positive, or ``wire_directions`` is not a positive integer.
     """
     if relative_pose is None:
         relative_pose = np.eye(4)
@@ -338,26 +427,11 @@ def thread_engagement(
     if pose.shape != (4, 4):
         raise ValueError(f"relative_pose must be 4x4, got {pose.shape}")
 
-    step = np.radians(angular_step_deg)
-    ts = np.arange(nut.t_min, nut.t_max + 0.5 * step, step)
-    center = helix_point(nut, ts)
-    # orthonormal frame along the wire: radial, and tangent x radial
-    radial = np.stack([np.cos(ts), np.sin(ts), np.zeros_like(ts)], axis=-1)
-    tangent = np.stack(
-        [-nut.r1 * np.sin(ts), nut.r1 * np.cos(ts), np.full_like(ts, nut.p)], axis=-1
-    )
-    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
-    binormal = np.cross(tangent, radial)
-
-    psi = np.arange(wire_directions) * (TWO_PI / wire_directions)
-    ring = (
-        np.cos(psi)[None, :, None] * radial[:, None, :]
-        + np.sin(psi)[None, :, None] * binormal[:, None, :]
-    )
-    probes = np.concatenate(
-        [center, (center[:, None, :] + nut.r2 * ring).reshape(-1, 3)]
-    )
-    probes = probes @ pose[:3, :3].T + pose[:3, 3]
+    probes = _nut_probes(nut, *_probe_sampling(angular_step_deg, wire_directions))
+    # matmul is several times slower on a transposed right operand; the copy
+    # and the in-place add give the same products and sums as probes @ R.T + t
+    probes = probes @ np.ascontiguousarray(pose[:3, :3].T)
+    probes += pose[:3, 3]
 
     clearance = float(np.min(sdf_thread(bolt, probes).distance))
     return EngagementReport(min_clearance=clearance, overlapping=clearance < 0.0)

@@ -688,8 +688,13 @@ def icosphere_mesh(radius=1.0, subdivisions=3) -> TriMesh:
 
 def load_mesh(path) -> TriMesh:
     """Read the ``v x y z`` / ``f i j k`` ASCII subset (1-based indices,
-    triangles only).  Raises :class:`MeshFormatError` with the offending
-    line number; watertightness is validated on construction."""
+    triangles only).  Raises :class:`MeshFormatError` whose message starts
+    with the path and names the offending line; watertightness is
+    validated on construction."""
+
+    def malformed(ln, what):
+        return MeshFormatError(f"{path}: line {ln}: {what}", line=ln)
+
     verts = []
     tris = []
     with open(path, "r", encoding="ascii") as fh:
@@ -700,25 +705,25 @@ def load_mesh(path) -> TriMesh:
             fields = line.split()
             if fields[0] == "v":
                 if len(fields) != 4:
-                    raise MeshFormatError(f"line {ln}: vertex needs 3 coordinates", line=ln)
+                    raise malformed(ln, "vertex needs 3 coordinates")
                 try:
                     verts.append([float(v) for v in fields[1:]])
                 except ValueError:
-                    raise MeshFormatError(f"line {ln}: bad vertex coordinate", line=ln)
+                    raise malformed(ln, "bad vertex coordinate")
             elif fields[0] == "f":
                 if len(fields) != 4:
-                    raise MeshFormatError(f"line {ln}: faces must be triangles", line=ln)
+                    raise malformed(ln, "faces must be triangles")
                 try:
                     idx = [int(v) for v in fields[1:]]
                 except ValueError:
-                    raise MeshFormatError(f"line {ln}: bad face index", line=ln)
+                    raise malformed(ln, "bad face index")
                 if min(idx) < 1:
-                    raise MeshFormatError(f"line {ln}: face indices are 1-based", line=ln)
+                    raise malformed(ln, "face indices are 1-based")
                 tris.append([i - 1 for i in idx])
             else:
-                raise MeshFormatError(f"line {ln}: unknown record '{fields[0]}'", line=ln)
+                raise malformed(ln, f"unknown record '{fields[0]}'")
     if tris and max(max(t) for t in tris) >= len(verts):
-        raise MeshFormatError("face index past the last vertex")
+        raise MeshFormatError(f"{path}: face index past the last vertex")
     return TriMesh(np.array(verts, dtype=float).reshape(-1, 3),
                    np.array(tris, dtype=np.int64).reshape(-1, 3))
 

@@ -71,6 +71,33 @@ def curve_to_curve_distance(spec_a, spec_b, pose_b=None, samples=20_000):
     return float(d.min())
 
 
+def engagement_probes(nut, pose, step_deg, wire_directions):
+    """The nut's engagement probes mapped through ``pose`` (4x4): centerline
+    samples every ``step_deg`` degrees from the start of the window up to
+    half a step past its end, then the wire surface around each sample in
+    ``wire_directions`` evenly spaced directions of the normal plane.
+
+    The normal plane is spanned by the radial unit vector and the binormal,
+    written out in closed form: tangent x radial is
+    ``(-p sin t, p cos t, -r1) / sqrt(r1^2 + p^2)``."""
+    step = math.radians(step_deg)
+    t_lo, t_hi = TWO_PI * nut.l, TWO_PI * nut.h
+    count = math.ceil((t_hi - t_lo) / step + 0.5)
+    t = t_lo + step * np.arange(count)
+    c, s = np.cos(t), np.sin(t)
+    center = np.stack([nut.r1 * c, nut.r1 * s, nut.p * t], axis=-1)
+    radial = np.stack([c, s, np.zeros_like(t)], axis=-1)
+    binormal = np.stack([-nut.p * s, nut.p * c, np.full_like(t, -nut.r1)], axis=-1)
+    binormal /= math.hypot(nut.r1, nut.p)
+    surface = [
+        center + nut.r2 * (math.cos(psi) * radial + math.sin(psi) * binormal)
+        for psi in (TWO_PI * j / wire_directions for j in range(wire_directions))
+    ]
+    local = np.concatenate([center, *surface])
+    homogeneous = np.column_stack([local, np.ones(len(local))])
+    return (homogeneous @ np.asarray(pose, dtype=float).T)[:, :3]
+
+
 def brute_bounded_case(spec, point):
     """Case label and distance of the bounded field by exhaustive scanning.
 

@@ -513,6 +513,18 @@ class TestReplay:
         assert code == 2
         assert "record 1" in err and message in err
 
+    def test_bad_mesh_is_named(self, tmp_path, cube_path, capsys):
+        trace_path = self.make_trace(tmp_path, cube_path, capsys, steps=1)
+        bad = tmp_path / "bad.mesh"
+        bad.write_text("nonsense\n")
+        code, _, err = run(
+            ["replay", "--trace", trace_path, "--export", "meshes",
+             "--mesh", bad, "--outdir", tmp_path / "frames"],
+            capsys,
+        )
+        assert code == 2
+        assert f"{bad}: line 1" in err
+
     def test_malformed_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(b"garbage!")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from labmech import (
@@ -17,6 +19,7 @@ from labmech import (
     sdf_unbounded,
     thread_engagement,
 )
+from labmech.helix import _nut_probes
 
 TWO_PI = 2.0 * np.pi
 
@@ -170,6 +173,19 @@ class TestBounded:
             # same candidates; scalar vs vector arithmetic differs by ulps
             assert sdf_bounded(spec, point).distance == pytest.approx(d_brute, rel=1e-13)
 
+    @pytest.mark.parametrize("h", [0.3, 0.6, 0.9])
+    def test_short_window_matches_brute_force(self, h):
+        # a window shorter than a turn has azimuths with no aligned turn
+        # inside it (lo > hi): a query before the window still pairs the
+        # start with lo, and one past it the end with hi
+        spec = HelixSpec(r1=1.0, r2=0.1, p=0.03, l=0.0, h=h)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            point = rng.uniform(-1.5, 1.5, 3)
+            point[2] = rng.uniform(-0.4, 0.6)
+            _, d_brute = oracles.brute_bounded_case(spec, point)
+            assert sdf_bounded(spec, point).distance == pytest.approx(d_brute, rel=1e-13)
+
 
 class TestThread:
     def test_offsets(self):
@@ -310,3 +326,111 @@ class TestEngagement:
         assert not report.overlapping
         assert report.min_clearance == pytest.approx(oracle, rel=0.02)
         assert report.min_clearance == pytest.approx(8.0 * spec.r1, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"angular_step_deg": 0.0},
+            {"angular_step_deg": -1.0},
+            {"angular_step_deg": float("nan")},
+            {"angular_step_deg": 10**400},
+            {"wire_directions": 0},
+            {"wire_directions": -3},
+            {"wire_directions": 2.5},
+            {"wire_directions": True},
+        ],
+        ids=["step-0", "step-neg", "step-nan", "step-huge",
+             "wires-0", "wires-neg", "wires-frac", "wires-bool"],
+    )
+    def test_rejects_bad_sampling(self, kwargs):
+        spec = wide_spec(l=-3.0, h=3.0)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            thread_engagement(spec, spec, **kwargs)
+
+    @pytest.mark.parametrize("step, wires", [(1.0, 8), (2.5, 3), (0.7, 1)])
+    def test_matches_field_minimum_over_oracle_probes(self, step, wires):
+        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
+        nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            pose = screw_pose(nut, rng.uniform(0.0, TWO_PI))
+            pose[:2, 3] += rng.uniform(-0.2e-3, 0.2e-3, 2)
+            probes = oracles.engagement_probes(nut, pose, step, wires)
+            expected = np.min(sdf_thread(bolt, probes).distance)
+            got = thread_engagement(bolt, nut, pose, step, wires).min_clearance
+            assert abs(got - expected) <= 1e-12 * bolt.r1
+
+
+class TestProbeCache:
+    def test_interleaved_calls_repeat_their_first_value(self):
+        _nut_probes.cache_clear()
+        bolt = wide_spec(l=-3.0, h=3.0)
+        nuts = [HelixSpec(r1=1.1, r2=0.1, p=0.05, l=-2.0, h=2.0),
+                HelixSpec(r1=1.3, r2=0.15, p=0.05, l=-1.0, h=2.5)]
+        poses = [screw_pose(bolt, a) for a in (0.0, 0.7, 2.9)]
+        first = {}
+        for _ in range(3):
+            for i, nut in enumerate(nuts):
+                for j, pose in enumerate(poses):
+                    report = thread_engagement(bolt, nut, pose)
+                    assert report == first.setdefault((i, j), report)
+        assert _nut_probes.cache_info().misses == len(nuts)
+
+    def test_cached_cloud_is_read_only(self):
+        cloud = _nut_probes(wide_spec(l=-1.0, h=1.0), 1.0, 8)
+        assert not cloud.flags.writeable
+        with pytest.raises(ValueError):
+            cloud[0, 0] = 1.0
+
+    def test_writing_to_a_pose_after_a_call_changes_nothing(self):
+        spec = wide_spec(l=-3.0, h=3.0)
+        pose = screw_pose(spec, 0.4)
+        before = thread_engagement(spec, spec, pose)
+        kept = pose.copy()
+        pose[:3, 3] += 5.0
+        pose[:3, :3] = 0.0
+        assert thread_engagement(spec, spec, kept) == before
+
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def helix_queries(draw):
+    """A helix and query points inside its axial extent, past either end
+    of it (where the turn index is clamped) and on the axis.  Windows as
+    short as a fifth of a turn are drawn, where some azimuths have no
+    aligned turn inside the window."""
+    r1 = draw(st.floats(0.2, 3.0))
+    r2 = draw(st.floats(0.01, 0.9)) * r1
+    p = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.005, 0.4)) * r1
+    l = draw(st.floats(-5.0, 5.0))
+    spec = HelixSpec(r1=r1, r2=r2, p=p, l=l, h=l + draw(st.floats(0.2, 6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 8
+    z_first, z_last = spec.p * spec.t_min, spec.p * spec.t_max
+    beyond = rng.uniform(0.1, 3.0, n) * TWO_PI * spec.p
+    z = np.concatenate([
+        z_first + rng.uniform(0.0, 1.0, n) * (z_last - z_first),
+        z_first - beyond,
+        z_last + beyond,
+        z_first + rng.uniform(-0.5, 1.5, n) * (z_last - z_first),
+    ])
+    xy = rng.uniform(-2.0 * r1, 2.0 * r1, (4 * n, 2))
+    xy[3 * n:] = 0.0
+    xy[3 * n::2] = -0.0
+    return spec, np.column_stack([xy, z])
+
+
+@PROPERTY_SETTINGS
+@given(case=helix_queries())
+def test_batch_is_bitwise_equal_to_pointwise(case):
+    spec, pts = case
+    for field in (sdf_thread, sdf_bounded, sdf_unbounded):
+        batch = field(spec, pts)
+        singles = [field(spec, q) for q in pts]
+        for name in ("distance", "gradient", "nearest_t", "degenerate"):
+            got = np.asarray(getattr(batch, name))
+            want = np.array([getattr(s, name) for s in singles])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                field.__name__, name)

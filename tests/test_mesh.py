@@ -458,6 +458,19 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError, match="unknown record"):
             load_mesh(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("v 0 0 0\nv 1 0 x\n", 2), ("v 0 0 0\nf 1 2 3\n", None), ("vn 0 0 1\n", 1)],
+        ids=["bad-coordinate", "index-past-last-vertex", "unknown-record"],
+    )
+    def test_parse_error_names_the_file(self, tmp_path, text, line):
+        path = tmp_path / "bad.mesh"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert err.value.line == line
+
     def test_open_mesh_fails_validation(self, tmp_path):
         path = tmp_path / "open.mesh"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
