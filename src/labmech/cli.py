@@ -22,6 +22,7 @@ manifest is the one output that varies between identical runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -309,12 +310,12 @@ def cmd_replay(args):
     container = load_mesh(args.mesh)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cols = result.columns
+    nx, ny, nz, height = (result.columns.index(c) for c in ("nx", "ny", "nz", "height"))
     outputs = []
     for i, row in enumerate(result.data):
-        normal = np.array([row[cols.index("nx")], row[cols.index("ny")], row[cols.index("nz")]])
+        normal = np.array([row[nx], row[ny], row[nz]])
         try:
-            body = liquid_geometry(container, normal, row[cols.index("height")])
+            body = liquid_geometry(container, normal, row[height])
         except (ValueError, LabmechError) as exc:
             raise type(exc)(f"record {i}: {exc}") from exc
         path = outdir / f"step_{i:06d}.mesh"
@@ -353,7 +354,11 @@ def _add_helix_flags(sub):
     sub.add_argument("--config", help="JSON config document (section 'helix')")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; parsing leaves it unchanged (every default is
+    immutable), so it must not be modified."""
     parser = _Parser(
         prog="labmech",
         description="Laboratory-mechanism physics kernel: thread fields, detents, "

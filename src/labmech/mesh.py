@@ -688,50 +688,106 @@ def icosphere_mesh(radius=1.0, subdivisions=3) -> TriMesh:
 
 def load_mesh(path) -> TriMesh:
     """Read the ``v x y z`` / ``f i j k`` ASCII subset (1-based indices,
-    triangles only).  Raises :class:`MeshFormatError` whose message starts
-    with the path and names the offending line; watertightness is
-    validated on construction."""
+    triangles only; ``#`` comments and blank lines are skipped).
+
+    Raises :class:`MeshFormatError` whose message starts with the path and
+    names the offending line, a byte outside ASCII included.  The mesh is
+    validated on construction: :class:`NotWatertight` or ``ValueError``,
+    their messages prefixed with the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        ln = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MeshFormatError(
+            f"{path}: line {ln}: byte {data[exc.start]:#04x} is not ASCII", line=ln
+        ) from None
+    # universal newlines, as text-mode reading gives them
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    arrays = _read_plain(text)
+    if arrays is None:
+        arrays = _read_lines(path, text)
+    try:
+        return TriMesh(*arrays)
+    except (NotWatertight, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_plain(text):
+    """Vertex and triangle arrays of a file laid out as :func:`save_mesh`
+    writes it, converted in one pass; None for any other file, which
+    :func:`_read_lines` then reads and diagnoses.
+
+    Plain means: every line starts with ``v `` or ``f `` and has four
+    fields, vertex lines come first, every number converts, and every
+    index lies in 1..vertices.  Four fields per line follows from every
+    line starting with a record letter, four tokens per line, every fourth
+    token being a record letter and no number being one."""
+    tokens = text.split()
+    lines = text.count("\n") + (not text.endswith("\n"))
+    starts = text.count("\nv ") + text.count("\nf ") + text.startswith(("v ", "f "))
+    heads = tokens[::4]
+    nv = heads.count("v")
+    if not (len(tokens) == 4 * lines == 4 * starts and heads[nv:].count("f") == lines - nv):
+        return None
+    coords, indices = tokens[: 4 * nv], tokens[4 * nv:]
+    del coords[::4], indices[::4]
+    try:
+        coords = list(map(float, coords))
+        indices = list(map(int, indices))
+    except ValueError:
+        return None
+    if indices and (min(indices) < 1 or max(indices) > nv):
+        return None
+    return (np.array(coords, dtype=float).reshape(-1, 3),
+            np.array(indices, dtype=np.int64).reshape(-1, 3) - 1)
+
+
+def _read_lines(path, text):
+    """Vertex and triangle arrays of ``text``, read line by line; raises
+    :class:`MeshFormatError` at the first bad line."""
 
     def malformed(ln, what):
         return MeshFormatError(f"{path}: line {ln}: {what}", line=ln)
 
     verts = []
     tris = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] == "v":
-                if len(fields) != 4:
-                    raise malformed(ln, "vertex needs 3 coordinates")
-                try:
-                    verts.append([float(v) for v in fields[1:]])
-                except ValueError:
-                    raise malformed(ln, "bad vertex coordinate")
-            elif fields[0] == "f":
-                if len(fields) != 4:
-                    raise malformed(ln, "faces must be triangles")
-                try:
-                    idx = [int(v) for v in fields[1:]]
-                except ValueError:
-                    raise malformed(ln, "bad face index")
-                if min(idx) < 1:
-                    raise malformed(ln, "face indices are 1-based")
-                tris.append([i - 1 for i in idx])
-            else:
-                raise malformed(ln, f"unknown record '{fields[0]}'")
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "v":
+            if len(fields) != 4:
+                raise malformed(ln, "vertex needs 3 coordinates")
+            try:
+                verts.append([float(v) for v in fields[1:]])
+            except ValueError:
+                raise malformed(ln, "bad vertex coordinate")
+        elif fields[0] == "f":
+            if len(fields) != 4:
+                raise malformed(ln, "faces must be triangles")
+            try:
+                idx = [int(v) for v in fields[1:]]
+            except ValueError:
+                raise malformed(ln, "bad face index")
+            if min(idx) < 1:
+                raise malformed(ln, "face indices are 1-based")
+            tris.append([i - 1 for i in idx])
+        else:
+            raise malformed(ln, f"unknown record '{fields[0]}'")
     if tris and max(max(t) for t in tris) >= len(verts):
         raise MeshFormatError(f"{path}: face index past the last vertex")
-    return TriMesh(np.array(verts, dtype=float).reshape(-1, 3),
-                   np.array(tris, dtype=np.int64).reshape(-1, 3))
+    return (np.array(verts, dtype=float).reshape(-1, 3),
+            np.array(tris, dtype=np.int64).reshape(-1, 3))
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
-    """Write the ASCII interchange format with shortest round-trip decimals."""
+    """Write the ASCII interchange format with shortest round-trip decimals
+    (``repr`` of each coordinate), vertex lines first, in one write."""
+    rows = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
+    rows += [f"f {a} {b} {c}\n" for a, b, c in (mesh.triangles + 1).tolist()]
     with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write("".join(rows))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
-from labmech import LiquidPlane, clip_volume, lagrangian, ode_rhs
+from labmech import LiquidPlane, MeshFormatError, clip_volume, lagrangian, ode_rhs
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,3 +287,59 @@ def inside_l_prism(points, outer, notch, height):
     base = inside_box(points, (0, 0, 0), (W, D, height))
     cut = inside_box(points, (W - w, D - d, 0), (w, d, height))
     return base & ~cut
+
+
+# ---------------------------------------------------------------------------
+# mesh interchange: a line-by-line reader and a row-by-row writer
+
+
+def read_mesh_lines(path):
+    """(vertices, triangles) of an ASCII mesh file, read in text mode one
+    line at a time, with one float() or int() per field; raises
+    MeshFormatError naming the path and the line.  The arrays are not
+    validated as a mesh."""
+
+    def malformed(ln, what):
+        return MeshFormatError(f"{path}: line {ln}: {what}", line=ln)
+
+    verts = []
+    tris = []
+    with open(path, "r", encoding="ascii") as fh:
+        for ln, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if fields[0] == "v":
+                if len(fields) != 4:
+                    raise malformed(ln, "vertex needs 3 coordinates")
+                try:
+                    verts.append([float(v) for v in fields[1:]])
+                except ValueError:
+                    raise malformed(ln, "bad vertex coordinate")
+            elif fields[0] == "f":
+                if len(fields) != 4:
+                    raise malformed(ln, "faces must be triangles")
+                try:
+                    idx = [int(v) for v in fields[1:]]
+                except ValueError:
+                    raise malformed(ln, "bad face index")
+                if min(idx) < 1:
+                    raise malformed(ln, "face indices are 1-based")
+                tris.append([i - 1 for i in idx])
+            else:
+                raise malformed(ln, f"unknown record '{fields[0]}'")
+    if tris and max(max(t) for t in tris) >= len(verts):
+        raise MeshFormatError(f"{path}: face index past the last vertex")
+    return (np.array(verts, dtype=float).reshape(-1, 3),
+            np.array(tris, dtype=np.int64).reshape(-1, 3))
+
+
+def write_mesh_rows(mesh, path):
+    """The ASCII interchange format written one row at a time, each
+    coordinate converted to a Python float and printed with repr."""
+    with open(path, "w", encoding="ascii") as fh:
+        for x, y, z in mesh.vertices:
+            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
+        for a, b, c in mesh.triangles:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")

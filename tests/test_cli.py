@@ -552,6 +552,8 @@ class TestExitCodes:
     def files(self, tmp_path):
         open_mesh = tmp_path / "open.mesh"
         open_mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        latin = tmp_path / "latin.mesh"
+        latin.write_bytes(b"v 0 0 0\nv 1 0 0\xff")
         traj = tmp_path / "traj.txt"
         traj.write_text("0.0 0 0 0\n")
         liquid = tmp_path / "liquid.trace"
@@ -571,7 +573,7 @@ class TestExitCodes:
         for name, body in profiles.items():
             (tmp_path / f"{name}.txt").write_text(body)
         return {
-            "dir": tmp_path, "open": open_mesh, "traj": traj,
+            "dir": tmp_path, "open": open_mesh, "latin": latin, "traj": traj,
             "liquid": liquid, "truncated": truncated,
         }
 
@@ -580,9 +582,11 @@ class TestExitCodes:
         [
             (["liquid", "--trajectory", "{traj}", "--output", "{dir}/run.trace",
               "--mesh", "{open}", "--liquid-volume", "0.1", "--pend-length", "0.02"],
-             3, "boundary edges"),
+             3, "{open}: mesh has boundary edges"),
             (["replay", "--trace", "{liquid}", "--export", "meshes", "--mesh", "{open}",
-              "--outdir", "{dir}/frames"], 3, "boundary edges"),
+              "--outdir", "{dir}/frames"], 3, "{open}: mesh has boundary edges"),
+            (["clip", "--mesh", "{latin}", "--normal", "0", "0", "1", "--height", "0"],
+             2, "{latin}: line 2: byte 0xff is not ASCII"),
             (["screw-sim", *HELIX, "--profile", "{dir}/equal.txt",
               "--output", "{dir}/s.trace"], 2, "strictly increasing"),
             (["screw-sim", *HELIX, "--profile", "{dir}/gappy.txt",
@@ -603,7 +607,7 @@ class TestExitCodes:
               "--output", "{dir}/t.tsv"], 2, "record 2: data section"),
         ],
         ids=[
-            "liquid-open-mesh", "replay-open-mesh", "screw-equal-times",
+            "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
             "screw-uneven-times", "screw-nan-angle", "screw-text-field", "screw-dt-0",
             "screw-dt-negative", "detent-zero-inertia", "detent-short-duration",
             "replay-truncated-trace",
@@ -613,8 +617,29 @@ class TestExitCodes:
         exit_code, out, err = run([a.format(**files) for a in argv], capsys)
         assert (exit_code, out) == (code, "")
         assert err.startswith(f"{argv[0]}: ")
-        assert fragment in err
+        assert fragment.format(**files) in err
         assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_second_call_records_only_its_own_flags(self, tmp_path, capsys):
+        base = ["detent-sim", "--positions", "0", "0.5", "--stiffness", "10",
+                "--inertia", "0.005", "--duration", "0.01"]
+        first, second = tmp_path / "first.trace", tmp_path / "second.trace"
+        code, _, _ = run(
+            [*base, "--damping", "0.3", "--torque", "0.2", "--q0", "0.1", "--qdot0", "-1",
+             "--dt", "1e-4", "--output", first],
+            capsys,
+        )
+        assert code == 0
+        code, _, _ = run([*base, "--output", second], capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "second.trace.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "command": "detent-sim", "positions": [0.0, 0.5], "stiffness": 10.0,
+            "inertia": 0.005, "duration": 0.01, "torque": 0.0, "q0": 0.0, "qdot0": 0.0,
+            "dt": 1e-3, "output": str(second),
+        }
 
 
 class TestConsoleEntryPoint:

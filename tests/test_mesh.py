@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from labmech import (
+    LabmechError,
     LiquidPlane,
     MeshFormatError,
     NoConvergence,
@@ -476,3 +479,177 @@ class TestMeshIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         with pytest.raises(NotWatertight):
             load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", NotWatertight, "boundary edges"),
+         ("v 0 0 0\nf 1 1 1\n", ValueError, "degenerate"),
+         ("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n", ValueError, "finite")],
+        ids=["open", "degenerate", "non-finite"],
+    )
+    def test_validation_error_names_the_file(self, tmp_path, text, kind, message):
+        path = tmp_path / "bad.mesh"
+        path.write_text(text)
+        with pytest.raises(kind) as err:
+            load_mesh(path)
+        assert type(err.value) is kind
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"v 0 0 0\nv 1 0 0\xff\n", 2), (b"\xe9", 1),
+         (b"v 0 0 0\r\nv 1 0 0\rv 0 1 0\n# caf\xc3\xa9\n", 4)],
+        ids=["end-of-line", "first-byte", "mixed-line-endings"],
+    )
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "latin.mesh"
+        path.write_bytes(data)
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert str(err.value).startswith(f"{path}: line {line}: byte 0x")
+        assert err.value.line == line
+
+
+IO_SETTINGS = settings(max_examples=600, deadline=None, derandomize=True, database=None)
+#: integer coordinates in 1..4, so that spelled as integers they also read
+#: as face indices
+TETRAHEDRON = TriMesh([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]],
+                      [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+#: replacement fields: digit separators, non-finite values, index 0, an
+#: index past the last vertex of both meshes, and fields no builtin reads
+FIELDS = ["1_0", "nan", "inf", "-inf", "0", "-1", "+2", "1e0", "9", "-0.0", "1.5",
+          "0x1", "x", "1__0", "99999999999999999999"]
+RECORDS = ["v", "f", "vn", "F", "V", "o", "vv", "#v"]
+FILLERS = ["", " ", "\t", "\x0b", "\x0c", "#", "# comment", "  # indented", "#v 1 2 3"]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", " \t"]
+PADDING = ["", " ", "\t", "\x0c", "\x0b"]
+
+
+@st.composite
+def mesh_texts(draw):
+    """Mesh-like ASCII text: a tetrahedron (its coordinates spelled as
+    floats or as integers) or a box, up to three edits of a field, a
+    record letter or a line break, in one of three layouts: ``plain`` as
+    save_mesh writes it, ``interleaved`` vertex and face lines, or
+    ``free``: interleaved, with comment and blank lines, odd whitespace and
+    mixed line endings."""
+    mesh, spell = draw(st.sampled_from([(TETRAHEDRON, repr), (TETRAHEDRON, lambda x: str(int(x))),
+                                        (box_mesh(origin=(0.25, -1.5, 2e-3)), repr)]))
+    nv = len(mesh.vertices)
+    verts = [["v", *map(spell, row)] for row in mesh.vertices.tolist()]
+    faces = [["f", *(str(i + 1) for i in row)] for row in mesh.triangles.tolist()]
+    layout = draw(st.sampled_from(["plain", "interleaved", "free"]))
+    records = []
+    if layout == "plain":
+        records = verts + faces
+    else:
+        for vertex_next in draw(st.lists(st.booleans(), min_size=len(verts) + len(faces),
+                                         max_size=len(verts) + len(faces))):
+            queue = verts if (vertex_next and verts) or not faces else faces
+            records.append(queue.pop(0))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        k = draw(st.integers(0, len(records) - 1))
+        fields = records[k]
+        edit = draw(st.sampled_from(["drop", "extra", "field", "index", "record", "break"]))
+        if edit == "drop":
+            fields.pop()
+        elif edit == "extra":
+            fields.append(draw(st.sampled_from(FIELDS)))
+        elif edit == "record":
+            fields[0] = draw(st.sampled_from(RECORDS))
+        elif edit == "break" and k + 1 < len(records) and fields:
+            # the line break moves one field to the front of the next line
+            records[k + 1].insert(0, fields.pop())
+        elif edit in ("field", "index") and len(fields) > 1:
+            value = draw(st.sampled_from(FIELDS if edit == "field" else [0, 1, nv, nv + 1]))
+            fields[draw(st.integers(1, len(fields) - 1))] = str(value)
+    lines = []
+    for fields in records:
+        if layout == "free":
+            lead, trail = draw(st.sampled_from(PADDING)), draw(st.sampled_from(PADDING))
+            lines.append(lead + draw(st.sampled_from(SEPARATORS)).join(fields) + trail)
+        else:
+            lines.append(" ".join(fields))
+    endings = ["\n"] * len(lines)
+    if layout == "free":
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLERS)))
+        endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text[: len(text) - len(endings[-1])]
+    return text
+
+
+def io_meshes():
+    """The four container fixtures and boxes whose coordinates print in
+    exponent form or as -0.0, by name."""
+    return {
+        "cube": box_mesh(),
+        "cylinder48": cylinder_mesh(segments=48),
+        "l-prism": l_prism_mesh(),
+        "icosphere4": icosphere_mesh(subdivisions=4),
+        "exponent-box": box_mesh(size=(1e16, 2e16, 3e16), origin=(-1e16, 1e-7, -0.0)),
+        "tiny-box": box_mesh(size=(3e-5, 1e-5, 2e-5), origin=(-0.0, -0.0, 1e-300)),
+    }
+
+
+def io_cases():
+    """Each mesh of :func:`io_meshes` and the liquid body below a tilted
+    plane through its bbox center."""
+    cases = []
+    for name, mesh in io_meshes().items():
+        cases.append(pytest.param(mesh, id=name))
+        body = liquid_geometry(mesh, [0.1, -0.05, 1.0], 0.0)
+        cases.append(pytest.param(body, id=f"{name}-body"))
+    return cases
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMeshFileEquivalence:
+    """``save_mesh`` writes the bytes of a row-by-row writer, and
+    ``load_mesh`` reads what a line-by-line reader reads, or fails the same
+    way (``oracles.read_mesh_lines``/``write_mesh_rows``)."""
+
+    @pytest.mark.parametrize("mesh", io_cases())
+    def test_save_matches_row_writer(self, tmp_path, mesh):
+        save_mesh(mesh, tmp_path / "a.mesh")
+        oracles.write_mesh_rows(mesh, tmp_path / "b.mesh")
+        assert (tmp_path / "a.mesh").read_bytes() == (tmp_path / "b.mesh").read_bytes()
+
+    @pytest.mark.parametrize("mesh", io_cases())
+    def test_load_matches_line_reader(self, tmp_path, mesh):
+        path = tmp_path / "m.mesh"
+        save_mesh(mesh, path)
+        verts, tris = oracles.read_mesh_lines(path)
+        back = load_mesh(path)
+        assert bit_equal(back.vertices, verts) and bit_equal(back.triangles, tris)
+        assert bit_equal(back.vertices, mesh.vertices) and bit_equal(back.triangles, mesh.triangles)
+
+    @given(text=mesh_texts())
+    @IO_SETTINGS
+    def test_load_matches_line_reader_on_any_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("io") / "m.mesh"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            verts, tris = oracles.read_mesh_lines(path)
+            TriMesh(verts, tris)
+        except MeshFormatError as exc:
+            expected = (MeshFormatError, str(exc), exc.line)
+        except (NotWatertight, ValueError) as exc:
+            expected = (type(exc), f"{path}: {exc}", None)
+        else:
+            expected = None
+        try:
+            mesh = load_mesh(path)
+        except Exception as exc:
+            assert isinstance(exc, (LabmechError, ValueError))
+            assert (type(exc), str(exc), getattr(exc, "line", None)) == expected
+        else:
+            assert expected is None
+            assert bit_equal(mesh.vertices, verts) and bit_equal(mesh.triangles, tris)
