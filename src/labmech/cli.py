@@ -38,6 +38,8 @@ from .errors import (
     MalformedTrace,
     MeshFormatError,
     VolumeOutOfRange,
+    _count,
+    _step_count,
 )
 from .harness import (
     FrameTrajectory,
@@ -83,10 +85,22 @@ def _write_manifest(command, args, inputs, outputs, duration) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file, line ends read as :func:`load_mesh` reads them;
+    ValueError naming the path and line of a byte that is not UTF-8."""
+    # no byte of a multibyte UTF-8 character is \r or \n
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ln = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {ln}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def _load_config(path):
     """Parse a version-1 JSON config document."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
@@ -129,7 +143,7 @@ def _read_table(path, widths) -> np.ndarray:
     """Float rows of a whitespace-separated text table, skipping blank and
     ``#`` lines; all rows have one width, which is one of ``widths``."""
     rows = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(_read_text(path).split("\n"), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -167,11 +181,9 @@ def cmd_sdf_grid(args):
     spec = _helix_from(args)
     mins = np.array(args.min, dtype=float)
     maxs = np.array(args.max, dtype=float)
-    res = [int(r) for r in args.res]
     if (maxs <= mins).any():
         raise ValueError("grid max corner must exceed min corner componentwise")
-    if min(res) < 2:
-        raise ValueError("grid resolution must be at least 2 per axis")
+    res = [_count("grid resolution", r, 2) for r in args.res]
     axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     values = sdf_thread(spec, grid).distance
@@ -210,16 +222,10 @@ def cmd_liquid(args):
     trajectory = _load_trajectory(args.trajectory)
     result = run_liquid_scene(config, trajectory)
     write_trace(result, args.output)
-    last = result.data[-1]
-    cols = result.columns
+    nx, ny, nz, height, residual = map(result.column, ("nx", "ny", "nz", "height", "residual"))
     print(
-        "final_normal {:.15f} {:.15f} {:.15f} final_height {:.15f} max_residual {:.6e}".format(
-            last[cols.index("nx")],
-            last[cols.index("ny")],
-            last[cols.index("nz")],
-            last[cols.index("height")],
-            float(result.column("residual").max()) if len(result) else 0.0,
-        )
+        f"final_normal {nx[-1]:.15f} {ny[-1]:.15f} {nz[-1]:.15f} "
+        f"final_height {height[-1]:.15f} max_residual {residual.max():.6e}"
     )
     return [*inputs, args.trajectory], [Path(args.output)]
 
@@ -270,10 +276,8 @@ def cmd_screw_sim(args):
         except ValueError as exc:
             raise ValueError(f"{args.profile}: {exc}") from None
     else:
-        if not 0.0 < args.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {args.dt}")
-        steps = int(round(args.duration / args.dt)) + 1
-        angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps)
+        steps = _step_count(args.dt, args.duration, minimum=0)
+        angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps + 1)
         dt = args.dt
     result = run_screw_scene(spec, angles, dt=dt)
     write_trace(result, args.output)
@@ -307,15 +311,15 @@ def cmd_replay(args):
         raise ValueError("mesh export needs --mesh (the container)")
     if not len(result):
         raise ValueError("trace has no records")
+    nx, ny, nz, height = map(result.column, ("nx", "ny", "nz", "height"))
     container = load_mesh(args.mesh)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    nx, ny, nz, height = (result.columns.index(c) for c in ("nx", "ny", "nz", "height"))
     outputs = []
-    for i, row in enumerate(result.data):
-        normal = np.array([row[nx], row[ny], row[nz]])
+    for i in range(len(result)):
+        normal = np.array([nx[i], ny[i], nz[i]])
         try:
-            body = liquid_geometry(container, normal, row[height])
+            body = liquid_geometry(container, normal, height[i])
         except (ValueError, LabmechError) as exc:
             raise type(exc)(f"record {i}: {exc}") from exc
         path = outdir / f"step_{i:06d}.mesh"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import NonFiniteState, _fields, _finite, _nonnegative, _positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,18 +33,14 @@ class DetentProfile:
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "stiffness", float(self.stiffness))
-        object.__setattr__(self, "damping", float(self.damping))
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("positions must be a non-empty 1-D sequence")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
         if pos.size > 1 and not (np.diff(pos) > 0.0).all():
             raise ValueError("positions must be strictly increasing")
-        if self.stiffness <= 0.0:
-            raise ValueError(f"stiffness must be positive, got {self.stiffness}")
-        if self.damping < 0.0:
-            raise ValueError(f"damping must be nonnegative, got {self.damping}")
+        _fields(self, _positive, "stiffness")
+        _fields(self, _nonnegative, "damping")
 
 
 @dataclass(frozen=True)
@@ -56,12 +52,8 @@ class KnobState:
     inertia: float
 
     def __post_init__(self):
-        for name in ("q", "qdot", "inertia"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.inertia <= 0.0:
-            raise ValueError(f"inertia must be positive, got {self.inertia}")
-        if not (math.isfinite(self.q) and math.isfinite(self.qdot)):
-            raise ValueError("knob state must be finite")
+        _fields(self, _positive, "inertia")
+        _fields(self, _finite, "q", "qdot")
 
 
 def nearest_detent(profile: DetentProfile, q: float) -> int:
@@ -94,16 +86,13 @@ def step_knob(
 
     Stable for the stiff spring-damper at practical steps (dt well below
     ``2*sqrt(inertia/stiffness)``).  Raises :class:`NonFiniteState` if the
-    update overflows.
+    update overflows; every operand is a float, so that shows as inf or NaN.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    try:
-        f = detent_force(profile, state.q, state.qdot)
-        qdot = state.qdot + dt * (f + external_torque) / state.inertia
-        q = state.q + dt * qdot
-    except OverflowError as exc:
-        raise NonFiniteState(f"knob step overflowed: {exc}") from exc
+    dt = _positive("dt", dt)
+    external_torque = _finite("external_torque", external_torque)
+    f = detent_force(profile, state.q, state.qdot)
+    qdot = state.qdot + dt * (f + external_torque) / state.inertia
+    q = state.q + dt * qdot
     if not (math.isfinite(q) and math.isfinite(qdot)):
         raise NonFiniteState(f"knob state diverged: q={q}, qdot={qdot}")
     return KnobState(q, qdot, state.inertia)

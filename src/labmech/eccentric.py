@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _fields, _nonnegative
+
 
 @dataclass(frozen=True)
 class EccentricSpec:
@@ -23,9 +25,7 @@ class EccentricSpec:
     throw: float
 
     def __post_init__(self):
-        object.__setattr__(self, "throw", float(self.throw))
-        if not math.isfinite(self.throw) or self.throw < 0.0:
-            raise ValueError(f"throw must be finite and nonnegative, got {self.throw}")
+        _fields(self, _nonnegative, "throw")
 
 
 def eccentric_transform(spec: EccentricSpec, theta: float) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Exception types shared across the kernel."""
+"""Exception types shared across the kernel, and the rule every scalar
+parameter and step schedule is checked by."""
+
+import math
+import operator
 
 
 class LabmechError(Exception):
@@ -56,3 +60,61 @@ class MalformedTrace(LabmechError):
     def __init__(self, message, record=None):
         super().__init__(message if record is None else f"record {record}: {message}")
         self.record = record
+
+
+# The one rule for scalar parameters and step schedules, private to the package:
+# each check returns the value as a float (an int for a count) or raises ValueError.
+# Each is a single call, because PendulumState and LiquidPlane run them every step.
+
+
+def _positive(name, value) -> float:
+    try:
+        if 0.0 < (x := float(value)) < math.inf:
+            return x
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative(name, value) -> float:
+    try:
+        if 0.0 <= (x := float(value)) < math.inf:
+            return x
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _finite(name, value) -> float:
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _count(name, value, least=0) -> int:
+    if hasattr(value, "__index__") and not isinstance(value, bool) and value >= least:
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
+
+
+def _fields(obj, rule, *names) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by ``rule(name, value)``."""
+    for name in names:
+        object.__setattr__(obj, name, rule(name, getattr(obj, name)))
+
+
+def _step_count(dt, duration, minimum=1) -> int:
+    """Whole steps of a positive ``dt`` in a nonnegative ``duration``,
+    ``round(duration / dt)``; ValueError unless it is at least ``minimum``."""
+    dt = _positive("dt", dt)
+    duration = _nonnegative("duration", duration)
+    steps = duration / dt
+    if not steps < math.inf:
+        raise ValueError(f"duration {duration} at dt {dt} has too many steps to count")
+    steps = int(round(steps))
+    if steps < minimum:
+        raise ValueError(f"duration {duration} covers no whole step at dt {dt}")
+    return steps

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detent import DetentProfile, KnobState, nearest_detent, step_knob
-from .errors import DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange
+from .errors import (
+    DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange,
+    _fields, _nonnegative, _positive, _step_count,
+)
 from .helix import HelixSpec, screw_advance
 from .mesh import TriMesh, height_search, mesh_volume
 from .pendulum import PendulumParams, direction_of, init_state, step_pendulum
@@ -135,21 +138,13 @@ class SceneConfig:
     def __post_init__(self):
         g = np.asarray(self.gravity, dtype=float).reshape(3)
         object.__setattr__(self, "gravity", g)
-        object.__setattr__(self, "liquid_volume", float(self.liquid_volume))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "duration", float(self.duration))
         if not np.isfinite(g).all():
             raise ValueError("gravity must be finite")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if int(round(self.duration / self.dt)) < 1:
-            raise ValueError(
-                f"duration {self.duration} covers no whole step at dt {self.dt}"
-            )
+        _fields(self, _positive, "dt")
+        _fields(self, _nonnegative, "duration", "liquid_volume")
+        object.__setattr__(self, "_steps", _step_count(self.dt, self.duration))
         total = mesh_volume(self.container)
-        if not 0.0 <= self.liquid_volume <= total:
+        if self.liquid_volume > total:
             raise ValueError(
                 f"liquid volume {self.liquid_volume} outside container capacity [0, {total}]"
             )
@@ -159,10 +154,10 @@ class SceneConfig:
         p = self.pendulum
         ml2 = p.mass * p.length * p.length
         if p.damping_phi * self.dt > 2.0 * ml2 * p.epsilon:
+            need = p.damping_phi * self.dt / (2.0 * ml2) if ml2 else math.inf
             warnings.warn(
                 "azimuthal damping is stiffer than the pole guard can stabilize "
-                f"at dt={self.dt:g}: need epsilon >= "
-                f"{p.damping_phi * self.dt / (2.0 * ml2):.3g} "
+                f"at dt={self.dt:g}: need epsilon >= {need:.3g} "
                 f"(got {p.epsilon:g}); trajectories crossing the vertical may diverge",
                 PoleStiffnessWarning,
                 stacklevel=3,
@@ -170,7 +165,7 @@ class SceneConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.duration / self.dt))
+        return self._steps
 
 
 def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> ReplayTrace:
@@ -218,8 +213,7 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
 def run_screw_scene(spec: HelixSpec, angles, dt: float = 1e-3) -> ReplayTrace:
     """Kinematic screw replay: axial position is pitch times angle at every
     sample of the driven angle profile."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _positive("dt", dt)
     angles = np.asarray(angles, dtype=float).reshape(-1)
     if not np.isfinite(angles).all():
         raise ValueError("angle profile must be finite")
@@ -241,20 +235,16 @@ def run_knob_scene(
     """Step a knob under an external torque (scalar, or one sample per step)
     and record position, velocity, and the nearest detent index.  Raises
     ValueError unless ``dt`` is positive and ``duration`` covers at least
-    one whole step."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    steps = int(round(duration / dt))
-    if steps < 1:
-        raise ValueError(f"duration {duration} covers no whole step at dt {dt}")
+    one whole step, and, naming the step, for a torque that is not finite."""
+    steps = _step_count(dt, duration)
     torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
     rows = np.empty((steps, len(KNOB_COLUMNS)))
     for i in range(steps):
         try:
             state = step_knob(profile, state, torques[i], dt)
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"step {i}: {exc}") from exc
+        except (NonFiniteState, ValueError) as exc:
+            raise type(exc)(f"step {i}: {exc}") from exc
         rows[i] = (
             (i + 1) * dt, state.q, state.qdot, nearest_detent(profile, state.q),
         )

@@ -37,13 +37,12 @@ nut and sampling) and per call only maps it through the pose and makes one
 from __future__ import annotations
 
 import functools
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradient
+from .errors import DegenerateGradient, _count, _fields, _finite, _positive
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,22 +87,14 @@ class HelixSpec:
     angle_limit: float = DEFAULT_ANGLE_LIMIT
 
     def __post_init__(self):
-        for name in ("r1", "r2", "p", "l", "h", "angle_limit"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not np.isfinite([self.r1, self.r2, self.p, self.l, self.h]).all():
-            raise ValueError("helix parameters must be finite")
-        if self.r1 <= 0.0:
-            raise ValueError(f"r1 must be positive, got {self.r1}")
-        if self.r2 <= 0.0:
-            raise ValueError(f"r2 must be positive, got {self.r2}")
+        _fields(self, _positive, "r1", "r2", "angle_limit")
+        _fields(self, _finite, "p", "l", "h")
         if self.r2 >= self.r1:
             raise ValueError(f"gauge radius r2={self.r2} must be smaller than r1={self.r1}")
         if self.p == 0.0:
             raise ValueError("p must be nonzero (a zero-pitch helix is a circle)")
         if self.h <= self.l:
             raise ValueError(f"turn bounds need h > l, got l={self.l}, h={self.h}")
-        if self.angle_limit <= 0.0:
-            raise ValueError("angle_limit must be positive")
         if not self.angle_ok:
             warnings.warn(
                 f"helix angle |p|/r1 = {abs(self.p) / self.r1:.3g} exceeds "
@@ -330,30 +321,6 @@ def screw_pose(spec: HelixSpec, angle: float) -> np.ndarray:
     return pose
 
 
-def _probe_sampling(angular_step_deg, wire_directions):
-    """Validate the probe sampling of :func:`thread_engagement`; return it
-    as the ``(float, int)`` pair that keys the probe cache."""
-    step = np.nan
-    if isinstance(angular_step_deg, numbers.Real):
-        try:
-            step = float(angular_step_deg)
-        except OverflowError:  # an int past the float range
-            pass
-    if not 0.0 < step < np.inf:
-        raise ValueError(
-            f"angular_step_deg must be finite and positive, got {angular_step_deg!r}"
-        )
-    if not (
-        isinstance(wire_directions, numbers.Integral)
-        and not isinstance(wire_directions, bool)
-        and wire_directions > 0
-    ):
-        raise ValueError(
-            f"wire_directions must be a positive integer, got {wire_directions!r}"
-        )
-    return step, int(wire_directions)
-
-
 @functools.lru_cache(maxsize=8)
 def _nut_probes(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -> np.ndarray:
     """The nut's probe cloud in its own frame, read-only: the centerline at
@@ -427,7 +394,8 @@ def thread_engagement(
     if pose.shape != (4, 4):
         raise ValueError(f"relative_pose must be 4x4, got {pose.shape}")
 
-    probes = _nut_probes(nut, *_probe_sampling(angular_step_deg, wire_directions))
+    probes = _nut_probes(nut, _positive("angular_step_deg", angular_step_deg),
+                         _count("wire_directions", wire_directions, 1))
     # matmul is several times slower on a transposed right operand; the copy
     # and the in-place add give the same products and sums as probes @ R.T + t
     probes = probes @ np.ascontiguousarray(pose[:3, :3].T)

@@ -32,6 +32,7 @@ File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -45,6 +46,9 @@ from .errors import (
     NotWatertight,
     OpenCutLoop,
     VolumeOutOfRange,
+    _count,
+    _finite,
+    _positive,
 )
 
 #: Vertices closer to the plane than this fraction of the bbox diagonal are
@@ -197,11 +201,9 @@ class LiquidPlane:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "height", float(self.height))
-        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # rejects NaN too
+        if not abs(math.sqrt(n.dot(n)) - 1.0) <= 1e-12:  # np.linalg.norm's sum; rejects NaN
             raise ValueError("plane normal must be a unit vector (within 1e-12)")
-        if not np.isfinite(self.height):
-            raise ValueError("plane height must be finite")
+        object.__setattr__(self, "height", _finite("height", self.height))
 
 
 @dataclass(frozen=True)
@@ -393,9 +395,7 @@ def height_search(
     max_iter : int
         Iteration budget; :class:`NoConvergence` past it (degenerate mesh).
     """
-    n = np.asarray(normal, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("normal must be a unit vector (within 1e-12)")
+    n = LiquidPlane(normal, 0.0).normal
     total = mesh._capacity
     target = float(target_volume)
     if not np.isfinite(target) or target < 0.0 or target > total * (1.0 + 1e-12):
@@ -603,20 +603,16 @@ def _fan(n):
 
 def box_mesh(size=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> TriMesh:
     """Axis-aligned box spanning ``origin`` to ``origin + size`` (12 triangles)."""
-    sx, sy, sz = (float(v) for v in size)
+    sx, sy, sz = (_positive("size", v) for v in size)
     ox, oy, oz = (float(v) for v in origin)
-    if min(sx, sy, sz) <= 0.0:
-        raise ValueError("box dimensions must be positive")
     square = [(ox, oy), (ox + sx, oy), (ox + sx, oy + sy), (ox, oy + sy)]
     return _extrude_polygon(square, sz, _fan(4), z0=oz)
 
 
 def cylinder_mesh(radius=1.0, height=1.0, segments=48) -> TriMesh:
     """Regular prism approximating a cylinder along z, base at z = -height/2."""
-    if radius <= 0.0 or height <= 0.0:
-        raise ValueError("radius and height must be positive")
-    if segments < 3:
-        raise ValueError("need at least 3 segments")
+    radius, height = _positive("radius", radius), _positive("height", height)
+    segments = _count("segments", segments, 3)
     ang = 2.0 * np.pi * np.arange(segments) / segments
     ring = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
     return _extrude_polygon(ring, height, _fan(segments), z0=-0.5 * height)
@@ -641,10 +637,8 @@ def l_prism_mesh(outer=(2.0, 2.0), notch=(1.0, 1.0), height=1.0) -> TriMesh:
 
 def icosphere_mesh(radius=1.0, subdivisions=3) -> TriMesh:
     """Geodesic sphere: subdivided icosahedron projected onto the sphere."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be nonnegative")
+    radius = _positive("radius", radius)
+    subdivisions = _count("subdivisions", subdivisions)
     g = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [

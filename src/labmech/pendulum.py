@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, ZeroGravity
+from .errors import NonFiniteState, ZeroGravity, _count, _fields, _finite, _nonnegative, _positive
 
 _PI = math.pi
 
@@ -60,16 +60,8 @@ class PendulumParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        for name in ("length", "mass", "damping_phi", "damping_theta", "epsilon"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.length <= 0.0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.damping_phi < 0.0 or self.damping_theta < 0.0:
-            raise ValueError("damping coefficients must be nonnegative")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _fields(self, _positive, "length", "mass", "epsilon")
+        _fields(self, _nonnegative, "damping_phi", "damping_theta")
 
 
 @dataclass(frozen=True)
@@ -82,11 +74,7 @@ class PendulumState:
     thetadot: float
 
     def __post_init__(self):
-        for name in ("phi", "theta", "phidot", "thetadot"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _fields(self, _finite, "phi", "theta", "phidot", "thetadot")
 
 
 def lagrangian(params: PendulumParams, state: PendulumState, accel) -> float:
@@ -198,11 +186,9 @@ def integrate_pendulum(
 ) -> PendulumState:
     """Integrate ``steps`` RK4 steps under constant forcing; one step is
     :func:`step_pendulum`.  Raises :class:`NonFiniteState` when a step
-    overflows or leaves a non-finite state."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    overflows, divides by zero or leaves a non-finite state."""
+    dt = _positive("dt", dt)
+    steps = _count("steps", steps)
     gx, gy, gz = (float(a) for a in accel)
     m, l = params.mass, params.length
     lam_phi, lam_theta, eps = params.damping_phi, params.damping_theta, params.epsilon
@@ -213,8 +199,8 @@ def integrate_pendulum(
             if not (math.isfinite(y[0]) and math.isfinite(y[1])
                     and math.isfinite(y[2]) and math.isfinite(y[3])):
                 raise NonFiniteState(f"pendulum state diverged: {y}")
-    except (OverflowError, ValueError) as exc:
-        raise NonFiniteState(f"pendulum step overflowed: {exc}") from exc
+    except (ArithmeticError, ValueError) as exc:
+        raise NonFiniteState(f"pendulum step failed: {exc}") from exc
     return PendulumState(*y)
 
 

@@ -73,7 +73,9 @@ class ReplayTrace:
         )
 
     def column(self, name: str) -> np.ndarray:
-        """One column by name."""
+        """One column by name; ValueError naming a column the trace lacks."""
+        if name not in self.columns:
+            raise ValueError(f"{self.kind} trace has no column '{name}'")
         return self.data[:, self.columns.index(name)]
 
 
@@ -100,9 +102,10 @@ def write_trace(trace: ReplayTrace, path) -> None:
 def read_trace(path) -> ReplayTrace:
     """Deserialize a trace, validating structure byte-for-byte.
 
-    Raises :class:`MalformedTrace` on a bad magic/version, truncated
-    column table, or a data section whose length disagrees with the
-    header; ``record`` carries the index of the first incomplete record.
+    Raises :class:`MalformedTrace` on a bad magic/version, a truncated or
+    invalid (say, repeated) column table, or a data section whose length
+    disagrees with the header; ``record`` carries the index of the first
+    incomplete record.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -136,7 +139,10 @@ def read_trace(path) -> ReplayTrace:
             record=len(payload) // row_bytes,
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(count, ncols).copy()
-    return ReplayTrace(kind=KINDS[kind_code], columns=tuple(columns), data=data)
+    try:
+        return ReplayTrace(kind=KINDS[kind_code], columns=tuple(columns), data=data)
+    except ValueError as exc:
+        raise MalformedTrace(str(exc), record=0) from None
 
 
 def trace_table(trace: ReplayTrace) -> str:

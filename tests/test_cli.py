@@ -435,6 +435,29 @@ class TestDetentAndScrew:
             trace.column("axial"), 0.05 * trace.column("angle"), rtol=1e-15
         )
 
+    def test_screw_profile_lines_end_only_at_line_breaks(self, tmp_path, capsys):
+        # a form feed or vertical tab separates fields, as in a mesh file
+        profile = tmp_path / "angles.txt"
+        profile.write_bytes(b"0.0\x0c0.0\r\n0.1\x0b1.0\r0.2 3.5\x0c\n")
+        out_path = tmp_path / "screw.trace"
+        code, _, _ = run(
+            ["screw-sim", "--r1", "1", "--r2", "0.2", "--p", "0.05",
+             "--l", "-10", "--h", "10", "--profile", profile, "--output", out_path],
+            capsys,
+        )
+        assert code == 0
+        np.testing.assert_array_equal(read_trace(out_path).column("angle"), [0.0, 1.0, 3.5])
+
+    def test_screw_zero_duration_writes_one_sample(self, tmp_path, capsys):
+        out_path = tmp_path / "screw.trace"
+        code, _, _ = run(
+            ["screw-sim", "--r1", "1", "--r2", "0.2", "--p", "0.05",
+             "--l", "-10", "--h", "10", "--duration", "0", "--output", out_path],
+            capsys,
+        )
+        assert code == 0
+        assert read_trace(out_path).data.tolist() == [[0.0, 0.0, 0.0]]
+
 
 class TestScore:
     def test_worked_example(self, capsys):
@@ -564,18 +587,35 @@ class TestExitCodes:
         )
         truncated = tmp_path / "truncated.trace"
         truncated.write_bytes(liquid.read_bytes()[:-8])
+        no_nz = tmp_path / "no_nz.trace"
+        write_trace(
+            ReplayTrace(kind="liquid", columns=("nx", "ny", "height"),
+                        data=[[0.0, 0.0, 0.0]]),
+            no_nz,
+        )
+        cube = tmp_path / "cube.mesh"
+        save_mesh(box_mesh(), cube)
         profiles = {
-            "equal": "0.0 0.0\n0.0 1.0\n",
-            "gappy": "0 0.0\n1 1.0\n5 2.0\n",
-            "nan": "0.0 0.0\n0.1 nan\n",
-            "text": "0.0 0.0\n0.1 one\n",
+            "equal": b"0.0 0.0\n0.0 1.0\n",
+            "gappy": b"0 0.0\n1 1.0\n5 2.0\n",
+            "nan": b"0.0 0.0\n0.1 nan\n",
+            "text": b"0.0 0.0\n0.1 one\n",
+            "one": b"0.0 0.5\n",
+            "utf8": b"0.0 0.0\r\n0.1 1.0\r\n0.2 \xff\n",
+            "formfeed": b"0.0 0.0\x0c\n0.1 1.0\n0.2 x\n",
         }
         for name, body in profiles.items():
-            (tmp_path / f"{name}.txt").write_text(body)
+            (tmp_path / f"{name}.txt").write_bytes(body)
+        (tmp_path / "utf8.json").write_bytes(b'{"version": 1,\n "helix": "\xc3\xa9\xff"}\n')
         return {
             "dir": tmp_path, "open": open_mesh, "latin": latin, "traj": traj,
-            "liquid": liquid, "truncated": truncated,
+            "liquid": liquid, "truncated": truncated, "no_nz": no_nz, "cube": cube,
         }
+
+    LIQUID = ["liquid", "--trajectory", "{traj}", "--output", "{dir}/run.trace",
+              "--mesh", "{cube}", "--liquid-volume", "0.5", "--pend-length", "0.02"]
+    KNOB = ["detent-sim", "--positions", "0", "0.5", "--output", "{dir}/k.trace"]
+    SCREW = ["screw-sim", *HELIX, "--output", "{dir}/s.trace"]
 
     @pytest.mark.parametrize(
         "argv, code, fragment",
@@ -605,12 +645,51 @@ class TestExitCodes:
               "--output", "{dir}/k.trace"], 2, "covers no whole step"),
             (["replay", "--trace", "{truncated}", "--export", "table",
               "--output", "{dir}/t.tsv"], 2, "record 2: data section"),
+            ([*LIQUID, "--duration", "inf"], 2, "duration must be nonnegative and finite"),
+            ([*LIQUID, "--pend-epsilon", "nan"], 2, "epsilon must be positive and finite"),
+            ([*LIQUID, "--pend-length", "nan"], 2, "length must be positive and finite"),
+            ([*LIQUID, "--pend-damping-phi", "nan"], 2,
+             "damping_phi must be nonnegative and finite"),
+            ([*LIQUID, "--pend-mass", "inf"], 2, "mass must be positive and finite"),
+            ([*LIQUID, "--dt", "nan"], 2, "dt must be positive and finite, got nan"),
+            ([*KNOB, "--stiffness", "10", "--inertia", "0.005", "--duration", "inf"],
+             2, "duration must be nonnegative and finite"),
+            ([*KNOB, "--stiffness", "10", "--inertia", "nan"],
+             2, "inertia must be positive and finite"),
+            ([*KNOB, "--stiffness", "nan", "--inertia", "0.005"],
+             2, "stiffness must be positive and finite"),
+            ([*KNOB, "--stiffness", "10", "--damping", "nan", "--inertia", "0.005"],
+             2, "damping must be nonnegative and finite"),
+            ([*KNOB, "--stiffness", "10", "--inertia", "0.005", "--torque", "nan"],
+             2, "step 0: external_torque must be finite"),
+            ([*SCREW, "--duration", "inf"], 2, "duration must be nonnegative and finite"),
+            ([*SCREW, "--profile", "{dir}/one.txt", "--dt", "inf"],
+             2, "dt must be positive and finite, got inf"),
+            ([*SCREW, "--profile", "{dir}/one.txt", "--dt", "nan"],
+             2, "dt must be positive and finite, got nan"),
+            ([*LIQUID, "--pend-length", "1e-200", "--duration", "0.01"],
+             3, "step 0: pendulum step failed: float division by zero"),
+            ([*SCREW, "--profile", "{dir}/utf8.txt"],
+             2, "{dir}/utf8.txt: line 3: byte 0xff is not UTF-8"),
+            (["sdf-grid", "--config", "{dir}/utf8.json", "--min", "0", "0", "0",
+              "--max", "1", "1", "1", "--res", "2", "2", "2", "--output", "{dir}/g.tsv"],
+             2, "{dir}/utf8.json: line 2: byte 0xff is not UTF-8"),
+            ([*SCREW, "--profile", "{dir}/formfeed.txt"],
+             2, "{dir}/formfeed.txt: line 3: non-numeric field"),
+            (["replay", "--trace", "{no_nz}", "--export", "meshes", "--mesh", "{cube}",
+              "--outdir", "{dir}/frames"], 2, "liquid trace has no column 'nz'"),
         ],
         ids=[
             "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
             "screw-uneven-times", "screw-nan-angle", "screw-text-field", "screw-dt-0",
             "screw-dt-negative", "detent-zero-inertia", "detent-short-duration",
-            "replay-truncated-trace",
+            "replay-truncated-trace", "liquid-duration-inf", "liquid-epsilon-nan",
+            "liquid-length-nan", "liquid-damping-phi-nan", "liquid-mass-inf", "liquid-dt-nan",
+            "detent-duration-inf", "detent-inertia-nan", "detent-stiffness-nan",
+            "detent-damping-nan", "detent-torque-nan", "screw-duration-inf",
+            "screw-one-row-dt-inf", "screw-one-row-dt-nan", "liquid-length-underflow",
+            "screw-non-utf8-profile", "sdf-grid-non-utf8-config", "screw-form-feed-line-number",
+            "replay-missing-column",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):
@@ -619,6 +698,7 @@ class TestExitCodes:
         assert err.startswith(f"{argv[0]}: ")
         assert fragment.format(**files) in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 class TestParserReuse:

@@ -199,6 +199,12 @@ class TestStep:
         with pytest.raises(NonFiniteState):
             integrate_pendulum(params, state, G_DOWN, 1e300, 5)
 
+    def test_underflowing_inertia_is_non_finite_state(self):
+        # m * l * l * eps underflows to 0, so the azimuthal equation divides by zero
+        params = PendulumParams(length=1e-200)
+        with pytest.raises(NonFiniteState, match="division by zero"):
+            step_pendulum(params, PendulumState(0.0, 1.0, 0.0, 0.0), G_DOWN, 1e-3)
+
     def test_rejects_bad_dt(self):
         params = PendulumParams(length=0.02)
         with pytest.raises(ValueError):

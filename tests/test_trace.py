@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labmech import MalformedTrace, ReplayTrace, read_trace, trace_table, write_trace
+from labmech.trace import KINDS
 
 
 def random_trace(rng):
@@ -89,6 +92,84 @@ class TestValidation:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ReplayTrace(kind="generic", columns=("a", "a"), data=np.zeros((1, 2)))
+
+    def test_duplicate_column_names_in_a_file(self, tmp_path):
+        trace = ReplayTrace(kind="liquid", columns=("nx", "ny"), data=np.zeros((2, 2)))
+        path = tmp_path / "dup.trace"
+        write_trace(trace, path)
+        blob = bytearray(path.read_bytes())
+        blob[16 + 16 + 1] = ord("x")  # the second name becomes "nx"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MalformedTrace, match="record 0: duplicate column names") as err:
+            read_trace(path)
+        assert err.value.record == 0
+
+
+NAMES = ["t", "nx", "a\x00b", "height", "x" * 16, "q", " "]
+
+
+@st.composite
+def trace_bytes(draw):
+    """The bytes of a valid trace, as :func:`write_trace` lays them out."""
+    columns = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 3))
+    values = draw(st.lists(st.floats(width=64), min_size=rows * len(columns),
+                           max_size=rows * len(columns)))
+    trace = ReplayTrace(kind=draw(st.sampled_from(KINDS)), columns=tuple(columns),
+                        data=np.array(values, dtype=float).reshape(rows, len(columns)))
+    names = b"".join(c.encode("ascii").ljust(16, b"\0") for c in trace.columns)
+    header = b"LMTR" + (1).to_bytes(2, "little") + KINDS.index(trace.kind).to_bytes(2, "little")
+    header += len(columns).to_bytes(2, "little") + bytes(2) + rows.to_bytes(4, "little")
+    return header + names + trace.data.astype("<f8").tobytes()
+
+
+@st.composite
+def damaged_traces(draw):
+    """A valid trace after one to three truncations, byte flips, splices of
+    bytes from a second valid trace, or copies of one 16-byte slot (a
+    header, a column name) over another."""
+    blob = draw(trace_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob)))
+        edit = draw(st.sampled_from(["truncate", "flip", "splice", "slot"]))
+        if edit == "slot" and len(blob) >= 32:
+            src, dst = (16 * draw(st.integers(0, len(blob) // 16 - 1)) for _ in range(2))
+            blob = blob[:dst] + blob[src:src + 16] + blob[dst + 16:]
+        elif edit == "truncate":
+            blob = blob[:at]
+        elif edit == "flip" and at < len(blob):
+            byte = blob[at] ^ draw(st.integers(1, 255))
+            blob = blob[:at] + bytes([byte]) + blob[at + 1:]
+        elif edit == "splice":
+            other = draw(trace_bytes())
+            start = draw(st.integers(0, len(other)))
+            piece = other[start:start + draw(st.integers(0, 40))]
+            blob = blob[:at] + piece + blob[at + draw(st.integers(0, 40)):]
+    return blob
+
+
+class TestReadFuzz:
+    @given(blob=trace_bytes())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_writer_layout_matches(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "valid.trace"
+        path.write_bytes(blob)
+        again = tmp_path_factory.getbasetemp() / "again.trace"
+        write_trace(read_trace(path), again)
+        assert again.read_bytes() == blob
+
+    @given(blob=damaged_traces())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    def test_only_malformed_trace_escapes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.trace"
+        path.write_bytes(blob)
+        try:
+            trace = read_trace(path)
+        except MalformedTrace:
+            return
+        again = tmp_path_factory.getbasetemp() / "fuzz-again.trace"
+        write_trace(trace, again)
+        assert read_trace(again) == trace
 
 
 class TestTable:
