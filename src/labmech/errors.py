@@ -3,6 +3,7 @@ parameter and step schedule is checked by."""
 
 import math
 import operator
+import sys
 
 
 class LabmechError(Exception):
@@ -106,13 +107,19 @@ def _fields(obj, rule, *names) -> None:
         object.__setattr__(obj, name, rule(name, getattr(obj, name)))
 
 
+#: Steps a schedule must stay below: one more row of up to 16 float64
+#: columns still fits an array numpy can describe (at most sys.maxsize bytes).
+_MAX_STEPS = float(sys.maxsize // (16 * 8))
+
+
 def _step_count(dt, duration, minimum=1) -> int:
     """Whole steps of a positive ``dt`` in a nonnegative ``duration``,
-    ``round(duration / dt)``; ValueError unless it is at least ``minimum``."""
+    ``round(duration / dt)``; ValueError unless it is at least ``minimum``
+    and below ``_MAX_STEPS``."""
     dt = _positive("dt", dt)
     duration = _nonnegative("duration", duration)
     steps = duration / dt
-    if not steps < math.inf:
+    if not steps < _MAX_STEPS:
         raise ValueError(f"duration {duration} at dt {dt} has too many steps to count")
     steps = int(round(steps))
     if steps < minimum:

@@ -30,8 +30,25 @@ per point, for the aligned candidate clamped into the window; the endpoint
 candidate is evaluated only for the points whose turn index was clamped.
 The winner's offset and distance are kept, not recomputed.
 :func:`thread_engagement` builds each nut's probe cloud once (cached per
-nut and sampling) and per call only maps it through the pose and makes one
-:func:`sdf_thread` call on the whole cloud.
+nut and sampling); per call it maps the cloud through the pose and
+evaluates the field only on the probes that could hold the minimum.
+
+The broad phase rests on one fact: every candidate the field can pick,
+the clamped and endpoint ones of short windows included, is a centerline
+point ``H(t)`` and so lies on the cylinder ``rho = r1``.  A probe at radius
+``rho = sqrt(x*x + y*y)`` from the axis is therefore no nearer the
+centerline than ``|rho - r1|``.  The probe with the least such bound is
+evaluated first; its centerline distance ``U`` bounds the minimum from
+above, so only the probes whose bound is at most ``U`` can hold it, and
+those are evaluated in one more call.  The comparison carries a slack of ``1e-9*(r1 + U)``,
+some 10**6 times the rounding of the radius and of the kernel's own
+distances at the scales involved (probes near that boundary have
+``rho <= r1 + U``).  The minimum of floats is exact and the field is
+bitwise independent of the batch, so the result is bitwise the minimum
+over the whole cloud.  The bound is radial only: when every probe is
+about as far from the cylinder as the nearest one, e.g. a nut axially past
+the bolt's window, nothing is culled and the query costs some 20% more
+than one call on the whole cloud.
 """
 
 from __future__ import annotations
@@ -283,12 +300,16 @@ def sdf_thread(spec: HelixSpec, point) -> SdfResult:
 def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarray:
     """Normalized central-difference gradient of the thread field.
 
-    Step defaults to ``1e-6 * r1``.  Raises :class:`DegenerateGradient`
-    when the difference vector has norm below 1e-12, which happens at
-    points equidistant from several turns (e.g. on the axis).
+    Step defaults to ``1e-6 * r1``; a given step must be finite and
+    nonzero (the difference is symmetric, so its sign does not matter).
+    Raises :class:`DegenerateGradient` when the difference vector has norm
+    below 1e-12, which happens at points equidistant from several turns
+    (e.g. on the axis).
     """
+    delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else _finite("step", step)
+    if delta == 0.0:
+        raise ValueError(f"step must be nonzero and finite, got {step}")
     pts, single = _as_points(point)
-    delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else float(step)
     offsets = delta * np.eye(3)
     # one batched field evaluation over all 6 stencil points per query
     stencil = np.concatenate([pts[:, None, :] + offsets, pts[:, None, :] - offsets], axis=1)
@@ -375,6 +396,14 @@ def thread_engagement(
     alone would sit exactly on the other thread's surface.  Deterministic,
     resolution-documented; not a contact solver.
 
+    Only the probes whose radial bound ``|rho - r1|`` (``rho`` the distance
+    from the axis; every field candidate lies on the bolt's cylinder
+    ``rho = r1``) is at most the centerline distance of the probe with the
+    least bound, plus a rounding slack, are evaluated.  The result is
+    bitwise the minimum over the whole cloud; typically a handful of the
+    probes survive.  The worst case, no probe culled (a nut axially past
+    the bolt's window), costs some 20% more than evaluating the whole cloud.
+
     Returns
     -------
     EngagementReport
@@ -385,14 +414,17 @@ def thread_engagement(
     Raises
     ------
     ValueError
-        If ``relative_pose`` is not 4x4, ``angular_step_deg`` is not finite
-        and positive, or ``wire_directions`` is not a positive integer.
+        If ``relative_pose`` is not a finite 4x4 array or maps a probe past
+        the float range, ``angular_step_deg`` is not finite and positive,
+        or ``wire_directions`` is not a positive integer.
     """
     if relative_pose is None:
         relative_pose = np.eye(4)
     pose = np.asarray(relative_pose, dtype=float)
     if pose.shape != (4, 4):
         raise ValueError(f"relative_pose must be 4x4, got {pose.shape}")
+    if not np.isfinite(pose).all():
+        raise ValueError(f"relative_pose must be finite, got {pose.tolist()}")
 
     probes = _nut_probes(nut, _positive("angular_step_deg", angular_step_deg),
                          _count("wire_directions", wire_directions, 1))
@@ -400,6 +432,18 @@ def thread_engagement(
     # and the in-place add give the same products and sums as probes @ R.T + t
     probes = probes @ np.ascontiguousarray(pose[:3, :3].T)
     probes += pose[:3, 3]
+    if not np.isfinite(probes).all():
+        raise ValueError("relative_pose maps the nut's probes past the float range")
 
-    clearance = float(np.min(sdf_thread(bolt, probes).distance))
+    # broad phase (module docstring): a lower bound per probe, a ceiling on
+    # the minimum from the probe of least bound, and a slack for rounding
+    x, y = probes[:, 0], probes[:, 1]
+    bound = np.sqrt(x * x + y * y)
+    bound -= bolt.r1
+    np.abs(bound, out=bound)
+    ceiling = sdf_thread(bolt, probes[np.argmin(bound)]).distance + bolt.r2
+    near = np.flatnonzero(bound <= ceiling + 1e-9 * (bolt.r1 + ceiling))
+
+    # take is several times faster than fancy indexing when most rows survive
+    clearance = float(np.min(sdf_thread(bolt, probes.take(near, axis=0)).distance))
     return EngagementReport(min_clearance=clearance, overlapping=clearance < 0.0)

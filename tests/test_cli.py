@@ -678,6 +678,9 @@ class TestExitCodes:
              2, "{dir}/formfeed.txt: line 3: non-numeric field"),
             (["replay", "--trace", "{no_nz}", "--export", "meshes", "--mesh", "{cube}",
               "--outdir", "{dir}/frames"], 2, "liquid trace has no column 'nz'"),
+            ([*LIQUID, "--duration", "1e300"], 2, "duration 1e+300 at dt 0.001 has too many steps"),
+            ([*KNOB, "--stiffness", "10", "--inertia", "0.005", "--duration", "1e300"],
+             2, "duration 1e+300 at dt 0.001 has too many steps"),
         ],
         ids=[
             "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
@@ -689,7 +692,7 @@ class TestExitCodes:
             "detent-damping-nan", "detent-torque-nan", "screw-duration-inf",
             "screw-one-row-dt-inf", "screw-one-row-dt-nan", "liquid-length-underflow",
             "screw-non-utf8-profile", "sdf-grid-non-utf8-config", "screw-form-feed-line-number",
-            "replay-missing-column",
+            "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):

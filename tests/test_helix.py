@@ -19,6 +19,7 @@ from labmech import (
     sdf_unbounded,
     thread_engagement,
 )
+from labmech import helix
 from labmech.helix import _nut_probes
 
 TWO_PI = 2.0 * np.pi
@@ -220,6 +221,18 @@ class TestGradient:
         with pytest.raises(DegenerateGradient):
             sdf_gradient(wide_spec(), [1.0, 0.0, 0.0], step=2.0**-20)
 
+    @pytest.mark.parametrize("step", [0.0, -0.0])
+    def test_rejects_zero_step(self, step):
+        # NaN and +-inf are among the non-finite cases of test_params.py
+        with pytest.raises(ValueError, match="^step must be nonzero and finite"):
+            sdf_gradient(wide_spec(), [1.3, 0.2, 0.1], step=step)
+
+    def test_negative_step_gives_the_same_gradient(self):
+        # the symmetric difference only swaps its terms and the divisor's sign
+        spec, point = wide_spec(), [1.3, 0.2, 0.1]
+        assert (sdf_gradient(spec, point, step=-1e-4).tobytes()
+                == sdf_gradient(spec, point, step=1e-4).tobytes())
+
     def test_matches_manual_central_difference(self):
         spec = wide_spec()
         rng = np.random.default_rng(13)
@@ -347,6 +360,40 @@ class TestEngagement:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             thread_engagement(spec, spec, **kwargs)
 
+    @pytest.mark.parametrize("row, col", [(1, 2), (0, 3), (3, 3)],
+                             ids=["rotation", "translation", "bottom-row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pose(self, row, col, bad):
+        spec = wide_spec(l=-3.0, h=3.0)
+        pose = screw_pose(spec, 0.4)
+        pose[row, col] = bad
+        with pytest.raises(ValueError, match="^relative_pose must be finite"):
+            thread_engagement(spec, spec, pose)
+
+    def test_rejects_pose_that_overflows_the_probes(self):
+        spec = wide_spec(l=-3.0, h=3.0)
+        pose = np.eye(4)
+        pose[2, 2] = pose[2, 3] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^relative_pose maps the nut's probes past"):
+            thread_engagement(spec, spec, pose)
+
+    def test_broad_phase_evaluates_a_handful_of_probes(self, monkeypatch):
+        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
+        nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
+        sizes = []
+
+        def counted(spec, point):
+            sizes.append(np.size(point) // 3)
+            return sdf_thread(spec, point)
+
+        monkeypatch.setattr(helix, "sdf_thread", counted)
+        pose = screw_pose(nut, 1.3)
+        pose[:2, 3] += [1.0e-4, -0.5e-4]
+        thread_engagement(bolt, nut, pose)
+        assert sizes[0] == 1 and len(sizes) == 2
+        assert sizes[1] <= 0.01 * len(_nut_probes(nut, 1.0, 8))
+
     @pytest.mark.parametrize("step, wires", [(1.0, 8), (2.5, 3), (0.7, 1)])
     def test_matches_field_minimum_over_oracle_probes(self, step, wires):
         bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
@@ -434,3 +481,69 @@ def test_batch_is_bitwise_equal_to_pointwise(case):
             want = np.array([getattr(s, name) for s in singles])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
                 field.__name__, name)
+
+
+def full_cloud_minimum(bolt, nut, pose, step, wires):
+    """The bolt field's minimum over the nut's whole probe cloud, mapped
+    through ``pose`` as the engagement query maps it."""
+    probes = _nut_probes(nut, step, wires) @ np.ascontiguousarray(pose[:3, :3].T)
+    probes += pose[:3, 3]
+    return np.min(sdf_thread(bolt, probes).distance)
+
+
+@st.composite
+def engagements(draw):
+    """A bolt, a nut, a pose and a sampling: the nut screwed on with a
+    lateral offset up to 2*r1, tilted up to 90 degrees, coincident with the
+    bolt, radially or axially separated from it, or placed so that one of
+    its probes sits on the bolt axis.  Pitches of both signs and windows
+    down to a fifth of a turn are drawn."""
+    r1 = draw(st.floats(0.2, 3.0))
+    p = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.005, 0.2)) * r1
+    l = draw(st.floats(-3.0, 3.0))
+    bolt = HelixSpec(r1=r1, r2=draw(st.floats(0.02, 0.5)) * r1, p=p, l=l,
+                     h=l + draw(st.floats(0.2, 5.0)))
+    kind = draw(st.sampled_from(["screw", "tilted", "coincident", "radial", "axial", "axis"]))
+    if kind == "coincident":
+        nut = bolt
+    else:
+        nut_r1 = draw(st.floats(0.45, 1.6)) * r1
+        nut_l = draw(st.floats(-3.0, 3.0))
+        nut = HelixSpec(r1=nut_r1, r2=draw(st.floats(0.02, 0.5)) * nut_r1, p=p, l=nut_l,
+                        h=nut_l + draw(st.floats(0.2, 5.0)))
+    step = draw(st.sampled_from([1.0, 2.5, 7.0]))
+    wires = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    pose = screw_pose(nut, rng.uniform(0.0, TWO_PI))
+    span = bolt.p * (bolt.t_max - bolt.t_min)
+    if kind == "screw":
+        pose[:2, 3] += rng.uniform(-2.0 * r1, 2.0 * r1, 2)
+    elif kind == "tilted":
+        # about the nut's x axis, which the screw angle turns to any horizontal
+        tilt = rng.uniform(0.0, 0.5 * np.pi)
+        c, s = np.cos(tilt), np.sin(tilt)
+        pose[:3, :3] = pose[:3, :3] @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        pose[:3, 3] += rng.uniform(-r1, r1, 3)
+    elif kind == "coincident":
+        pose = screw_pose(bolt, TWO_PI * rng.integers(-2, 3))
+    elif kind == "radial":
+        pose[0, 3] += rng.choice([-1.0, 1.0]) * rng.uniform(2.5, 10.0) * r1
+    elif kind == "axial":
+        pose[2, 3] += np.sign(rng.uniform(-1.0, 1.0)) * (abs(span) + rng.uniform(0.1, 3.0) * r1)
+    else:
+        # translate the mapped probe i onto the axis: x + (-x) is exactly 0
+        probes = _nut_probes(nut, step, wires) @ np.ascontiguousarray(pose[:3, :3].T)
+        i = rng.integers(len(probes))
+        pose[:2, 3] = -probes[i, :2]
+    return bolt, nut, pose, step, wires
+
+
+@PROPERTY_SETTINGS
+@given(case=engagements())
+def test_engagement_is_bitwise_the_full_cloud_minimum(case):
+    bolt, nut, pose, step, wires = case
+    report = thread_engagement(bolt, nut, pose, step, wires)
+    want = full_cloud_minimum(bolt, nut, pose, step, wires)
+    assert np.float64(report.min_clearance).tobytes() == want.tobytes()
+    assert report.overlapping == (want < 0.0)

@@ -22,11 +22,12 @@ from labmech import (
     integrate_pendulum,
     run_knob_scene,
     run_screw_scene,
+    sdf_gradient,
     step_knob,
     step_pendulum,
     thread_engagement,
 )
-from labmech.errors import _count, _finite, _nonnegative, _positive, _step_count
+from labmech.errors import _MAX_STEPS, _count, _finite, _nonnegative, _positive, _step_count
 
 G = (0.0, 0.0, -9.81)
 PARAMS = PendulumParams(length=0.02)
@@ -64,6 +65,7 @@ CASES = [
     ("icosphere_mesh", lambda **kw: icosphere_mesh(subdivisions=0, **kw), dict(radius=1.0)),
     ("thread_engagement", lambda **kw: thread_engagement(SPEC, SPEC, None, wire_directions=2, **kw),
      dict(angular_step_deg=30.0)),
+    ("sdf_gradient", lambda **kw: sdf_gradient(SPEC, [1.3, 0.2, 0.1], **kw), dict(step=1e-6)),
 ]
 
 BAD = [math.nan, math.inf, -math.inf]
@@ -120,6 +122,12 @@ class TestRule:
             _step_count(1.0, 0.1)
         with pytest.raises(ValueError, match="too many steps to count"):
             _step_count(1e-310, 1.0)
+        # finite, but more rows than numpy can describe
+        with pytest.raises(ValueError, match="duration 1e\\+300 at dt 0.001 has too many steps"):
+            _step_count(1e-3, 1e300)
+        with pytest.raises(ValueError, match="too many steps to count"):
+            _step_count(1.0, _MAX_STEPS)
+        assert _step_count(1.0, _MAX_STEPS / 2) == int(_MAX_STEPS / 2)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             _step_count(0.0, 1.0)
         with pytest.raises(ValueError, match="duration must be nonnegative and finite"):
