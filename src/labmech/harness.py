@@ -46,9 +46,13 @@ def _uniform_step(times) -> float:
     gaps = np.diff(times)
     if not (gaps > 0.0).all():
         raise ValueError("timestamps must be strictly increasing")
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+    first = gaps[0]
+    # np.allclose(gaps, first, rtol=1e-9, atol=0.0) written out; an infinite
+    # first gap (the difference of two huge timestamps) is close only to itself
+    close = np.abs(gaps - first) <= 1e-9 * first if first < math.inf else gaps == first
+    if not close.all():
         raise ValueError("timestamps must be uniformly spaced")
-    return gaps[0]
+    return first
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +84,8 @@ class FrameTrajectory:
             if len(quats) != len(times):
                 raise ValueError("orientations and times disagree in length")
             norms = np.linalg.norm(quats, axis=1)
-            if not np.allclose(norms, 1.0, rtol=0.0, atol=1e-9):
+            # np.allclose(norms, 1.0, rtol=0.0, atol=1e-9) written out; NaN fails it
+            if not (np.abs(norms - 1.0) <= 1e-9).all():
                 raise ValueError("orientation quaternions must be unit length")
 
     def index_at(self, t: float) -> int:
@@ -90,6 +95,17 @@ class FrameTrajectory:
         dt = self.times[1] - self.times[0]
         i = int(math.floor((t - self.times[0]) / dt + 1e-12))
         return min(max(i, 0), len(self.times) - 1)
+
+
+def _rows(steps: int, columns: int, duration: float) -> np.ndarray:
+    """An uninitialised table of one row per step; ValueError naming the
+    duration and the step count when the host refuses to allocate it."""
+    try:
+        return np.empty((steps, columns))
+    except MemoryError:
+        raise ValueError(
+            f"duration {duration} needs {steps} steps, more rows than memory can hold"
+        ) from None
 
 
 def effective_accel(gravity, frame_accel) -> np.ndarray:
@@ -177,7 +193,8 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     height from volume conservation warm-started at the previous height.
     The pendulum starts settled: aligned with the effective acceleration of
     the first sample, at rest.  Solver failures propagate with the failing
-    step index.
+    step index; a duration with more rows than memory can hold is a
+    ValueError.
     """
 
     def forcing(sample):
@@ -187,7 +204,7 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
         return g_eff
 
     state = init_state(forcing(trajectory.index_at(0.0)))
-    rows = np.empty((config.steps, len(LIQUID_COLUMNS)))
+    rows = _rows(config.steps, len(LIQUID_COLUMNS), config.duration)
     h_prev = None
     for i in range(config.steps):
         t = i * config.dt
@@ -235,11 +252,12 @@ def run_knob_scene(
     """Step a knob under an external torque (scalar, or one sample per step)
     and record position, velocity, and the nearest detent index.  Raises
     ValueError unless ``dt`` is positive and ``duration`` covers at least
-    one whole step, and, naming the step, for a torque that is not finite."""
+    one whole step and no more rows than memory can hold, and, naming the
+    step, for a torque that is not finite."""
     steps = _step_count(dt, duration)
     torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
-    rows = np.empty((steps, len(KNOB_COLUMNS)))
+    rows = _rows(steps, len(KNOB_COLUMNS), duration)
     for i in range(steps):
         try:
             state = step_knob(profile, state, torques[i], dt)

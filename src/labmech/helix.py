@@ -30,32 +30,29 @@ per point, for the aligned candidate clamped into the window; the endpoint
 candidate is evaluated only for the points whose turn index was clamped.
 The winner's offset and distance are kept, not recomputed.
 :func:`thread_engagement` builds each nut's probe cloud once (cached per
-nut and sampling); per call it maps the cloud through the pose and
-evaluates the field only on the probes that could hold the minimum.
+nut and sampling); per call it maps the nut's centerline probes through
+the pose, then only the wire rings that could hold the minimum, and
+evaluates the field only on the probes among them that could.
 
 The broad phase rests on one fact: every candidate the field can pick,
 the clamped and endpoint ones of short windows included, is a centerline
-point ``H(t)`` and so lies on the cylinder ``rho = r1``.  A probe at radius
-``rho = sqrt(x*x + y*y)`` from the axis is therefore no nearer the
-centerline than ``|rho - r1|``.  The probe with the least such bound is
-evaluated first; its centerline distance ``U`` bounds the minimum from
-above, so only the probes whose bound is at most ``U`` can hold it, and
-those are evaluated in one more call.  The comparison carries a slack of ``1e-9*(r1 + U)``,
-some 10**6 times the rounding of the radius and of the kernel's own
-distances at the scales involved (probes near that boundary have
-``rho <= r1 + U``).  The minimum of floats is exact and the field is
-bitwise independent of the batch, so the result is bitwise the minimum
-over the whole cloud.  The bound is radial only: when every probe is
-about as far from the cylinder as the nearest one, e.g. a nut axially past
-the bolt's window, nothing is culled and the query costs some 20% more
-than one call on the whole cloud.
+point ``H(t)`` with ``t`` in a known range (see :func:`_candidate_band`), so
+it lies on the cylinder ``rho = r1`` inside a known height band.  A point is
+therefore no nearer the centerline than its distance to that piece of the
+cylinder, ``hypot(|rho - r1|, gap of z to the band)``, and since a distance
+to a set changes by at most the distance moved, a point within ``reach`` of
+another is no nearer than the other's bound minus ``reach``.
+:func:`thread_engagement` uses both facts in two levels, on groups (a nut
+centerline probe and its wire ring) and on single probes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,9 +299,10 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
 
     Step defaults to ``1e-6 * r1``; a given step must be finite and
     nonzero (the difference is symmetric, so its sign does not matter).
-    Raises :class:`DegenerateGradient` when the difference vector has norm
-    below 1e-12, which happens at points equidistant from several turns
-    (e.g. on the axis).
+    Raises ValueError naming the step when a stencil point or its distance
+    leaves the float range, and :class:`DegenerateGradient` when the
+    difference vector has norm below 1e-12, which happens at points
+    equidistant from several turns (e.g. on the axis).
     """
     delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else _finite("step", step)
     if delta == 0.0:
@@ -313,7 +311,13 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     offsets = delta * np.eye(3)
     # one batched field evaluation over all 6 stencil points per query
     stencil = np.concatenate([pts[:, None, :] + offsets, pts[:, None, :] - offsets], axis=1)
-    d = sdf_thread(spec, stencil.reshape(-1, 3)).distance.reshape(-1, 6)
+    try:
+        d = sdf_thread(spec, stencil.reshape(-1, 3)).distance.reshape(-1, 6)
+    except ValueError:  # the points are finite, so a stencil point overflowed
+        d = None
+    # an infinite distance makes the difference inf or NaN, which the norm test lets through
+    if d is None or not np.isfinite(d).all():
+        raise ValueError(f"step {delta} takes the gradient stencil past the float range")
     grad = (d[:, :3] - d[:, 3:]) / (2.0 * delta)
     norms = np.linalg.norm(grad, axis=-1)
     bad = norms < 1e-12
@@ -370,6 +374,94 @@ def _nut_probes(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -
     return probes
 
 
+class _ProbeGroups(NamedTuple):
+    """The nut probe cloud as groups, for the broad phase."""
+
+    #: the cloud transposed to (3, N), so that each coordinate is contiguous
+    columns: np.ndarray
+    #: row ``i``: centerline probe ``i``, then its ring rows ``n + w*i`` to
+    #: ``n + w*i + w - 1`` (``n`` centerline probes, ``w`` wire directions)
+    rows: np.ndarray
+    #: largest distance of a ring probe from its centerline probe
+    offset: float
+    #: largest absolute coordinate in the cloud
+    extent: float
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_groups(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -> _ProbeGroups:
+    """Group layout and constants of the probe cloud of :func:`_nut_probes`,
+    cached under the same key; the arrays are read-only."""
+    probes = _nut_probes(nut, angular_step_deg, wire_directions)
+    n = len(probes) // (1 + wire_directions)
+    index = np.arange(n)
+    rows = np.column_stack(
+        [index, n + wire_directions * index[:, None] + np.arange(wire_directions)]
+    )
+    offsets = probes[n:].reshape(n, wire_directions, 3) - probes[:n, None, :]
+    columns = np.ascontiguousarray(probes.T)
+    for array in (columns, rows):
+        array.setflags(write=False)
+    return _ProbeGroups(
+        columns=columns,
+        rows=rows,
+        offset=float(np.sqrt((offsets * offsets).sum(axis=-1)).max()),
+        extent=float(np.abs(probes).max()),
+    )
+
+
+def _candidate_band(spec: HelixSpec) -> tuple[float, float]:
+    """Height band ``(z_lo, z_hi)`` of every candidate :func:`_nearest` can pick.
+
+    Every candidate has ``t`` in ``[min(t_min, t_max - 2*pi),
+    max(t_max, t_min + 2*pi)]``.  Proof: with ``turns = t0/(2*pi)``,
+    ``lo = ceil(l - turns)`` is the least integer with ``2*pi*lo + t0 >=
+    t_min``, so ``2*pi*lo + t0`` lies in ``[t_min, t_min + 2*pi)``; likewise
+    ``hi = floor(h - turns)`` puts ``2*pi*hi + t0`` in ``(t_max - 2*pi,
+    t_max]``.  The aligned candidate is ``2*pi*k_in + t0``.  When
+    ``k < lo``, ``k_in = lo`` and the candidate lies in ``[t_min, t_min +
+    2*pi)``.  Otherwise ``k_in = min(k, hi)``: either ``hi``, in ``(t_max -
+    2*pi, t_max]``, or ``k`` with ``lo <= k < hi``, and then ``t_min <=
+    2*pi*lo + t0 <= 2*pi*k + t0 < 2*pi*hi + t0 <= t_max``.  The other
+    candidates are the endpoints ``t_min`` and ``t_max``.  All of these lie
+    in the range.  For a window shorter than a turn ``lo > hi`` can hold,
+    and the clamped candidates then leave ``[t_min, t_max]``, but not the
+    range.
+
+    Every candidate ``H(t)`` therefore lies on the cylinder ``rho = r1``
+    with ``z = p*t`` in ``p`` times that range.  The band is widened by
+    ``1e-9`` of the sum of its end heights' magnitudes: the range spans a
+    turn or more, so that sum is at least ``2*pi*|p|`` and at least
+    ``|p*t|`` at both window ends, some 10**6 times the rounding of ``lo``,
+    ``hi``, ``t`` and ``p*t``.
+    """
+    ends = (spec.p * min(spec.t_min, spec.t_max - TWO_PI),
+            spec.p * max(spec.t_max, spec.t_min + TWO_PI))
+    pad = 1e-9 * (abs(ends[0]) + abs(ends[1]))
+    return min(ends) - pad, max(ends) + pad
+
+
+def _axis_bound(spec: HelixSpec, band, x, y, z) -> np.ndarray:
+    """Lower bound on the centerline distance of points with coordinates
+    ``x, y, z``: their distance ``hypot(|rho - r1|, gap of z to band)`` to
+    the piece of the cylinder ``rho = r1`` where every candidate lies."""
+    bound = np.sqrt(x * x + y * y)
+    bound -= spec.r1
+    gap = z - band[1]
+    np.maximum(gap, band[0] - z, out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    # np.hypot is several times slower
+    bound *= bound
+    gap *= gap
+    bound += gap
+    return np.sqrt(bound, out=bound)
+
+
+#: Below this, ``|R|_inf * extent + |t|_inf`` leaves room for the rounding of
+#: the mapping, so no mapped probe can leave the float range.
+_MAPPABLE = 2.0**1000
+
+
 @dataclass(frozen=True)
 class EngagementReport:
     """Narrowphase proximity between two thread surfaces."""
@@ -396,13 +488,36 @@ def thread_engagement(
     alone would sit exactly on the other thread's surface.  Deterministic,
     resolution-documented; not a contact solver.
 
-    Only the probes whose radial bound ``|rho - r1|`` (``rho`` the distance
-    from the axis; every field candidate lies on the bolt's cylinder
-    ``rho = r1``) is at most the centerline distance of the probe with the
-    least bound, plus a rounding slack, are evaluated.  The result is
-    bitwise the minimum over the whole cloud; typically a handful of the
-    probes survive.  The worst case, no probe culled (a nut axially past
-    the bolt's window), costs some 20% more than evaluating the whole cloud.
+    The broad phase (module docstring) works in two levels.  A *group* is a
+    centerline probe and its wire ring; after mapping, every member lies
+    within ``reach = |R|_2 * offset`` of the mapped centerline probe
+    (``offset`` the largest ring radius in the cloud; ``|R|_2`` bounded by
+    the square root of the largest absolute row sum of ``R^T R``, which is 1
+    for a rotation), plus a rounding pad.  Per call:
+
+    1. map only the centerline probes and bound each (``_axis_bound``);
+    2. bound each group by its centerline probe's bound minus ``reach``;
+    3. map the group of least bound and evaluate the field on its probe of
+       least bound: its centerline distance is a ceiling ``U`` on the
+       minimum;
+    4. map (with ``take``) only the groups whose bound is at most ``U``, and
+       evaluate the field on their probes whose own bound is at most ``U``
+       plus a slack of ``1e-9*(r1 + U)``.
+
+    The pad, ``1e-9*(r1 + U + |R|_inf * extent + |t|_inf)``, and the slack
+    are some 10**6 times the rounding of the mapping, the radii and the
+    field's distances at the scales involved.  The minimum of floats is
+    exact and the field is bitwise independent of the batch, so the result
+    is bitwise the minimum over the whole cloud.
+
+    Cost model: step 1 maps ``1/(1 + wire_directions)`` of the cloud, and
+    the field is evaluated twice, once on one probe and once on the few
+    that survive.  Worst case: every group survives, e.g. a nut coaxial with
+    the bolt, whose every ring has a probe as near the bolt's cylinder as
+    the ceiling.  The whole cloud is then mapped in one product and screened
+    by ``|rho - r1|`` alone (the axial term would cost a pass and cull little
+    in a cloud whose every ring reaches the ceiling), so the query costs
+    steps 1-3 more than one screened pass over the whole cloud.
 
     Returns
     -------
@@ -426,24 +541,59 @@ def thread_engagement(
     if not np.isfinite(pose).all():
         raise ValueError(f"relative_pose must be finite, got {pose.tolist()}")
 
-    probes = _nut_probes(nut, _positive("angular_step_deg", angular_step_deg),
-                         _count("wire_directions", wire_directions, 1))
+    key = (nut, _positive("angular_step_deg", angular_step_deg),
+           _count("wire_directions", wire_directions, 1))
+    probes, groups = _nut_probes(*key), _probe_groups(*key)
+    rotation, shift = pose[:3, :3], pose[:3, 3]
     # matmul is several times slower on a transposed right operand; the copy
     # and the in-place add give the same products and sums as probes @ R.T + t
-    probes = probes @ np.ascontiguousarray(pose[:3, :3].T)
-    probes += pose[:3, 3]
-    if not np.isfinite(probes).all():
-        raise ValueError("relative_pose maps the nut's probes past the float range")
+    rotation_t = np.ascontiguousarray(rotation.T)
+    magnitudes = np.abs(pose[:3]).tolist()
+    size = (max(a + b + c for a, b, c, _ in magnitudes) * groups.extent
+            + max(row[3] for row in magnitudes))
+    if not size < _MAPPABLE:
+        mapped = probes @ rotation_t
+        mapped += shift
+        if not np.isfinite(mapped).all():
+            raise ValueError("relative_pose maps the nut's probes past the float range")
 
-    # broad phase (module docstring): a lower bound per probe, a ceiling on
-    # the minimum from the probe of least bound, and a slack for rounding
-    x, y = probes[:, 0], probes[:, 1]
-    bound = np.sqrt(x * x + y * y)
-    bound -= bolt.r1
-    np.abs(bound, out=bound)
-    ceiling = sdf_thread(bolt, probes[np.argmin(bound)]).distance + bolt.r2
-    near = np.flatnonzero(bound <= ceiling + 1e-9 * (bolt.r1 + ceiling))
+    # steps 1-3: bound the groups by their centerline probes, and take the
+    # ceiling from the least bound probe of the least bound group
+    band = _candidate_band(bolt)
+    n = len(groups.rows)
+    centres = rotation @ groups.columns[:, :n]
+    centres += shift[:, None]
+    group_bound = _axis_bound(bolt, band, *centres)
+    members = probes.take(groups.rows[np.argmin(group_bound)], axis=0) @ rotation_t
+    members += shift
+    best = np.argmin(_axis_bound(bolt, band, *members.T))
+    ceiling = sdf_thread(bolt, members[best]).distance + bolt.r2
 
-    # take is several times faster than fancy indexing when most rows survive
-    clearance = float(np.min(sdf_thread(bolt, probes.take(near, axis=0)).distance))
+    # step 4: the groups that can reach the ceiling, then their probes
+    gram = np.abs(rotation.T @ rotation).sum(axis=1).max()
+    # an overflowing product can leave NaN in R^T R; the norm is huge then
+    norm = math.sqrt(gram) if gram < math.inf else math.inf
+    reach = norm * groups.offset + 1e-9 * (bolt.r1 + ceiling + size)
+    keep = np.flatnonzero(group_bound <= ceiling + reach)
+    limit = ceiling + 1e-9 * (bolt.r1 + ceiling)
+    if keep.size < n:
+        # take is several times faster than fancy indexing
+        points = probes.take(groups.rows.take(keep, axis=0).ravel(), axis=0) @ rotation_t
+        points += shift
+        near = np.flatnonzero(_axis_bound(bolt, band, *points.T) <= limit)
+        points = points.take(near, axis=0)
+    else:
+        # every group survives: one product over the whole cloud, with the
+        # same values as probes @ R.T + t, screened by |rho - r1| alone
+        mapped = rotation @ groups.columns
+        mapped += shift[:, None]
+        x, y = mapped[0], mapped[1]
+        radial = x * x
+        radial += y * y
+        np.sqrt(radial, out=radial)
+        radial -= bolt.r1
+        np.abs(radial, out=radial)
+        points = mapped.take(np.flatnonzero(radial <= limit), axis=1).T
+
+    clearance = float(np.min(sdf_thread(bolt, points).distance))
     return EngagementReport(min_clearance=clearance, overlapping=clearance < 0.0)

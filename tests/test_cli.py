@@ -681,6 +681,12 @@ class TestExitCodes:
             ([*LIQUID, "--duration", "1e300"], 2, "duration 1e+300 at dt 0.001 has too many steps"),
             ([*KNOB, "--stiffness", "10", "--inertia", "0.005", "--duration", "1e300"],
              2, "duration 1e+300 at dt 0.001 has too many steps"),
+            # countable, but 2 EiB (knob) and 5 EiB (liquid) of rows: malloc refuses
+            # outright, whatever the host's overcommit setting
+            ([*KNOB, "--stiffness", "10", "--inertia", "0.005", "--duration", "7.2e13"],
+             2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
+            ([*LIQUID, "--duration", "7.2e13"],
+             2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
         ],
         ids=[
             "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
@@ -693,6 +699,7 @@ class TestExitCodes:
             "screw-one-row-dt-inf", "screw-one-row-dt-nan", "liquid-length-underflow",
             "screw-non-utf8-profile", "sdf-grid-non-utf8-config", "screw-form-feed-line-number",
             "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
+            "detent-duration-past-memory", "liquid-duration-past-memory",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):

@@ -103,6 +103,47 @@ class TestFrameTrajectory:
                 times=[0.0], accels=[[0, 0, 0]], orientations=[[2.0, 0, 0, 0]]
             )
 
+    @staticmethod
+    def accepts(**kw):
+        try:
+            FrameTrajectory(**kw)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("edge", [2.0 + 1e-9, 2.0 - 1e-9])
+    def test_spacing_tolerance_edge_matches_allclose(self, edge):
+        # the last gap 1 +- 1e-9 against the first, 1, ulp by ulp across the edge
+        verdicts = set()
+        for last in edge + np.arange(-40, 41) * np.spacing(edge):
+            times = np.array([0.0, 1.0, last])
+            gaps = np.diff(times)
+            want = bool(np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0))
+            assert self.accepts(times=times, accels=np.zeros((3, 3))) == want, last
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_overflowing_gap_is_accepted_as_allclose_does(self):
+        # the one gap overflows to inf, which np.allclose finds close to itself
+        with np.errstate(over="ignore"):
+            assert self.accepts(times=[-1e308, 1e308], accels=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("edge", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_unit_tolerance_edge_matches_allclose(self, edge):
+        verdicts = set()
+        for w in edge + np.arange(-40, 41) * np.spacing(edge):
+            quat = np.array([[w, 0.0, 0.0, 0.0]])
+            want = bool(np.allclose(np.linalg.norm(quat, axis=1), 1.0, rtol=0.0, atol=1e-9))
+            assert self.accepts(times=[0.0], accels=[[0, 0, 0]], orientations=quat) == want, w
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_quaternion_is_not_unit(self, bad):
+        with pytest.raises(ValueError, match="unit"):
+            FrameTrajectory(times=[0.0, 0.1], accels=np.zeros((2, 3)),
+                            orientations=[[1.0, 0, 0, 0], [bad, 0, 0, 0]])
+
 
 class TestLiquidScene:
     def test_static_scene_is_constant(self):
@@ -181,6 +222,12 @@ class TestLiquidScene:
         with pytest.raises(ValueError, match="capacity"):
             make_scene(volume=1.5)
 
+    def test_duration_past_memory_names_duration(self):
+        # 5 EiB of rows: malloc refuses it outright, whatever the overcommit setting
+        with pytest.raises(ValueError, match="^duration 72000000000000.0 needs "
+                                             "72000000000000000 steps"):
+            run_liquid_scene(make_scene(duration=7.2e13), still_trajectory())
+
     def test_solver_failure_carries_step_index(self):
         scene = make_scene(duration=0.01)
         bad = object.__new__(SceneConfig)
@@ -214,6 +261,13 @@ class TestScrewScene:
 
 
 class TestKnobScene:
+    def test_duration_past_memory_names_duration(self):
+        # 2 EiB of rows: malloc refuses it outright, whatever the overcommit setting
+        profile = DetentProfile(positions=[0.0, 0.5], stiffness=10.0)
+        with pytest.raises(ValueError, match="^duration 72000000000000.0 needs "
+                                             "72000000000000000 steps"):
+            run_knob_scene(profile, 0.0, inertia=0.005, duration=7.2e13)
+
     def test_rest_at_detent_is_constant(self):
         profile = DetentProfile([0.0, 0.5, 1.0], 10.0, 0.1)
         trace = run_knob_scene(profile, 0.0, inertia=0.01, dt=1e-3, duration=0.5, q0=0.5)

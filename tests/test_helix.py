@@ -1,5 +1,7 @@
 """Unit and property tests for the helical thread fields."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,16 @@ class TestGradient:
         with pytest.raises(ValueError, match="^step must be nonzero and finite"):
             sdf_gradient(wide_spec(), [1.3, 0.2, 0.1], step=step)
 
+    @pytest.mark.parametrize("point, step", [((1.3, 0.2, 0.1), 1e200), ((1.3, 0.2, 0.1), 1e308),
+                                             ((1e308, 0.2, 0.1), 1e308)],
+                             ids=["distance-1e200", "distance-1e308", "stencil-point"])
+    def test_rejects_step_that_leaves_the_float_range(self, point, step):
+        # the stencil's distances overflow to inf, or a stencil point does
+        spec = HelixSpec(r1=1.0, r2=0.2, p=0.05, l=-3.0, h=3.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=re.escape(f"step {step} takes the gradient stencil past")):
+            sdf_gradient(spec, point, step=step)
+
     def test_negative_step_gives_the_same_gradient(self):
         # the symmetric difference only swaps its terms and the divisor's sign
         spec, point = wide_spec(), [1.3, 0.2, 0.1]
@@ -377,6 +389,51 @@ class TestEngagement:
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^relative_pose maps the nut's probes past"):
             thread_engagement(spec, spec, pose)
+
+    def test_rejects_pose_that_overflows_only_a_ring_probe(self):
+        spec = wide_spec(l=-3.0, h=3.0)
+        probes = _nut_probes(spec, 1.0, 8)
+        centres = probes[:len(probes) // 9]
+        # the highest ring probe overflows under this z scale, no centerline probe does
+        pose = np.eye(4)
+        pose[2, 2] = np.finfo(float).max / np.abs(probes[:, 2]).max() * 1.0001
+        assert np.isfinite(centres @ pose[:3, :3].T).all()
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^relative_pose maps the nut's probes past"):
+            thread_engagement(spec, spec, pose)
+
+    def test_huge_pose_that_overflows_nothing_is_accepted(self):
+        spec = wide_spec(l=-3.0, h=3.0)
+        probes = _nut_probes(spec, 1.0, 8)
+        pose = np.eye(4)
+        pose[2, 2] = np.finfo(float).max / np.abs(probes[:, 2]).max() / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = thread_engagement(spec, spec, pose)
+            want = full_cloud_minimum(spec, spec, pose, 1.0, 8)
+        assert np.float64(report.min_clearance).tobytes() == want.tobytes()
+
+    def test_axially_past_the_window_evaluates_only_the_ceiling_group(self, monkeypatch):
+        # the nut starts one unit above the bolt's end, on the same azimuth
+        bolt = HelixSpec(r1=1.0, r2=0.2, p=0.05, l=-3.0, h=0.0)
+        nut = HelixSpec(r1=1.1, r2=0.1, p=0.05, l=0.0, h=2.0)
+        pose = np.eye(4)
+        pose[2, 3] = 1.0
+        calls = []
+
+        def recorded(spec, point):
+            calls.append(np.array(point, ndmin=2))
+            return sdf_thread(spec, point)
+
+        monkeypatch.setattr(helix, "sdf_thread", recorded)
+        report = thread_engagement(bolt, nut, pose)
+        mapped = _nut_probes(nut, 1.0, 8) + pose[:3, 3]
+        n = len(mapped) // 9
+        row = np.flatnonzero((mapped == calls[0]).all(axis=1))[0]
+        group = row if row < n else (row - n) // 8
+        members = mapped[np.r_[group, n + 8 * group + np.arange(8)]]
+        assert [len(c) for c in calls] == [1, len(calls[1])]
+        assert all((members == p).all(axis=1).any() for p in calls[1])
+        assert report.min_clearance == np.min(sdf_thread(bolt, mapped).distance)
 
     def test_broad_phase_evaluates_a_handful_of_probes(self, monkeypatch):
         bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
@@ -547,3 +604,60 @@ def test_engagement_is_bitwise_the_full_cloud_minimum(case):
     want = full_cloud_minimum(bolt, nut, pose, step, wires)
     assert np.float64(report.min_clearance).tobytes() == want.tobytes()
     assert report.overlapping == (want < 0.0)
+
+
+@st.composite
+def distorted_engagements(draw):
+    """The cases of :func:`engagements` under poses that are not rigid,
+    with the linear part scaled or sheared up to 10x, or translated up to
+    1e6*r1."""
+    bolt, nut, pose, step, wires = draw(engagements())
+    kind = draw(st.sampled_from(["scaled", "sheared", "far"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "scaled":
+        pose[:3, :3] = pose[:3, :3] @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, 3))
+    elif kind == "sheared":
+        shear = np.eye(3)
+        shear[np.triu_indices(3, 1)] = rng.uniform(-10.0, 10.0, 3)
+        pose[:3, :3] = pose[:3, :3] @ shear[rng.permutation(3)][:, rng.permutation(3)]
+    else:
+        direction = rng.normal(size=3)
+        distance = 10.0 ** rng.uniform(0.0, 6.0) * bolt.r1
+        pose[:3, 3] += distance / np.linalg.norm(direction) * direction
+    return bolt, nut, pose, step, wires
+
+
+@st.composite
+def tight_ring_engagements(draw):
+    """A nut in phase with the bolt, scaled in the plane so that the inner
+    ring probe of every group (an even number of wire directions has one)
+    lies just outside the bolt's wire at its own height: exactly one reach
+    nearer the bolt than its centerline probe, and as near as the minimum.
+    The group cull then has only its rounding pad to spare."""
+    bolt, _, _, step, _ = draw(engagements())
+    wires = 2 * draw(st.integers(1, 4))
+    nut_r1 = draw(st.floats(0.45, 1.6)) * bolt.r1
+    nut = HelixSpec(r1=nut_r1, r2=draw(st.floats(0.02, 0.5)) * nut_r1, p=bolt.p, l=bolt.l, h=bolt.h)
+    scale = (bolt.r1 + draw(st.floats(1.0, 3.0)) * bolt.r2) / (nut.r1 - nut.r2)
+    turns = draw(st.integers(-2, 2))
+    pose = screw_pose(bolt, TWO_PI * turns) @ np.diag([scale, scale, 1.0, 1.0])
+    return bolt, nut, pose, step, wires
+
+
+@PROPERTY_SETTINGS
+@given(case=distorted_engagements())
+def test_engagement_is_bitwise_the_full_cloud_minimum_under_any_pose(case):
+    bolt, nut, pose, step, wires = case
+    report = thread_engagement(bolt, nut, pose, step, wires)
+    want = full_cloud_minimum(bolt, nut, pose, step, wires)
+    assert np.float64(report.min_clearance).tobytes() == want.tobytes()
+    assert report.overlapping == (want < 0.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(case=tight_ring_engagements())
+def test_engagement_is_bitwise_the_full_cloud_minimum_on_tight_rings(case):
+    bolt, nut, pose, step, wires = case
+    report = thread_engagement(bolt, nut, pose, step, wires)
+    want = full_cloud_minimum(bolt, nut, pose, step, wires)
+    assert np.float64(report.min_clearance).tobytes() == want.tobytes()
