@@ -431,7 +431,7 @@ class TestEngagement:
         row = np.flatnonzero((mapped == calls[0]).all(axis=1))[0]
         group = row if row < n else (row - n) // 8
         members = mapped[np.r_[group, n + 8 * group + np.arange(8)]]
-        assert [len(c) for c in calls] == [1, len(calls[1])]
+        assert len(calls) == 2 and len(calls[0]) == 1
         assert all((members == p).all(axis=1).any() for p in calls[1])
         assert report.min_clearance == np.min(sdf_thread(bolt, mapped).distance)
 
