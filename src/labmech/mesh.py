@@ -12,12 +12,15 @@ interior with the halfspace below a plane.  Conventions used throughout:
 * Meshes are closed, consistently outward-oriented triangle soups; every
   directed edge must appear exactly once together with its reverse.
 * One clipping core, after Mirtich (1996): for a mesh and a plane,
-  ``_clip_table`` splits the below side into *whole* triangles (every
-  vertex strictly below) and the *band* (some, but not all, vertices
-  below).  Only the band is clipped: its below-side pieces become
-  node-index polygons (mesh vertices plus one crossing node per
-  sign-changing edge of the mesh's edge table), and the cut chords are
-  the piece edges lying on the plane.  :func:`clip_volume` sums the
+  ``_clip_table`` classifies each triangle once by the signs of its
+  corners (below, on or above the plane: 27 cases) and splits the below
+  side into *whole* triangles (every vertex strictly below) and the
+  *band* (some, but not all, vertices below).  Only the band is clipped:
+  as in marching cubes (Lorensen & Cline 1987), each band triangle reads
+  its below-side piece, a node-index polygon (mesh vertices plus one
+  crossing node per sign-changing edge), and its cut chord, a piece edge
+  lying on the plane, from a static table of the 27 cases built at
+  import from the boundary walk.  :func:`clip_volume` sums the
   divergence flux with the reference point on the plane, so the cap
   contributes zero flux and is never built in the height-solving hot
   path: the band pieces directly, the whole triangles from per-container
@@ -63,6 +66,8 @@ DEGENERATE_AREA_FRACTION = 1e-12
 #: this fraction of diag^2.
 AREA_FLOOR_FRACTION = 1e-12
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 def _cross(a, b) -> np.ndarray:
     """Row-wise cross product of (3, m) component arrays, written out to
@@ -79,12 +84,23 @@ def _sliver_floor(u, v) -> np.ndarray:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize a nonzero 3-vector."""
+    """Normalize a nonzero 3-vector.
+
+    Divides by ``sqrt(v . v)``, as ``np.linalg.norm`` computes it.  When
+    ``v . v`` is not a normal float (it underflowed to zero or a subnormal,
+    or overflowed), ``v`` is first divided by its largest |component|, so
+    a vector of any finite, nonzero size is normalized to full precision.
+    """
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+    with np.errstate(over="ignore"):
+        squared = v.dot(v)
+    if not _SMALLEST_NORMAL <= squared < math.inf:
+        largest = np.abs(v).max()
+        if largest == 0.0:
+            raise ValueError("cannot normalize a zero vector")
+        v = v / largest
+        squared = v.dot(v)
+    return v / np.sqrt(squared)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +239,64 @@ def mesh_volume(mesh: TriMesh) -> float:
     return mesh._capacity
 
 
+def _case_table():
+    """Band pieces and cut chords of the 27 sign cases of a triangle.
+
+    Case ``9*c0 + 3*c1 + c2`` has corner k below, on or above the plane
+    for ``ck`` = 0, 1 or 2.  A triangle's six slots are its corners 0, 1,
+    2 and the crossing nodes of its edges 0-1, 1-2, 2-0 (slots 3, 4, 5).
+    Walking corner 0, edge 0-1, corner 1, edge 1-2, corner 2, edge 2-0 and
+    keeping each corner at or below the plane and each edge whose corners
+    lie strictly on opposite sides gives the below-side piece in the
+    triangle's own orientation; a walk step whose two nodes both lie on
+    the plane (an on-plane corner or a crossing node) is a cut chord.
+
+    Returns ``band`` (27,), the cases with some but not all corners below;
+    ``cut`` (27, 3), the edges that cross; ``slots`` (27, 6), for a band
+    case the four piece slots (a triangle repeats its last) and the two
+    chord slots; and ``chord`` (27,), the band cases with a chord.
+    """
+    band = np.zeros(27, dtype=bool)
+    cut = np.zeros((27, 3), dtype=bool)
+    slots = np.zeros((27, 6), dtype=np.int64)
+    chord = np.zeros(27, dtype=bool)
+    for case in range(27):
+        sign = (case // 9 - 1, case // 3 % 3 - 1, case % 3 - 1)
+        crosses = [sign[k] * sign[(k + 1) % 3] < 0 for k in range(3)]
+        cut[case] = crosses
+        band[case] = min(sign) < 0 <= max(sign)
+        if not band[case]:
+            continue
+        walk = []
+        for k in range(3):
+            if sign[k] <= 0:
+                walk.append(k)
+            if crosses[k]:
+                walk.append(3 + k)
+        on_plane = {slot for slot in walk if slot >= 3 or sign[slot] == 0}
+        steps = [
+            (a, b) for a, b in zip(walk, walk[1:] + walk[:1]) if a in on_plane and b in on_plane
+        ]
+        assert len(walk) in (3, 4) and len(steps) <= 1, (sign, walk, steps)
+        slots[case, :4] = walk + walk[-1:] * (4 - len(walk))
+        slots[case, 4:] = steps[0] if steps else (0, 0)
+        chord[case] = bool(steps)
+    for table in (band, cut, slots, chord):
+        table.flags.writeable = False
+    return band, cut, slots, chord
+
+
+_BAND, _CUT, _SLOTS, _CHORD = _case_table()
+
+
 class _ClipTable(NamedTuple):
     """One mesh clipped by one plane, shared by every clipping caller.
 
-    Node ids ``0 .. V-1`` are the mesh vertices; id ``V + k`` is the k-th
-    crossing node, one per mesh edge whose endpoints lie strictly on
-    opposite sides, interpolated from the edge's lower vertex index so
-    that both triangles on the edge get the identical point.
+    Node ids ``0 .. V-1`` are the mesh vertices; id ``V + k`` is the
+    crossing node of the k-th edge, in edge-table order, whose endpoints
+    lie strictly on opposite sides, interpolated from the edge's lower
+    vertex index so that both triangles on the edge get the identical
+    point.  Band pieces and chords are listed by triangle index.
     """
 
     origin: np.ndarray  # the plane point at ``height`` above the bbox center
@@ -253,43 +320,42 @@ class _ClipTable(NamedTuple):
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     """Split the below side into whole triangles and clipped band pieces.
 
-    A whole triangle lies strictly below and is kept as it is; it has no
-    node on the plane, so it yields no chord.  Walking a band triangle's
-    boundary and keeping each vertex at or below the plane plus each
-    crossing node yields a 3- or 4-node polygon in the triangle's own
-    orientation.  Faces lying in the plane hold no volume below and are
-    dropped.
+    Each triangle's sign case (see :func:`_case_table`) is computed once
+    over the mesh.  A whole triangle (case 0) lies strictly below and is
+    kept as it is; it has no node on the plane, so it yields no chord.  A
+    band triangle's 3- or 4-node piece and its chord, if any, are read
+    from the static table with one gather of its six slots.  Faces lying
+    in the plane hold no volume below and are dropped.  An edge that
+    crosses the plane does so in both of its triangles, and both are band
+    triangles, so the sorted ids of the band's cut edges pair up: every
+    other one is the crossing edges in edge-table order.
     """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
     s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
-    sign = np.sign(s)
-    crossing = sign[mesh._edges[:, 0]] * sign[mesh._edges[:, 1]] < 0.0
-    lo, hi = mesh._edges[crossing].T
+    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)
+    c0, c1, c2 = side[mesh.triangles.T]
+    case = 9 * c0 + 3 * c1 + c2
+    whole = case == 0
+    rows = np.flatnonzero(_BAND[case])
+    case = case[rows]
+
+    cut = _CUT[case]
+    cut_edges = mesh._tri_edges[rows][cut]
+    order = np.argsort(cut_edges)
+    lo, hi = mesh._edges[cut_edges[order[0::2]]].T
     t = (s[lo] / (s[lo] - s[hi]))[:, None]
     v_lo = mesh.vertices[lo]
     nodes = np.concatenate([mesh.vertices, v_lo + t * (mesh.vertices[hi] - v_lo)])
-    edge_node = np.full(len(crossing), -1)
-    edge_node[crossing] = len(s) + np.arange(len(lo))
+    node = np.empty_like(order)
+    node[order] = len(s) + np.arange(len(order)) // 2
 
-    # column-wise & and | beat a reduction along the short axis
-    b0, b1, b2 = s[mesh.triangles.T] < 0.0
-    whole = b0 & b1 & b2
-    rows = np.flatnonzero((b0 | b1 | b2) & ~whole)
-    corners = mesh.triangles[rows]
-    cuts = edge_node[mesh._tri_edges[rows]]
-    # walk order: corner 0, edge 0-1, corner 1, edge 1-2, corner 2, edge 2-0
-    walk = np.dstack([corners, cuts]).reshape(-1, 6)
-    keep = np.dstack([s[corners] <= 0.0, cuts >= 0]).reshape(-1, 6)
-    flat = walk[keep]
-    count = keep.sum(axis=1)
-    first = np.cumsum(count) - count
-    pieces = flat[np.column_stack([first, first + 1, first + 2, first + count - 1])]
-
-    on_plane = np.concatenate([s == 0.0, np.ones(len(lo), dtype=bool)])[pieces]
-    nxt = pieces[:, [1, 2, 3, 0]]
-    chord = on_plane & on_plane[:, [1, 2, 3, 0]] & (pieces != nxt)
-    chords = np.column_stack([pieces[chord], nxt[chord]])
+    six = np.empty((len(rows), 6), dtype=np.int64)
+    six[:, :3] = mesh.triangles[rows]
+    six[:, 3:][cut] = node
+    picked = six[np.arange(len(rows))[:, None], _SLOTS[case]]
+    pieces = picked[:, :4]
+    chords = picked[_CHORD[case], 4:]
     return _ClipTable(o, s, nodes, whole, pieces, chords)
 
 

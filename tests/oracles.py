@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from labmech import LiquidPlane, MeshFormatError, clip_volume, lagrangian, ode_rhs
+from labmech.mesh import ONPLANE_SNAP_FRACTION
 
 TWO_PI = 2.0 * np.pi
 
@@ -258,6 +259,87 @@ def exact_chord_area(starts, ends, normal):
         cross = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
         total += sum(a * b for a, b in zip(n, cross))
     return float(total / 2)
+
+
+def walk_triangle(signs, corners, crossings):
+    """Below-side piece and cut chords of one triangle, by walking its
+    boundary: corner 0, edge 0-1, corner 1, edge 1-2, corner 2, edge 2-0.
+
+    ``signs`` are the corners' -1, 0 or +1 (below, on, above the plane),
+    ``corners`` their node ids and ``crossings[k]`` the node id on edge k
+    (corner k to corner k + 1), used only where that edge's corners lie
+    strictly on opposite sides.  A corner is kept when it is not above,
+    an edge when it crosses; a step of the closed walk whose two distinct
+    nodes both lie on the plane (an on-plane corner or a crossing node) is
+    a chord.  Returns the kept node ids and the chords as (from, to).
+    """
+    walk, on_plane = [], []
+    for k in range(3):
+        if signs[k] <= 0:
+            walk.append(corners[k])
+            on_plane.append(signs[k] == 0)
+        if signs[k] * signs[(k + 1) % 3] < 0:
+            walk.append(crossings[k])
+            on_plane.append(True)
+    chords = []
+    for i in range(len(walk)):
+        j = (i + 1) % len(walk)
+        if on_plane[i] and on_plane[j] and walk[i] != walk[j]:
+            chords.append((walk[i], walk[j]))
+    return walk, chords
+
+
+def clip_walk(mesh, plane):
+    """The clip table of ``mesh`` under ``plane``, one triangle at a time in
+    plain Python: snapped vertex heights, node coordinates, whole-triangle
+    flags, band pieces and cut chords, numbered as ``mesh._ClipTable``
+    documents.
+
+    The heights are the one numpy projection ``(vertices - origin) @
+    normal`` that the code under test computes too (a plain-Python sum
+    rounds differently from the BLAS kernel); the snap, the crossing-edge
+    numbering (edges ordered by their (lower, higher) vertex ids), the
+    node interpolation from the lower vertex id and the walks are
+    recomputed here.
+    """
+    normal = [float(x) for x in plane.normal]
+    origin = [c + plane.height * n for c, n in zip(mesh.bbox_center.tolist(), normal)]
+    raw = ((mesh.vertices - np.array(origin)) @ plane.normal).tolist()
+    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+    heights = [0.0 if abs(s) <= snap else s for s in raw]
+    signs = [(s > 0.0) - (s < 0.0) for s in heights]
+    triangles = mesh.triangles.tolist()
+
+    crossing = set()
+    for tri in triangles:
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            if signs[a] * signs[b] < 0:
+                crossing.add((min(a, b), max(a, b)))
+    vertices = mesh.vertices.tolist()
+    node_of, nodes = {}, list(vertices)
+    for lo, hi in sorted(crossing):
+        node_of[lo, hi] = len(nodes)
+        t = heights[lo] / (heights[lo] - heights[hi])
+        nodes.append([p + t * (q - p) for p, q in zip(vertices[lo], vertices[hi])])
+
+    whole, pieces, chords = [], [], []
+    for tri in triangles:
+        below = [signs[v] < 0 for v in tri]
+        whole.append(all(below))
+        if not any(below) or all(below):
+            continue
+        edges = [(min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3])) for k in range(3)]
+        walk, steps = walk_triangle([signs[v] for v in tri], tri, [node_of.get(e) for e in edges])
+        pieces.append(walk + walk[-1:] * (4 - len(walk)))
+        chords += steps
+    return {
+        "heights": np.array(heights),
+        "nodes": np.array(nodes).reshape(-1, 3),
+        "whole": np.array(whole, dtype=bool),
+        "pieces": np.array(pieces, dtype=np.int64).reshape(-1, 4),
+        "chords": np.array(chords, dtype=np.int64).reshape(-1, 2),
+    }
 
 
 def inside_box(points, origin, size):

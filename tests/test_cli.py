@@ -168,6 +168,20 @@ class TestClip:
         expected = clip_volume(box_mesh(), LiquidPlane(normal, height))
         assert float(out.split()[0]) == pytest.approx(expected.volume, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "command, scaled, direction",
+        [
+            (["clip", "--height", "0.1"], ["1e200", "1e200", "0"], ["1", "1", "0"]),
+            (["fill-height", "--volume", "0.3"], ["1e-200", "0", "1e-200"], ["1", "0", "1"]),
+        ],
+        ids=["clip-overflow", "fill-height-underflow"],
+    )
+    def test_normal_at_float_range_edge(self, cube_path, capsys, command, scaled, direction):
+        head = [command[0], "--mesh", cube_path, *command[1:], "--normal"]
+        expected = run(head + direction, capsys)
+        assert expected[0] == 0
+        assert run(head + scaled, capsys) == expected
+
     def test_bad_mesh_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mesh"
         bad.write_text("nonsense\n")

@@ -7,6 +7,8 @@ Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +30,7 @@ from labmech import (
     save_mesh,
     unit_vector,
 )
-from labmech.mesh import ONPLANE_SNAP_FRACTION, height_search
+from labmech.mesh import _BAND, _CHORD, _CUT, _SLOTS, ONPLANE_SNAP_FRACTION, _clip_table, height_search
 
 FIXTURES = {
     "cube": box_mesh(),
@@ -48,10 +50,10 @@ directions = (
 
 
 @st.composite
-def planes(draw):
+def planes(draw, names=tuple(sorted(FIXTURES))):
     """(fixture name, unit normal, height) with the plane free, through a
     vertex, or containing an edge."""
-    name = draw(st.sampled_from(sorted(FIXTURES)))
+    name = draw(st.sampled_from(names))
     mesh = FIXTURES[name]
     normal = draw(directions)
     kind = draw(st.sampled_from(["free", "vertex", "edge"]))
@@ -69,6 +71,58 @@ def planes(draw):
     else:
         height = float((p - mesh.bbox_center) @ normal)
     return name, normal, height
+
+
+def assert_table_is_walk(table, walk):
+    for field, expected in walk.items():
+        got = getattr(table, field)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), field
+        assert got.tobytes() == expected.tobytes(), field
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_clip_table_matches_walk(name, data):
+    _, normal, height = data.draw(planes((name,)))
+    plane = LiquidPlane(normal, height)
+    assert_table_is_walk(_clip_table(FIXTURES[name], plane), oracles.clip_walk(FIXTURES[name], plane))
+
+
+SIGN_CASES = list(itertools.product((-1, 0, 1), repeat=3))
+
+
+@pytest.mark.parametrize("signs", SIGN_CASES)
+def test_case_table_is_the_walk(signs):
+    case = 9 * (signs[0] + 1) + 3 * (signs[1] + 1) + (signs[2] + 1)
+    corners, crossings = [10, 11, 12], [20, 21, 22]
+    below = [s < 0 for s in signs]
+    assert _BAND[case] == (any(below) and not all(below))
+    assert _CUT[case].tolist() == [signs[k] * signs[(k + 1) % 3] < 0 for k in range(3)]
+    if not _BAND[case]:
+        return
+    walk, chords = oracles.walk_triangle(signs, corners, crossings)
+    six = np.array(corners + crossings)
+    assert six[_SLOTS[case, :4]].tolist() == walk + walk[-1:] * (4 - len(walk))
+    assert ([tuple(six[_SLOTS[case, 4:]].tolist())] if _CHORD[case] else []) == chords
+
+
+@pytest.mark.parametrize("signs", SIGN_CASES)
+def test_every_sign_case_on_a_mesh(signs):
+    # a plane that puts the corners of the cube's triangle 0 a quarter below,
+    # on or a quarter above it, tilted out of the face so that it is a plane
+    # even when every corner lies on it
+    mesh = FIXTURES["cube"]
+    corners = mesh.vertices[mesh.triangles[0]]
+    face = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+    system = np.block([[corners, np.ones((3, 1))], [face, 0.0]])
+    gradient, offset = np.split(np.linalg.solve(system, [*(0.25 * np.array(signs)), 1.0]), [3])
+    normal = unit_vector(gradient)
+    height = -float(offset[0]) / np.linalg.norm(gradient) - float(normal @ mesh.bbox_center)
+    plane = LiquidPlane(normal, height)
+    table = _clip_table(mesh, plane)
+    assert np.sign(table.heights[mesh.triangles[0]]).tolist() == list(signs)
+    assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,7 @@
 """Unit and property tests for meshes, clipping, and height solving."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,37 @@ def z_flux_volume(mesh):
     normal_area = 0.5 * np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     centroid_z = tri[:, :, 2].mean(axis=1)
     return float((normal_area[:, 2] * centroid_z).sum())
+
+
+class TestUnitVector:
+    @pytest.mark.parametrize(
+        "v, direction",
+        [
+            ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),  # v . v underflows to zero
+            ([1e-160, 0.0, 0.0], [1.0, 0.0, 0.0]),  # v . v is subnormal
+            ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),  # the least subnormal
+            ([1e-200, 0.0, 1e-200], [1.0, 0.0, 1.0]),
+            ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),  # v . v overflows
+            ([-1.7e308, 1.7e308, 1.7e308], [-1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_float_range_edges(self, v, direction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = unit_vector(v)
+        # an exact multiple of the direction normalizes to its very bits
+        assert u.tobytes() == unit_vector(direction).tobytes()
+        assert abs(u @ u - 1.0) <= 4e-16
+
+    def test_normal_range_keeps_the_norm_division(self):
+        rng = np.random.default_rng(7)
+        for v in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-150, 150, (2000, 1)):
+            assert unit_vector(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+    def test_zero_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="zero vector"):
+            unit_vector(v)
 
 
 class TestTriMesh:
