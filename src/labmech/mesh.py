@@ -90,6 +90,7 @@ def unit_vector(v) -> np.ndarray:
     ``v . v`` is not a normal float (it underflowed to zero or a subnormal,
     or overflowed), ``v`` is first divided by its largest |component|, so
     a vector of any finite, nonzero size is normalized to full precision.
+    A zero or non-finite vector is a ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
@@ -98,6 +99,8 @@ def unit_vector(v) -> np.ndarray:
         largest = np.abs(v).max()
         if largest == 0.0:
             raise ValueError("cannot normalize a zero vector")
+        if not largest < math.inf:  # NaN fails too
+            raise ValueError("cannot normalize a non-finite vector")
         v = v / largest
         squared = v.dot(v)
     return v / np.sqrt(squared)

@@ -182,6 +182,13 @@ class TestClip:
         assert expected[0] == 0
         assert run(head + scaled, capsys) == expected
 
+    @pytest.mark.parametrize("normal", [["inf", "0", "1"], ["0", "nan", "1"]])
+    def test_non_finite_normal_exits_2(self, cube_path, capsys, normal):
+        code, out, err = run(
+            ["clip", "--mesh", cube_path, "--normal", *normal, "--height", "0"], capsys
+        )
+        assert (code, out, err) == (2, "", "clip: cannot normalize a non-finite vector\n")
+
     def test_bad_mesh_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mesh"
         bad.write_text("nonsense\n")

@@ -76,6 +76,13 @@ class TestUnitVector:
         with pytest.raises(ValueError, match="zero vector"):
             unit_vector(v)
 
+    @pytest.mark.parametrize("v", [[np.inf, 0.0, 1.0], [0.0, -np.inf, 0.0], [np.nan, 0.0, 1.0]])
+    def test_non_finite_vector_rejected(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite vector"):
+                unit_vector(v)
+
 
 class TestTriMesh:
     def test_cube_is_valid(self, cube):
