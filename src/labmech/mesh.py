@@ -336,7 +336,7 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
     s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
-    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)
+    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)  # 0 below, 1 on, 2 above
     c0, c1, c2 = side[mesh.triangles.T]
     case = 9 * c0 + 3 * c1 + c2
     whole = case == 0
@@ -355,7 +355,7 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
 
     six = np.empty((len(rows), 6), dtype=np.int64)
     six[:, :3] = mesh.triangles[rows]
-    six[:, 3:][cut] = node
+    six[:, 3:][cut] = node  # no table entry reads the slot of an uncut edge
     picked = six[np.arange(len(rows))[:, None], _SLOTS[case]]
     pieces = picked[:, :4]
     chords = picked[_CHORD[case], 4:]

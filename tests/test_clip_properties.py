@@ -1,7 +1,8 @@
 """Property tests of the clipping core and the height solve built on it:
-the liquid body agrees with clip_volume, is watertight, and the cut area is
-the volume derivative; the height solve meets its budget and agrees with
-bisection.
+the clip table equals a plain-Python boundary walk bit for bit, in each of
+the 27 sign cases of a triangle too; the liquid body agrees with
+clip_volume, is watertight, and the cut area is the volume derivative; the
+height solve meets its budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -30,7 +31,15 @@ from labmech import (
     save_mesh,
     unit_vector,
 )
-from labmech.mesh import _BAND, _CHORD, _CUT, _SLOTS, ONPLANE_SNAP_FRACTION, _clip_table, height_search
+from labmech.mesh import (
+    _BAND,
+    _CHORD,
+    _CUT,
+    _SLOTS,
+    ONPLANE_SNAP_FRACTION,
+    _clip_table,
+    height_search,
+)
 
 FIXTURES = {
     "cube": box_mesh(),
