@@ -35,6 +35,7 @@ File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,7 @@ from .errors import (
     VolumeOutOfRange,
     _count,
     _finite,
+    _nonnegative,
     _positive,
 )
 
@@ -115,12 +117,16 @@ class TriMesh:
     test depends on shape, not size), duplicated directed edges
     (non-manifold or inconsistently wound), and boundary edges.  An empty
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
-    the inputs, so the bounding box, the edge table and the flux terms
-    cached from them cannot go stale.
+    the inputs, so the bounding box, the edge table, the flux terms and the
+    ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
+    cannot go stale.  A body from :func:`liquid_geometry` is validated like
+    any other mesh and also links to its container, whose cached rows it
+    reuses for the container vertices it keeps.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
+    _kept = None  # (container, kept-vertex mask) of a liquid body; not a field
 
     def __post_init__(self):
         verts = np.array(self.vertices, dtype=float).reshape(-1, 3)
@@ -191,6 +197,21 @@ class TriMesh:
             return 0.0
         c = self.vertices[self.triangles]
         return float(np.einsum("ij,ij->i", np.cross(c[:, 0], c[:, 1]), c[:, 2]).sum() / 6.0)
+
+    @cached_property
+    def _vertex_rows(self) -> list:
+        """The ``v x y z`` row of each vertex as :func:`save_mesh` writes
+        it, formatted at most once per mesh.  A liquid body links to its
+        container (``_kept``: the container and the mask of its vertices
+        that the body keeps, which the body lists first, in index order)
+        and takes those rows from the container's cache; only the rows
+        after them are formatted here."""
+        rows = []
+        if self._kept is not None:
+            container, mask = self._kept
+            rows = list(itertools.compress(container._vertex_rows, mask))
+        rows += [f"v {x!r} {y!r} {z!r}\n" for x, y, z in self.vertices[len(rows):].tolist()]
+        return rows
 
     @cached_property
     def _whole_flux(self) -> np.ndarray:
@@ -458,12 +479,20 @@ def height_search(
         (:class:`VolumeOutOfRange` otherwise).
     h_prev : float, optional
         Initial guess, e.g. the previous step's height; the bracket
-        midpoint when omitted or out of bracket.
+        midpoint when omitted or out of bracket.  Must be finite.
     tol_rel : float
-        Volume residual tolerance relative to the total mesh volume.
+        Volume residual tolerance relative to the total mesh volume;
+        nonnegative and finite.
     max_iter : int
-        Iteration budget; :class:`NoConvergence` past it (degenerate mesh).
+        Iteration budget, an integer of at least 1; :class:`NoConvergence`
+        past it (degenerate mesh).
+
+    A parameter outside these ranges is a ``ValueError`` that names it.
     """
+    tol_rel = _nonnegative("tol_rel", tol_rel)
+    max_iter = _count("max_iter", max_iter, 1)
+    if h_prev is not None:
+        h_prev = _finite("h_prev", h_prev)
     n = LiquidPlane(normal, 0.0).normal
     total = mesh._capacity
     target = float(target_volume)
@@ -483,7 +512,6 @@ def height_search(
     step_floor = 4.0 * np.finfo(float).eps * mesh.bbox_diag
     lo, hi = h_lo, h_hi
     h = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
-    h = float(h)
     f = np.nan
     prev = None  # (height, residual, cut area) of the previous iteration
     for iteration in range(1, max_iter + 1):
@@ -558,7 +586,11 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     input mesh itself when it lies above.  Vertices are listed in node
     order (mesh vertices by index, then crossing nodes by edge, then cap
     centroids by loop) and triangles as whole triangles, band fans, caps,
-    so identical inputs give identical meshes.
+    so identical inputs give identical meshes.  A body that the plane
+    cuts links to the container and to the mask of container
+    vertices it keeps, its first vertices; :func:`save_mesh` then takes
+    their rows from the container's cache and writes the same bytes as for
+    any mesh with these arrays.
     """
     plane = LiquidPlane(unit_vector(normal), height)
     table = _clip_table(mesh, plane)
@@ -603,7 +635,9 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     tris = np.concatenate(out_tris)
     used = np.zeros(next_id, dtype=bool)
     used[tris] = True
-    return TriMesh(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris])
+    body = TriMesh(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris])
+    object.__setattr__(body, "_kept", (mesh, used[: len(mesh.vertices)]))
+    return body
 
 
 def _chain_loops(chords):
@@ -849,8 +883,12 @@ def _read_lines(path, text):
 
 def save_mesh(mesh: TriMesh, path) -> None:
     """Write the ASCII interchange format with shortest round-trip decimals
-    (``repr`` of each coordinate), vertex lines first, in one write."""
-    rows = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
-    rows += [f"f {a} {b} {c}\n" for a, b, c in (mesh.triangles + 1).tolist()]
+    (``repr`` of each coordinate), vertex lines first, in one write.
+
+    The vertex rows come from the mesh's cache (see ``TriMesh``), so a
+    container's rows are formatted once however many of its liquid bodies
+    are saved; the face rows are one ``%`` format over the flattened
+    1-based indices.  The bytes are those of formatting every row afresh."""
+    faces = ("f %d %d %d\n" * len(mesh)) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(rows))
+        fh.write("".join(mesh._vertex_rows) + faces)

@@ -637,6 +637,7 @@ class TestExitCodes:
               "--mesh", "{cube}", "--liquid-volume", "0.5", "--pend-length", "0.02"]
     KNOB = ["detent-sim", "--positions", "0", "0.5", "--output", "{dir}/k.trace"]
     SCREW = ["screw-sim", *HELIX, "--output", "{dir}/s.trace"]
+    FILL = ["fill-height", "--mesh", "{cube}", "--normal", "0", "0", "1", "--volume", "0.3"]
 
     @pytest.mark.parametrize(
         "argv, code, fragment",
@@ -708,6 +709,9 @@ class TestExitCodes:
              2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
             ([*LIQUID, "--duration", "7.2e13"],
              2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
+            ([*FILL, "--guess", "nan"], 2, "h_prev must be finite, got nan"),
+            ([*FILL, "--guess", "inf"], 2, "h_prev must be finite, got inf"),
+            ([*FILL, "--guess", "-inf"], 2, "h_prev must be finite, got -inf"),
         ],
         ids=[
             "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
@@ -721,6 +725,7 @@ class TestExitCodes:
             "screw-non-utf8-profile", "sdf-grid-non-utf8-config", "screw-form-feed-line-number",
             "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
             "detent-duration-past-memory", "liquid-duration-past-memory",
+            "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):

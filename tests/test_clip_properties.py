@@ -1,8 +1,9 @@
 """Property tests of the clipping core and the height solve built on it:
 the clip table equals a plain-Python boundary walk bit for bit, in each of
 the 27 sign cases of a triangle too; the liquid body agrees with
-clip_volume, is watertight, and the cut area is the volume derivative; the
-height solve meets its budget and agrees with bisection.
+clip_volume, is watertight, saves the bytes of a row-by-row writer, and
+the cut area is the volume derivative; the height solve meets its budget
+and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -20,6 +21,7 @@ from labmech import (
     LiquidPlane,
     NonStarShapedCutLoop,
     OpenCutLoop,
+    TriMesh,
     box_mesh,
     clip_volume,
     cylinder_mesh,
@@ -155,6 +157,31 @@ def test_body_volume_matches_clip(case, tmp_path_factory):
     # roundoff of order eps * capacity; a near-empty body is judged on that
     floor = 1e-12 * mesh_volume(mesh)
     assert abs(mesh_volume(back) - expected) <= 1e-9 * expected + floor
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_saved_bodies_match_row_writer(name, data, tmp_path_factory):
+    # two bodies of one container back to back, so the second takes its
+    # rows from the container cache that the first (or an earlier example)
+    # filled; each also rebuilt as a fresh TriMesh, which formats every row
+    # itself.  A plane moved a diagonal down or up gives an empty or a full
+    # body, the full one being the container itself.
+    mesh = FIXTURES[name]
+    ours, rows = (tmp_path_factory.getbasetemp() / f"{name}-{side}.mesh" for side in "ab")
+    for _ in range(2):
+        _, normal, height = data.draw(planes((name,)))
+        height += data.draw(st.sampled_from([0.0, -1.0, 1.0])) * mesh.bbox_diag
+        try:
+            body = liquid_geometry(mesh, normal, height)
+        except (NonStarShapedCutLoop, OpenCutLoop):
+            assert name == "l-prism"  # as in test_body_volume_matches_clip
+            continue
+        oracles.write_mesh_rows(body, rows)
+        for saved in (body, TriMesh(body.vertices, body.triangles)):
+            save_mesh(saved, ours)
+            assert ours.read_bytes() == rows.read_bytes()
 
 
 @PROPERTY_SETTINGS

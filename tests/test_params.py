@@ -18,6 +18,7 @@ from labmech import (
     SceneConfig,
     box_mesh,
     cylinder_mesh,
+    height_search,
     icosphere_mesh,
     integrate_pendulum,
     run_knob_scene,
@@ -66,6 +67,8 @@ CASES = [
     ("thread_engagement", lambda **kw: thread_engagement(SPEC, SPEC, None, wire_directions=2, **kw),
      dict(angular_step_deg=30.0)),
     ("sdf_gradient", lambda **kw: sdf_gradient(SPEC, [1.3, 0.2, 0.1], **kw), dict(step=1e-6)),
+    ("height_search", lambda **kw: height_search(box_mesh(), [0.0, 0.0, 1.0], 0.3, **kw),
+     dict(h_prev=0.1, tol_rel=1e-9)),
 ]
 
 BAD = [math.nan, math.inf, -math.inf]
@@ -132,3 +135,29 @@ class TestRule:
             _step_count(0.0, 1.0)
         with pytest.raises(ValueError, match="duration must be nonnegative and finite"):
             _step_count(1e-3, math.inf)
+
+
+class TestHeightSearch:
+    """height_search's iteration budget and tolerance go through the rule,
+    so a bad one is a usage error, not a solver failure."""
+
+    CUBE = box_mesh()
+    UP = [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, "3"])
+    def test_max_iter_must_count(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            height_search(self.CUBE, self.UP, 0.3, max_iter=value)
+
+    def test_negative_tolerance_is_named(self):
+        with pytest.raises(ValueError, match="tol_rel must be nonnegative and finite, got -1.0"):
+            height_search(self.CUBE, self.UP, 0.3, tol_rel=-1.0)
+
+    @pytest.mark.parametrize("guess", [None, -5.0, 0.5, 5.0])
+    def test_guess_outside_the_bracket_starts_at_the_midpoint(self, guess):
+        found = height_search(self.CUBE, self.UP, 0.3, h_prev=guess)
+        assert found == height_search(self.CUBE, self.UP, 0.3)
+
+    def test_one_iteration_and_zero_tolerance_are_valid(self):
+        found = height_search(self.CUBE, self.UP, 0.5, max_iter=1, tol_rel=0.0)
+        assert (found.height, found.iterations) == (0.0, 1)
