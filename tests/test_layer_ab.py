@@ -39,8 +39,3 @@ def test_summary_per_input_and_side():
     assert summary["ico"]["median_ratio"] == 0.5
     assert summary["prism"]["median_ratio"] == pytest.approx(1.1)
 
-
-def test_summary_without_a_baseline_has_no_ratio():
-    summary = layer_ab.summarize({"change": {"ico": [3.0, 1.0, 2.0]}})
-    assert summary == {"ico": {"change": {"min": 1.0, "q1": 1.5, "median": 2.0, "q3": 2.5}}}
-

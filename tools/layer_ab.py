@@ -157,13 +157,12 @@ def stats(values: list) -> dict:
 
 
 def summarize(series: dict) -> dict:
-    """Per input, each side's :func:`stats` and, with both sides, the ratio
-    of the change's median to the parent's."""
+    """Per input, each side's :func:`stats` and the ratio of the change's
+    median to the parent's."""
     summary = {}
     for name in series["change"]:
         entry = {side: stats(values[name]) for side, values in series.items()}
-        if "parent" in entry:
-            entry["median_ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+        entry["median_ratio"] = entry["change"]["median"] / entry["parent"]["median"]
         summary[name] = entry
     return summary
 
@@ -176,8 +175,7 @@ class Worker:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
         self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--serve", str(checkout),
-             "--layer", layer],
+            [sys.executable, str(Path(__file__).resolve()), "--serve", str(checkout), layer],
             cwd=checkout, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         if self.proc.stdout.readline().strip() != "ready":
@@ -198,21 +196,20 @@ class Worker:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--serve"]:  # a worker: --serve <checkout> <layer>
+        return serve(Path(argv[1]), argv[2])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--layer", choices=LAYERS, required=True)
-    parser.add_argument("--baseline", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--baseline", type=Path, required=True,
+                        help="checkout of the parent commit")
     parser.add_argument("--rounds", type=int, default=40, help="timed rounds per side")
     parser.add_argument("--number", type=int, help="append the series to BENCH_<number>.json")
-    parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.serve:
-        return serve(args.serve, args.layer)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    sides = {"change": ROOT}
-    if args.baseline:
-        sides = {"parent": args.baseline.resolve(), "change": ROOT}
+    sides = {"parent": args.baseline.resolve(), "change": ROOT}
     workers = {}
     try:
         for side, checkout in sides.items():
@@ -235,8 +232,7 @@ def main(argv=None) -> int:
             s = entry[side]
             print(f"  {name:12s} {side:6s} min {s['min']:9.1f}  q1 {s['q1']:9.1f}  "
                   f"median {s['median']:9.1f}  q3 {s['q3']:9.1f}")
-        if "median_ratio" in entry:
-            print(f"  {name:12s} median change/parent {entry['median_ratio']:.3f}")
+        print(f"  {name:12s} median change/parent {entry['median_ratio']:.3f}")
     if args.number is not None:
         path = ROOT / f"BENCH_{args.number}.json"
         doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
