@@ -184,9 +184,16 @@ def cmd_sdf_grid(args):
     if (maxs <= mins).any():
         raise ValueError("grid max corner must exceed min corner componentwise")
     res = [_count("grid resolution", r, 2) for r in args.res]
-    axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    values = sdf_thread(spec, grid).distance
+    # a grid that reaches past the float range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        values = sdf_thread(spec, grid).distance
+    overflowed = np.flatnonzero(~np.isfinite(values))
+    if overflowed.size:
+        x, y, z = grid[overflowed[0]].tolist()
+        raise ValueError(f"thread field is not finite at grid point ({x!r}, {y!r}, {z!r}); "
+                         "the grid reaches past the float range")
     out = Path(args.output)
     with out.open("w") as fh:
         for (x, y, z), d in zip(grid, values):

@@ -28,7 +28,15 @@ inside the wire.
 Cost model: a batch query makes one ``atan2`` and one ``cos``/``sin`` pass
 per point, for the aligned candidate clamped into the window; the endpoint
 candidate is evaluated only for the points whose turn index was clamped.
-The winner's offset and distance are kept, not recomputed.
+The winner's offset and distance are kept, not recomputed.  That array
+kernel costs some 50 numpy calls whatever the batch size, about 35-50 µs
+on a 2-core VM.  A call of at most ``_SHORT_CALL_POINTS`` (15) points, the
+crossover, takes the short-call path instead: the same operations in the
+same order, point by point in Python floats with numpy's own ``arctan2``,
+``cos`` and ``sin``, so its results are bitwise the array kernel's.  It
+costs about 6 µs for one point and 2-3 µs for each further point.  The
+point count alone selects the path, for :func:`sdf_bounded` and
+:func:`sdf_thread` alike.
 :func:`thread_engagement` builds each nut's probe cloud once (cached per
 nut and sampling); per call it maps the nut's centerline probes through
 the pose, then only the wire rings that could hold the minimum, and
@@ -162,7 +170,9 @@ def _as_points(point):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected shape (3,) or (N, 3), got {np.shape(point)}")
-    if not np.isfinite(pts).all():
+    # a short batch is checked in Python floats, at a fraction of the cost
+    if not (all(map(math.isfinite, pts.ravel().tolist())) if len(pts) <= _SHORT_CALL_POINTS
+            else np.isfinite(pts).all()):
         raise ValueError("query points must be finite")
     return pts, single
 
@@ -241,17 +251,108 @@ def _result(t, delta, dist, single, offset=0.0):
     )
 
 
+#: Batches of at most this many points take the short-call path of the
+#: bounded field (:func:`_field_short`), larger ones the array kernel.  It is
+#: the crossover measured with ``tools/layer_ab.py --layer sdf_thread`` on
+#: perfbench's bolt, 60 rounds on a 2-core VM: per call, the short path took
+#: 0.96x the array kernel's median time at 15 points and 1.01x at 16.
+_SHORT_CALL_POINTS = 15
+
+
+def _integral(step, value):
+    """``step(value)`` for ``round``, ``math.ceil`` or ``math.floor``, as
+    numpy's ``rint``, ``ceil`` or ``floor`` gives it: a float that keeps the
+    sign of a zero result (``-0.3`` rounds to ``-0.0``), and ``value`` itself
+    from ``2**52`` on, where every float is integral, and for inf and NaN,
+    on which ``step`` would raise."""
+    return math.copysign(step(value), value) if abs(value) < 2.0**52 else value
+
+
+def _offset(spec, x, y, z, t):
+    """:func:`_offsets` of one point in Python floats: ``P - H(t)`` and its length."""
+    dx = x - spec.r1 * float(np.cos(t))
+    dy = y - spec.r1 * float(np.sin(t))
+    dz = z - spec.p * t
+    return dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _field_short(spec, pts, single, offset):
+    """:func:`_result` of :func:`_nearest` for a short batch, point by point
+    in Python floats.
+
+    Each point goes through the operations of :func:`_aligned_turn`,
+    :func:`_nearest`, :func:`_offsets` and :func:`_result` in their order, so
+    every field is bitwise the array kernel's:
+
+    * the azimuths are one ``np.arctan2`` over the batch's columns, as in
+      :func:`_aligned_turn`; ``cos`` and ``sin`` are numpy's scalar ufuncs,
+      which give the bits of its array loops (``math``'s do not);
+    * ``+ - * /`` and ``math.sqrt`` on Python floats are the IEEE float64
+      operations numpy performs, overflow to inf included;
+    * :func:`_integral` gives numpy's ``rint``, ``ceil`` and ``floor``;
+    * ``min(k, hi)`` is taken as ``np.minimum`` takes it: NaN if ``k`` is
+      NaN, and ``hi`` on a tie, which decides the sign of a zero.
+    """
+    p, pitch = spec.p, TWO_PI * spec.p
+    ts, dists, grads, degenerate = [], [], [], []
+    for (x, y, z), t0 in zip(pts.tolist(), np.arctan2(pts[:, 1], pts[:, 0]).tolist()):
+        if x == 0.0 and y == 0.0:
+            t0 = 0.0
+        k = _integral(round, (z - t0 * p) / pitch)
+        turns = t0 / TWO_PI
+        lo = _integral(math.ceil, spec.l - turns)
+        hi = _integral(math.floor, spec.h - turns)
+        below = k < lo
+        k_in = lo if below else k if k < hi or k != k else hi
+        t = TWO_PI * k_in + t0
+        dx, dy, dz, dist = _offset(spec, x, y, z, t)
+        if k_in != k:
+            t_end = spec.t_min if below else spec.t_max
+            end = _offset(spec, x, y, z, t_end)
+            # ties go to the endpoint
+            if not dist < end[3]:
+                t = t_end
+                dx, dy, dz, dist = end
+        ts.append(t)
+        dists.append(dist + offset)
+        degenerate.append(dist == 0.0)
+        grads.append((0.0, 0.0, 0.0) if dist == 0.0 else (dx / dist, dy / dist, dz / dist))
+    if single:
+        return SdfResult(distance=dists[0], gradient=np.array(grads[0]), nearest_t=ts[0],
+                         degenerate=degenerate[0])
+    return SdfResult(
+        distance=np.array(dists, dtype=float),
+        gradient=np.array(grads, dtype=float).reshape(-1, 3),
+        nearest_t=np.array(ts, dtype=float),
+        degenerate=np.array(degenerate, dtype=bool),
+    )
+
+
+def _bounded_field(spec, point, offset):
+    """The bounded centerline field plus ``offset``: the short-call path for
+    at most ``_SHORT_CALL_POINTS`` points, the array kernel beyond."""
+    pts, single = _as_points(point)
+    if len(pts) <= _SHORT_CALL_POINTS:
+        return _field_short(spec, pts, single, offset)
+    # an offset that overflows gives inf, as in Python floats, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(*_nearest(spec, pts), single, offset)
+
+
 def sdf_unbounded(spec: HelixSpec, point) -> SdfResult:
     """Distance field of the infinite helix centerline.
 
     Evaluates the exact distance to the aligned-turn candidate
     ``t = 2*pi*k + t0``; unsigned, since a curve has no interior.
-    Accepts a single ``(3,)`` point or an ``(N, 3)`` batch.
+    Accepts a single ``(3,)`` point or an ``(N, 3)`` batch.  Far points
+    overflow without a warning: an offset as in :func:`sdf_thread`, and a
+    turn index to ``nearest_t`` inf with NaN distance and gradient.
     """
     pts, single = _as_points(point)
-    t0, k = _aligned_turn(spec, pts)
-    t = TWO_PI * k + t0
-    return _result(t, *_offsets(spec, pts, t), single)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0, k = _aligned_turn(spec, pts)
+        t = TWO_PI * k + t0
+        return _result(t, *_offsets(spec, pts, t), single)
 
 
 def sdf_bounded(spec: HelixSpec, point) -> SdfResult:
@@ -280,8 +381,7 @@ def sdf_bounded(spec: HelixSpec, point) -> SdfResult:
         ``nearest_t`` the winning parameter (ties go to the endpoint
         candidate).
     """
-    pts, single = _as_points(point)
-    return _result(*_nearest(spec, pts), single)
+    return _bounded_field(spec, point, 0.0)
 
 
 def sdf_thread(spec: HelixSpec, point) -> SdfResult:
@@ -289,9 +389,14 @@ def sdf_thread(spec: HelixSpec, point) -> SdfResult:
 
     Negative inside the wire tube, zero on its surface, positive outside.
     Gradient and nearest parameter are those of the centerline field.
+
+    A finite point so far from the candidate that the squared length of
+    its offset ``P - H(t)`` overflows gets ``distance`` inf, ``gradient``
+    the offset divided by inf (zeros with the signs of a finite offset) and
+    ``degenerate`` False, without a warning.  Non-finite points raise
+    ValueError.
     """
-    pts, single = _as_points(point)
-    return _result(*_nearest(spec, pts), single, offset=-spec.r2)
+    return _bounded_field(spec, point, -spec.r2)
 
 
 def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarray:
@@ -308,27 +413,48 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     if delta == 0.0:
         raise ValueError(f"step must be nonzero and finite, got {step}")
     pts, single = _as_points(point)
-    offsets = delta * np.eye(3)
+    past_range = f"step {delta} takes the gradient stencil past the float range"
+    if single:
+        # the rows of pts + delta*eye(3), then pts - delta*eye(3), in Python
+        # floats; the zero entries are delta*0.0, which keeps the signs of zero
+        x, y, z = pts[0].tolist()
+        zero = delta * 0.0
+        stencil = np.array([x + delta, y + zero, z + zero, x + zero, y + delta, z + zero,
+                            x + zero, y + zero, z + delta, x - delta, y - zero, z - zero,
+                            x - zero, y - delta, z - zero, x - zero, y - zero, z - delta])
+    else:
+        offsets = delta * np.eye(3)
+        stencil = np.concatenate([pts[:, None, :] + offsets, pts[:, None, :] - offsets], axis=1)
     # one batched field evaluation over all 6 stencil points per query
-    stencil = np.concatenate([pts[:, None, :] + offsets, pts[:, None, :] - offsets], axis=1)
     try:
-        d = sdf_thread(spec, stencil.reshape(-1, 3)).distance.reshape(-1, 6)
+        d = sdf_thread(spec, stencil.reshape(-1, 3)).distance
     except ValueError:  # the points are finite, so a stencil point overflowed
-        d = None
+        raise ValueError(past_range) from None
+    if single:
+        # the batch arithmetic below in Python floats; the norm sums in
+        # np.linalg.norm's order over a length-3 axis
+        d = d.tolist()
+        if not all(map(math.isfinite, d)):
+            raise ValueError(past_range)
+        g = [(d[i] - d[i + 3]) / (2.0 * delta) for i in range(3)]
+        norm = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+        if norm < 1e-12:
+            raise DegenerateGradient(_vanished(pts[0]))
+        return np.array([g[0] / norm, g[1] / norm, g[2] / norm])
+    d = d.reshape(-1, 6)
     # an infinite distance makes the difference inf or NaN, which the norm test lets through
-    if d is None or not np.isfinite(d).all():
-        raise ValueError(f"step {delta} takes the gradient stencil past the float range")
+    if not np.isfinite(d).all():
+        raise ValueError(past_range)
     grad = (d[:, :3] - d[:, 3:]) / (2.0 * delta)
     norms = np.linalg.norm(grad, axis=-1)
     bad = norms < 1e-12
     if bad.any():
-        idx = int(np.argmax(bad))
-        raise DegenerateGradient(
-            f"finite-difference gradient vanished at point {pts[idx]} "
-            "(equidistant from multiple turns)"
-        )
-    grad = grad / norms[:, None]
-    return grad[0] if single else grad
+        raise DegenerateGradient(_vanished(pts[int(np.argmax(bad))]))
+    return grad / norms[:, None]
+
+
+def _vanished(point) -> str:
+    return f"finite-difference gradient vanished at point {point} (equidistant from multiple turns)"
 
 
 def screw_advance(spec: HelixSpec, delta_angle) -> float | np.ndarray:
@@ -338,7 +464,9 @@ def screw_advance(spec: HelixSpec, delta_angle) -> float | np.ndarray:
 
 
 def screw_pose(spec: HelixSpec, angle: float) -> np.ndarray:
-    """4x4 rigid transform of a mating part screwed by ``angle`` along the axis."""
+    """4x4 rigid transform of a mating part screwed by ``angle`` along the
+    axis; ValueError naming ``angle`` unless it is finite."""
+    angle = _finite("angle", angle)
     c, s = np.cos(angle), np.sin(angle)
     pose = np.eye(4)
     pose[:2, :2] = [[c, -s], [s, c]]
@@ -512,7 +640,7 @@ def thread_engagement(
 
     Cost model: step 1 maps ``1/(1 + wire_directions)`` of the cloud, and
     the field is evaluated twice, once on one probe and once on the few
-    that survive.  Worst case: every group survives, e.g. a nut coaxial with
+    that survive, both short calls at a typical pose.  Worst case: every group survives, e.g. a nut coaxial with
     the bolt, whose every ring has a probe as near the bolt's cylinder as
     the ceiling.  The whole cloud is then mapped in one product and screened
     by ``|rho - r1|`` alone (the axial term would cost a pass and cull little

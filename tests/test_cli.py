@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ class TestSdfGrid:
         assert code == 2
         assert "resolution" in err
         assert out == ""
+
+    @pytest.mark.parametrize("res, point", [(2, "(0.0, 0.0, 1e+308)"), (5, "(0.0, 0.0, 2.5e+307)")],
+                             ids=["short-call", "array"])
+    def test_overflowing_field_exits_2(self, tmp_path, capsys, res, point):
+        # 8 and 20 grid points: both paths of the field overflow the distance to inf
+        out = tmp_path / "g.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(
+                ["sdf-grid", "--r1", "5e-3", "--r2", "4e-4", "--p", "3e-4", "--l", "0", "--h", "8",
+                 "--min", "0", "0", "0", "--max", "1e308", "1e308", "1e308",
+                 "--res", "2", "2", res, "--output", out],
+                capsys,
+            )
+        assert code == 2
+        assert err == f"sdf-grid: thread field is not finite at grid point {point}; " \
+                      "the grid reaches past the float range\n"
+        assert stdout == ""
+        assert not out.exists()
 
     def test_missing_helix_params_exit_2(self, tmp_path, capsys):
         code, _, err = run(

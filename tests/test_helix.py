@@ -502,9 +502,11 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 @st.composite
 def helix_queries(draw):
     """A helix and query points inside its axial extent, past either end
-    of it (where the turn index is clamped) and on the axis.  Windows as
-    short as a fifth of a turn are drawn, where some azimuths have no
-    aligned turn inside the window."""
+    of it (where the turn index is clamped), on the axis, and so far out
+    that the squared offset from the candidate, or the turn quotient
+    ``(z - t0*p) / (2*pi*p)`` too, overflows.  Windows as short as a fifth
+    of a turn are drawn, where some azimuths have no aligned turn inside
+    the window."""
     r1 = draw(st.floats(0.2, 3.0))
     r2 = draw(st.floats(0.01, 0.9)) * r1
     p = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.005, 0.4)) * r1
@@ -523,7 +525,11 @@ def helix_queries(draw):
     xy = rng.uniform(-2.0 * r1, 2.0 * r1, (4 * n, 2))
     xy[3 * n:] = 0.0
     xy[3 * n::2] = -0.0
-    return spec, np.column_stack([xy, z])
+    pts = np.column_stack([xy, z])
+    far = rng.uniform(-1.0, 1.0, (2 * n, 3))
+    far[:n] *= 1e200
+    far[n:, 2] = np.where(far[n:, 2] < 0.0, -1.0, 1.0) * np.finfo(float).max
+    return spec, np.concatenate([pts, far])
 
 
 @PROPERTY_SETTINGS
@@ -538,6 +544,65 @@ def test_batch_is_bitwise_equal_to_pointwise(case):
             want = np.array([getattr(s, name) for s in singles])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
                 field.__name__, name)
+
+
+FIELDS = ("distance", "gradient", "nearest_t", "degenerate")
+
+
+@PROPERTY_SETTINGS
+@given(case=helix_queries())
+def test_batches_on_both_sides_of_the_short_call_crossover_are_bitwise_equal(case):
+    # batches of at most helix._SHORT_CALL_POINTS take the short-call path,
+    # longer ones the array kernel: every prefix of sizes 1 to one past the
+    # constant must give the whole batch's values, in dtype and bytes
+    spec, pts = case
+    sizes = range(1, helix._SHORT_CALL_POINTS + 2)
+    assert len(pts) > sizes[-1]
+    for field in (sdf_thread, sdf_bounded):
+        batch = field(spec, pts)
+        for n in sizes:
+            part = field(spec, pts[:n])
+            for name in FIELDS:
+                got, want = getattr(part, name), getattr(batch, name)[:n]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                    field.__name__, n, name)
+        one = field(spec, pts[0])
+        assert (type(one.distance), type(one.nearest_t), type(one.degenerate)) == (float, float, bool)
+        assert one.gradient.shape == (3,) and one.gradient.dtype == float
+
+
+@PROPERTY_SETTINGS
+@given(case=helix_queries())
+def test_gradient_of_one_point_is_bitwise_its_batch_row(case):
+    # one point takes sdf_gradient's Python-float path, a batch of one the
+    # array path; both must give the same bits or the same error
+    spec, pts = case
+
+    def outcome(point, step):
+        try:
+            return sdf_gradient(spec, point, step).tobytes()
+        except (ValueError, DegenerateGradient) as exc:
+            return type(exc), str(exc)
+
+    # a negative step makes the stencil's zero offsets -0.0
+    for step in (None, -1e-6 * spec.r1):
+        for q in pts:
+            assert outcome(q, step) == outcome(q[None, :], step), (q, step)
+
+
+@pytest.mark.parametrize("point, t", [([1.5, -0.0, -0.01], 0.0), ([1.0, -0.0, -1.0], -0.0)],
+                         ids=["k-ties-hi", "clamped-to-lo"])
+def test_signed_zeros_of_the_turn_indices_match_the_array_kernel(point, t):
+    # y = -0.0 gives the azimuth -0.0, so t = 2*pi*k_in + t0 keeps the sign
+    # of a zero k_in.  Turn index -0.0 ties with hi = 0.0, where np.minimum
+    # takes hi; and the turn is clamped to lo = ceil(-0.5) = -0.0.
+    spec = HelixSpec(r1=1.0, r2=0.2, p=0.05, l=-0.5, h=0.5)
+    array = sdf_thread(spec, [point] * (helix._SHORT_CALL_POINTS + 1))
+    for short in (sdf_thread(spec, point), sdf_thread(spec, [point])):
+        for name in FIELDS:
+            got, want = np.asarray(getattr(short, name)), getattr(array, name)[:1]
+            assert got.tobytes() == want.tobytes(), name
+    assert np.float64(array.nearest_t[0]).tobytes() == np.float64(t).tobytes()
 
 
 def full_cloud_minimum(bolt, nut, pose, step, wires):

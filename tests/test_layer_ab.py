@@ -39,3 +39,13 @@ def test_summary_per_input_and_side():
     assert summary["ico"]["median_ratio"] == 0.5
     assert summary["prism"]["median_ratio"] == pytest.approx(1.1)
 
+
+
+@pytest.mark.parametrize("layer", layer_ab.LAYERS)
+def test_every_layer_builds_and_runs_its_inputs_once(layer, tmp_path):
+    # a worker's round without the timing: each input is prepared and run once
+    cases = layer_ab.inputs(layer, tmp_path)
+    assert cases
+    for name, (prepare, run, count) in cases.items():
+        assert count >= 1, name
+        run(prepare())

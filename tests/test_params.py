@@ -23,6 +23,7 @@ from labmech import (
     integrate_pendulum,
     run_knob_scene,
     run_screw_scene,
+    screw_pose,
     sdf_gradient,
     step_knob,
     step_pendulum,
@@ -67,6 +68,7 @@ CASES = [
     ("thread_engagement", lambda **kw: thread_engagement(SPEC, SPEC, None, wire_directions=2, **kw),
      dict(angular_step_deg=30.0)),
     ("sdf_gradient", lambda **kw: sdf_gradient(SPEC, [1.3, 0.2, 0.1], **kw), dict(step=1e-6)),
+    ("screw_pose", lambda **kw: screw_pose(SPEC, **kw), dict(angle=0.4)),
     ("height_search", lambda **kw: height_search(box_mesh(), [0.0, 0.0, 1.0], 0.3, **kw),
      dict(h_prev=0.1, tol_rel=1e-9)),
 ]

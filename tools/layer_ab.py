@@ -23,8 +23,12 @@ Layers and inputs (times in microseconds):
   built container.
 * ``clip_volume``: per call, ten such planes on cylinder-48 and
   icosphere-4.
-* ``sdf_thread``: per call, perfbench's bolt at batches of 1, 6 and 13941
-  points near its wire.
+* ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 15, 16,
+  1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
+  points per engagement query and 6 per contact normal, and its set-up 1549
+  (the coaxial nut); 15 and 16 straddle the field's short-call crossover.
+* ``thread_engagement``: per query, perfbench's bolt and nut at twenty
+  seeded screw poses with lateral offsets up to 0.2 mm.
 
 The controller uses only the standard library; the workers use what
 labmech uses.
@@ -44,7 +48,7 @@ from pathlib import Path
 from bench_record import describe, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "sdf_thread")
+LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "sdf_thread", "thread_engagement")
 SEED = 11
 
 
@@ -72,7 +76,8 @@ def inputs(layer, workdir):
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
     import numpy as np
     from labmech import (HelixSpec, LiquidPlane, TriMesh, clip_volume, cylinder_mesh, helix_point,
-                         icosphere_mesh, l_prism_mesh, liquid_geometry, save_mesh, sdf_thread)
+                         icosphere_mesh, l_prism_mesh, liquid_geometry, save_mesh, screw_pose,
+                         sdf_thread, thread_engagement)
 
     rng = np.random.default_rng(SEED)
     if layer in ("save_mesh", "liquid_geometry"):
@@ -108,10 +113,12 @@ def inputs(layer, workdir):
                          lambda _, mesh=mesh, planes=planes: [clip_volume(mesh, p) for p in planes],
                          len(planes))
         return out
+    # perfbench's thread-engage fixture
+    bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
+    nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
     if layer == "sdf_thread":
-        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
         out = {}
-        for size, calls in ((1, 20), (6, 20), (13941, 1)):
+        for size, calls in ((1, 20), (4, 20), (6, 20), (15, 20), (16, 20), (1549, 2), (13941, 1)):
             t = rng.uniform(2.0 * np.pi, 14.0 * np.pi, size)
             points = helix_point(bolt, t).reshape(-1, 3)
             points = points + rng.uniform(-1.5, 1.5, (size, 3)) * bolt.r2
@@ -120,6 +127,15 @@ def inputs(layer, workdir):
                                      [sdf_thread(bolt, points) for _ in range(calls)],
                                      calls)
         return out
+    if layer == "thread_engagement":
+        poses = []
+        for _ in range(20):
+            pose = screw_pose(nut, rng.uniform(0.0, 2.0 * np.pi))
+            pose[:2, 3] += rng.uniform(-0.2e-3, 0.2e-3, 2)
+            poses.append(pose)
+        return {"bolt and nut": (lambda: None,
+                                 lambda _: [thread_engagement(bolt, nut, pose) for pose in poses],
+                                 len(poses))}
     raise ValueError(f"unknown layer {layer!r}")
 
 
