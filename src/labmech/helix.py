@@ -30,11 +30,11 @@ per point, for the aligned candidate clamped into the window; the endpoint
 candidate is evaluated only for the points whose turn index was clamped.
 The winner's offset and distance are kept, not recomputed.  That array
 kernel costs some 50 numpy calls whatever the batch size, about 35-50 µs
-on a 2-core VM.  A call of at most ``_SHORT_CALL_POINTS`` (15) points, the
+on a 2-core VM.  A call of at most ``_SHORT_CALL_POINTS`` (17) points, the
 crossover, takes the short-call path instead: the same operations in the
 same order, point by point in Python floats with numpy's own ``arctan2``,
 ``cos`` and ``sin``, so its results are bitwise the array kernel's.  It
-costs about 6 µs for one point and 2-3 µs for each further point.  The
+costs about 6 µs for one point and 2 µs for each further point.  The
 point count alone selects the path, for :func:`sdf_bounded` and
 :func:`sdf_thread` alike.
 :func:`thread_engagement` builds each nut's probe cloud once (cached per
@@ -254,9 +254,10 @@ def _result(t, delta, dist, single, offset=0.0):
 #: Batches of at most this many points take the short-call path of the
 #: bounded field (:func:`_field_short`), larger ones the array kernel.  It is
 #: the crossover measured with ``tools/layer_ab.py --layer sdf_thread`` on
-#: perfbench's bolt, 60 rounds on a 2-core VM: per call, the short path took
-#: 0.96x the array kernel's median time at 15 points and 1.01x at 16.
-_SHORT_CALL_POINTS = 15
+#: perfbench's bolt, one side on each path, in 100 rounds on a 2-core VM: the
+#: lower quartile of the short path's time per call was 0.97x the array
+#: kernel's at 17 points and 1.01x at 18.
+_SHORT_CALL_POINTS = 17
 
 
 def _integral(step, value):

@@ -23,10 +23,10 @@ Layers and inputs (times in microseconds):
   built container.
 * ``clip_volume``: per call, ten such planes on cylinder-48 and
   icosphere-4.
-* ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 15, 16,
+* ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 17, 18,
   1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
   points per engagement query and 6 per contact normal, and its set-up 1549
-  (the coaxial nut); 15 and 16 straddle the field's short-call crossover.
+  (the coaxial nut); 17 and 18 straddle the field's short-call crossover.
 * ``thread_engagement``: per query, perfbench's bolt and nut at twenty
   seeded screw poses with lateral offsets up to 0.2 mm.
 
@@ -118,7 +118,7 @@ def inputs(layer, workdir):
     nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
     if layer == "sdf_thread":
         out = {}
-        for size, calls in ((1, 20), (4, 20), (6, 20), (15, 20), (16, 20), (1549, 2), (13941, 1)):
+        for size, calls in ((1, 20), (4, 20), (6, 20), (17, 20), (18, 20), (1549, 2), (13941, 1)):
             t = rng.uniform(2.0 * np.pi, 14.0 * np.pi, size)
             points = helix_point(bolt, t).reshape(-1, 3)
             points = points + rng.uniform(-1.5, 1.5, (size, 3)) * bolt.r2
