@@ -414,7 +414,6 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     if delta == 0.0:
         raise ValueError(f"step must be nonzero and finite, got {step}")
     pts, single = _as_points(point)
-    past_range = f"step {delta} takes the gradient stencil past the float range"
     if single:
         # the rows of pts + delta*eye(3), then pts - delta*eye(3), in Python
         # floats; the zero entries are delta*0.0, which keeps the signs of zero
@@ -430,13 +429,13 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     try:
         d = sdf_thread(spec, stencil.reshape(-1, 3)).distance
     except ValueError:  # the points are finite, so a stencil point overflowed
-        raise ValueError(past_range) from None
+        raise ValueError(_past_range(delta)) from None
     if single:
         # the batch arithmetic below in Python floats; the norm sums in
         # np.linalg.norm's order over a length-3 axis
         d = d.tolist()
         if not all(map(math.isfinite, d)):
-            raise ValueError(past_range)
+            raise ValueError(_past_range(delta))
         g = [(d[i] - d[i + 3]) / (2.0 * delta) for i in range(3)]
         norm = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
         if norm < 1e-12:
@@ -445,13 +444,17 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     d = d.reshape(-1, 6)
     # an infinite distance makes the difference inf or NaN, which the norm test lets through
     if not np.isfinite(d).all():
-        raise ValueError(past_range)
+        raise ValueError(_past_range(delta))
     grad = (d[:, :3] - d[:, 3:]) / (2.0 * delta)
     norms = np.linalg.norm(grad, axis=-1)
     bad = norms < 1e-12
     if bad.any():
         raise DegenerateGradient(_vanished(pts[int(np.argmax(bad))]))
     return grad / norms[:, None]
+
+
+def _past_range(step) -> str:
+    return f"step {step} takes the gradient stencil past the float range"
 
 
 def _vanished(point) -> str:

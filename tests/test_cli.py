@@ -23,6 +23,7 @@ from labmech import (
     unit_vector,
     write_trace,
 )
+from labmech import helix
 from labmech.cli import main
 
 
@@ -87,7 +88,8 @@ class TestSdfGrid:
     @pytest.mark.parametrize("res, point", [(2, "(0.0, 0.0, 1e+308)"), (5, "(0.0, 0.0, 2.5e+307)")],
                              ids=["short-call", "array"])
     def test_overflowing_field_exits_2(self, tmp_path, capsys, res, point):
-        # 8 and 20 grid points: both paths of the field overflow the distance to inf
+        # 8 and 20 grid points, one on each path of the field, overflow the distance to inf
+        assert 8 <= helix._SHORT_CALL_POINTS < 20
         out = tmp_path / "g.tsv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -98,8 +100,8 @@ class TestSdfGrid:
                 capsys,
             )
         assert code == 2
-        assert err == f"sdf-grid: thread field is not finite at grid point {point}; " \
-                      "the grid reaches past the float range\n"
+        assert err == (f"sdf-grid: thread field is not finite at grid point {point}; "
+                       "the grid reaches past the float range\n")
         assert stdout == ""
         assert not out.exists()
 

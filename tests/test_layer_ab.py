@@ -40,7 +40,6 @@ def test_summary_per_input_and_side():
     assert summary["prism"]["median_ratio"] == pytest.approx(1.1)
 
 
-
 @pytest.mark.parametrize("layer", layer_ab.LAYERS)
 def test_every_layer_builds_and_runs_its_inputs_once(layer, tmp_path):
     # a worker's round without the timing: each input is prepared and run once
