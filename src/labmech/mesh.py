@@ -27,7 +27,11 @@ interior with the halfspace below a plane.  Conventions used throughout:
   terms that :class:`TriMesh` computes once.  The cut cross-section area
   (the exact derivative of clipped volume with respect to height) comes
   from Green's theorem on the chords.  :func:`liquid_geometry` emits the
-  whole triangles and the same band pieces, and caps the chord loops.
+  whole triangles and the same band pieces, pairs the chords into loops
+  by their node ids and caps each loop.  Its body costs what the cut
+  creates: only the created triangles are shape-tested, since the whole
+  ones are the container's and the body is closed by construction (see
+  :class:`TriMesh`).
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -85,6 +89,14 @@ def _sliver_floor(u, v) -> np.ndarray:
     return DEGENERATE_AREA_FRACTION * longest_sq
 
 
+def _check_shape(verts, tris) -> None:
+    """Reject degenerate triangles: doubled area at most the sliver floor."""
+    a, b, c = verts[tris].transpose(1, 2, 0)
+    u, v = b - a, c - b
+    if (np.sqrt((_cross(u, v) ** 2).sum(0)) <= _sliver_floor(u, v)).any():
+        raise ValueError("mesh contains degenerate (near-zero-area) triangles")
+
+
 def unit_vector(v) -> np.ndarray:
     """Normalize a nonzero 3-vector.
 
@@ -119,9 +131,26 @@ class TriMesh:
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
     the inputs, so the bounding box, the edge table, the flux terms and the
     ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
-    cannot go stale.  A body from :func:`liquid_geometry` is validated like
-    any other mesh and also links to its container, whose cached rows it
-    reuses for the container vertices it keeps.
+    cannot go stale.
+
+    Every public construction runs all of these checks.  A body that
+    :func:`liquid_geometry` cuts is built by :meth:`_liquid_body` instead,
+    which runs the same shape test on the triangles the cut created (band
+    fans and caps) and no other check; the rest holds by construction:
+
+    * its whole triangles are container triangles with the same
+      coordinates and corner order, so they passed the same shape test when
+      the container was built, and for a body of a body by induction;
+    * it is closed and consistently oriented: band pieces share their
+      crossing nodes, and every chord loop is capped or the cut raises;
+    * its indices are renumbered node ids, and its nodes are container
+      vertices, points between two of them or centroids of a loop.
+
+    Its edge table is derived on first use, when the body is clipped again,
+    by the same :meth:`_check_watertight` on the same arrays, so it equals
+    the one public construction gives, bit for bit.  A body also links to
+    its container, whose cached rows it reuses for the container vertices
+    it keeps.
     """
 
     vertices: np.ndarray
@@ -139,13 +168,39 @@ class TriMesh:
             raise ValueError("mesh vertices must be finite")
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise ValueError("triangle indices out of range")
-        a, b, c = verts[tris].transpose(1, 2, 0)
-        u, v = b - a, c - b
-        if (np.sqrt((_cross(u, v) ** 2).sum(0)) <= _sliver_floor(u, v)).any():
-            raise ValueError("mesh contains degenerate (near-zero-area) triangles")
+        _check_shape(verts, tris)
         edges, tri_edges = self._check_watertight(tris, len(verts))
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_tri_edges", tri_edges)
+
+    @classmethod
+    def _liquid_body(cls, vertices, triangles, created, kept) -> TriMesh:
+        """The body :func:`liquid_geometry` assembled: fresh ``vertices``
+        (float) and ``triangles`` (int64) arrays, made read-only and used as
+        they are.  Only ``triangles[created:]``, the band fans and caps, are
+        shape-tested (see the class docstring for why that suffices);
+        ``kept`` is the body's link to its container."""
+        body = object.__new__(cls)
+        vertices.flags.writeable = False
+        triangles.flags.writeable = False
+        object.__setattr__(body, "vertices", vertices)
+        object.__setattr__(body, "triangles", triangles)
+        _check_shape(vertices, triangles[created:])
+        object.__setattr__(body, "_kept", kept)
+        return body
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """The edge table of a liquid body, derived when it is first
+        clipped; public construction sets it (and ``_tri_edges``)."""
+        edges, tri_edges = self._check_watertight(self.triangles, len(self.vertices))
+        self.__dict__["_tri_edges"] = tri_edges
+        return edges
+
+    @cached_property
+    def _tri_edges(self) -> np.ndarray:
+        self._edges  # derives both
+        return self.__dict__["_tri_edges"]
 
     @staticmethod
     def _check_watertight(tris, nverts):
@@ -575,12 +630,22 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     The wall is the whole triangles of the clip table that
     :func:`clip_volume` sums, as they are, and its band pieces, each fanned
     into triangles; the cut chords are chained into closed loops and each
-    loop is fan-triangulated from its area centroid to cap the body.
-    Pieces share crossing nodes, so the output is watertight by
-    construction.  The centroid fan is valid for the star-shaped (in
-    practice convex) cut loops produced by the containers in scope; a loop
-    that fans inconsistently raises :class:`NonStarShapedCutLoop`, and a
-    cut boundary that fails to close raises :class:`OpenCutLoop`.
+    loop is fan-triangulated from its area centroid to cap the body.  The
+    centroid fan is valid for the star-shaped (in practice convex) cut
+    loops produced by the containers in scope; a loop that fans
+    inconsistently raises :class:`NonStarShapedCutLoop`, and a cut boundary
+    that fails to close raises :class:`OpenCutLoop`.
+
+    The body is valid without being validated again (see
+    :class:`TriMesh`): its whole triangles passed the shape test when the
+    container (or, for a body of a body, its container) was built, and it
+    is closed by construction, since band pieces share their crossing nodes
+    and every chord loop is capped or the cut raises.  So a body costs what
+    the cut creates, not what the container holds: the clip table, one
+    shape test over the band fans and caps, the chord pairing and, per
+    loop, a few small array operations for its cap.  The whole triangles
+    are one gather, and the body's edge table is derived only if the body
+    is clipped again.
 
     Returns an empty mesh when the plane lies below the container and the
     input mesh itself when it lies above.  Vertices are listed in node
@@ -599,79 +664,122 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     if table.full:
         return mesh
 
+    whole = mesh.triangles[table.whole]
     fans = table.pieces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    out_tris = [mesh.triangles[table.whole], fans[fans[:, 1] != fans[:, 2]]]
+    out_tris = [whole, fans[fans[:, 1] != fans[:, 2]]]
     out_vertices = [table.nodes]
     next_id = len(table.nodes)
     nrm = plane.normal
-    for loop in _chain_loops(zip(*table.chords.T.tolist())):
-        if len(loop) < 3:
+    for loop in _chain_loops(table.chords):
+        k = len(loop)
+        if k < 3:
             continue  # two-node loop bounds zero area
         coords = table.nodes[loop]
         # area centroid of the loop polygon: the node mean can land exactly
         # on a chord line (collinear chord subdivisions shift it), which
-        # would degenerate the fan
+        # would degenerate the fan.  The doubled areas multiply an (m, 3)
+        # C-ordered array by the normal: another layout can round the sums
+        # differently, and exported bodies are fixed to the bit.
         ref = coords[0]
-        doubled = np.cross(coords[1:-1] - ref, coords[2:] - ref) @ nrm
+        spans = (coords[1:] - ref).T
+        doubled = np.ascontiguousarray(_cross(spans[:, :-1], spans[:, 1:]).T) @ nrm
         total = doubled.sum()
-        if total <= DEGENERATE_AREA_FRACTION * (np.ptp(coords, axis=0) ** 2).sum():
+        if total <= DEGENERATE_AREA_FRACTION * ((coords.max(0) - coords.min(0)) ** 2).sum():
             raise NonStarShapedCutLoop(
-                f"cut loop of {len(loop)} nodes encloses no usable area"
+                f"cut loop of {k} nodes encloses no usable area"
             )
         piece_centers = (ref + coords[1:-1] + coords[2:]) / 3.0
         centroid = (doubled[:, None] * piece_centers).sum(axis=0) / total
+        cap = np.empty((k, 3), dtype=np.int64)
+        cap[:, 0] = next_id
+        cap[:, 1] = loop
+        cap[:-1, 2] = loop[1:]
+        cap[-1, 2] = loop[0]
         # every fan triangle must pass the TriMesh shape test with the
-        # cap's orientation
-        spokes = (coords - centroid).T
-        rims = np.roll(spokes, -1, axis=1) - spokes
+        # cap's orientation: spokes to each node and to the next
+        ring = (table.nodes[cap[:, 1:]] - centroid).T
+        spokes, rims = ring[:, 0], ring[:, 1] - ring[:, 0]
         if (nrm @ _cross(spokes, rims) <= _sliver_floor(spokes, rims)).any():
             raise NonStarShapedCutLoop(
-                f"cut loop of {len(loop)} nodes is not star-shaped around its centroid"
+                f"cut loop of {k} nodes is not star-shaped around its centroid"
             )
         out_vertices.append(centroid[None])
-        out_tris.append(np.column_stack([np.full(len(loop), next_id), loop, np.roll(loop, -1)]))
+        out_tris.append(cap)
         next_id += 1
 
     tris = np.concatenate(out_tris)
     used = np.zeros(next_id, dtype=bool)
     used[tris] = True
-    body = TriMesh(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris])
-    object.__setattr__(body, "_kept", (mesh, used[: len(mesh.vertices)]))
-    return body
+    return TriMesh._liquid_body(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris],
+                                len(whole), (mesh, used[: len(mesh.vertices)]))
 
 
-def _chain_loops(chords):
+def _chain_loops(chords) -> list:
     """Chain directed cut chords into closed loops, reversed so each loop runs
-    counterclockwise around the upward normal (matching an outward cap)."""
-    # interior in-plane edges appear twice with opposite directions; cancel them
-    counted: dict = {}
-    for u, w in chords:
-        if counted.pop((w, u), None) is not None:
+    counterclockwise around the upward normal (matching an outward cap).
+
+    ``chords`` is a (c, 2) integer array of node ids in clip-table order;
+    returns one int64 array of node ids per loop.  The chords are paired by
+    sorted node ids, with the outcome of walking them in order:
+
+    * Interior in-plane edges appear twice with opposite directions and
+      cancel.  Per node pair, in chord order, the second chord cancels the
+      first, the fourth the third, and so on; one that runs the same way
+      as the chord it would cancel raises ``duplicate cut chord``.  An odd
+      count leaves the last chord of the pair standing.
+    * The standing chords, in chord order, reversed: two that end at one
+      node raise ``cut boundary branches`` at the later one.  Otherwise
+      each starts where another ends, or the boundary ``failed to close``.
+    * Each loop starts at the end node of its first standing chord, and
+      the loops come in the order of those chords.
+    """
+    chords = np.asarray(chords, dtype=np.int64).reshape(-1, 2)
+    if not len(chords):
+        return []
+    u, w = chords.T
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    key = lo * (hi.max() + 1) + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        # rank of each chord among those on its node pair, in chord order
+        opens = np.ones(len(key), dtype=bool)
+        opens[1:] = ~repeated
+        rank = np.arange(len(key))
+        rank -= np.maximum.accumulate(np.where(opens, rank, 0))
+        odd = np.flatnonzero(rank % 2)
+        clash = u[order[odd]] != w[order[odd - 1]]
+        if clash.any():
+            raise OpenCutLoop(f"duplicate cut chord at {u[order[odd[clash]].min()]}")
+        last = np.ones(len(key), dtype=bool)
+        last[:-1] = opens[1:]
+        u, w = chords[np.sort(order[last & (rank % 2 == 0)])].T
+
+    by_end = np.argsort(w, kind="stable")
+    ends = w[by_end]
+    branch = ends[1:] == ends[:-1]
+    if branch.any():
+        raise OpenCutLoop(f"cut boundary branches at node {w[by_end[1:][branch].min()]}")
+    # the ends are distinct, so the boundary closes exactly when the starts
+    # are the same nodes; then each chord continues the one ending at its start
+    if not (np.sort(u) == ends).all():
+        raise OpenCutLoop("cut boundary failed to close into a loop")
+    succ = by_end[np.searchsorted(ends, u)].tolist()
+    seq, bounds, seen = [], [0], [False] * len(succ)
+    for first in range(len(succ)):
+        if seen[first]:
             continue
-        if (u, w) in counted:
-            raise OpenCutLoop(f"duplicate cut chord at {u}")
-        counted[(u, w)] = True
-    succ: dict = {}
-    for u, w in counted:
-        if w in succ:
-            raise OpenCutLoop(f"cut boundary branches at node {w}")
-        succ[w] = u  # reversed traversal
-    loops = []
-    visited = set()
-    for start in succ:
-        if start in visited:
-            continue
-        loop = [start]
-        visited.add(start)
-        cur = succ[start]
-        while cur != start:
-            if cur in visited or cur not in succ:
-                raise OpenCutLoop("cut boundary failed to close into a loop")
-            visited.add(cur)
-            loop.append(cur)
-            cur = succ[cur]
-        loops.append(loop)
-    return loops
+        k = first
+        while True:
+            seen[k] = True
+            seq.append(k)
+            k = succ[k]
+            if k == first:
+                break
+        bounds.append(len(seq))
+    nodes = w[seq]
+    return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

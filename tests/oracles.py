@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
-from labmech import LiquidPlane, MeshFormatError, clip_volume, lagrangian, ode_rhs
+from labmech import LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, ode_rhs
 from labmech.mesh import ONPLANE_SNAP_FRACTION
 
 TWO_PI = 2.0 * np.pi
@@ -287,6 +287,45 @@ def walk_triangle(signs, corners, crossings):
         if on_plane[i] and on_plane[j] and walk[i] != walk[j]:
             chords.append((walk[i], walk[j]))
     return walk, chords
+
+
+def chain_loops_walk(chords):
+    """Cut chords chained into closed loops by walking them through dicts,
+    in chord order: the reference for ``mesh._chain_loops``.
+
+    Opposite chords cancel as they meet, a chord repeated in the same
+    direction is a duplicate, each standing chord (u, w) links w back to u,
+    and loops start at the first unvisited end node.  Returns the loops as
+    lists of node ids; raises :class:`OpenCutLoop` for a duplicate, a
+    branch or a boundary that does not close."""
+    counted = {}
+    for u, w in chords:
+        if counted.pop((w, u), None) is not None:
+            continue
+        if (u, w) in counted:
+            raise OpenCutLoop(f"duplicate cut chord at {u}")
+        counted[(u, w)] = True
+    succ = {}
+    for u, w in counted:
+        if w in succ:
+            raise OpenCutLoop(f"cut boundary branches at node {w}")
+        succ[w] = u  # reversed traversal
+    loops = []
+    visited = set()
+    for start in succ:
+        if start in visited:
+            continue
+        loop = [start]
+        visited.add(start)
+        cur = succ[start]
+        while cur != start:
+            if cur in visited or cur not in succ:
+                raise OpenCutLoop("cut boundary failed to close into a loop")
+            visited.add(cur)
+            loop.append(cur)
+            cur = succ[cur]
+        loops.append(loop)
+    return loops
 
 
 def clip_walk(mesh, plane):

@@ -1,9 +1,10 @@
 """Property tests of the clipping core and the height solve built on it:
 the clip table equals a plain-Python boundary walk bit for bit, in each of
-the 27 sign cases of a triangle too; the liquid body agrees with
-clip_volume, is watertight, saves the bytes of a row-by-row writer, and
-the cut area is the volume derivative; the height solve meets its budget
-and agrees with bisection.
+the 27 sign cases of a triangle too; the cut chords chain into the loops
+of a dict walk; the liquid body agrees with clip_volume, is watertight,
+saves the bytes of a row-by-row writer, has the edge table of a public
+TriMesh and clips and caps again as one; the cut area is the volume
+derivative; the height solve meets its budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -13,7 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -39,6 +40,7 @@ from labmech.mesh import (
     _CUT,
     _SLOTS,
     ONPLANE_SNAP_FRACTION,
+    _chain_loops,
     _clip_table,
     height_search,
 )
@@ -84,11 +86,14 @@ def planes(draw, names=tuple(sorted(FIXTURES))):
     return name, normal, height
 
 
+def assert_bitwise(got, expected, what):
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape), what
+    assert got.tobytes() == expected.tobytes(), what
+
+
 def assert_table_is_walk(table, walk):
     for field, expected in walk.items():
-        got = getattr(table, field)
-        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), field
-        assert got.tobytes() == expected.tobytes(), field
+        assert_bitwise(getattr(table, field), expected, field)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -136,6 +141,63 @@ def test_every_sign_case_on_a_mesh(signs):
     assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
 
 
+@st.composite
+def chord_lists(draw):
+    """Directed chords as a clip table lists them, plus the faults it must
+    not produce.  Disjoint closed loops of 2-5 distinct nodes (a 2-node
+    loop is an opposite pair), their chords shuffled; opposite pairs put in
+    reversed first, on a loop chord (it cancels and then reappears, or the
+    pair cancels) or on two free nodes; then at most one fault: a chord
+    repeated, a chord into a loop node from elsewhere (a branch) or a
+    chord left out (an open chain)."""
+    ids = draw(st.permutations(range(16)))
+    chords, at = [], 0
+    for size in draw(st.lists(st.integers(2, 5), max_size=3)):
+        loop = ids[at:at + size]
+        at += size
+        chords += [(loop[i], loop[(i + 1) % size]) for i in range(size)]
+    chords = draw(st.permutations(chords))
+    node = st.integers(0, 15)
+    for _ in range(draw(st.integers(0, 3))):
+        if chords and draw(st.booleans()):
+            u, w = draw(st.sampled_from(chords))
+        else:
+            u, w = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+        i = draw(st.integers(0, len(chords)))
+        chords.insert(draw(st.integers(i, len(chords))), (u, w))
+        chords.insert(i, (w, u))
+    fault = draw(st.sampled_from(["none", "duplicate", "branch", "open"]))
+    if fault == "duplicate" and chords:
+        chords.insert(draw(st.integers(0, len(chords))), draw(st.sampled_from(chords)))
+    elif fault == "branch" and chords:
+        _, w = draw(st.sampled_from(chords))
+        chords.insert(draw(st.integers(0, len(chords))), (draw(node.filter(lambda v: v != w)), w))
+    elif fault == "open" and chords:
+        del chords[draw(st.integers(0, len(chords) - 1))]
+    return chords
+
+
+def chain_outcome(chain, chords):
+    """The loops as lists of ints, or the OpenCutLoop message."""
+    try:
+        return [[int(node) for node in loop] for loop in chain(chords)]
+    except OpenCutLoop as exc:
+        return str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(chords=chord_lists())
+@example(chords=[(3, 4), (5, 3), (4, 5), (7, 8), (8, 6), (6, 7)])  # two loops
+@example(chords=[(1, 2), (2, 1), (1, 2), (2, 3), (3, 1)])  # cancels, then reappears
+@example(chords=[(2, 1), (1, 2), (1, 2), (2, 3), (3, 1)])  # a duplicate after a cancel
+@example(chords=[(1, 2), (2, 3), (3, 1), (4, 2)])  # branches at node 2
+@example(chords=[(1, 2), (2, 3)])  # open chain
+@example(chords=[])
+def test_chain_loops_matches_dict_walk(chords):
+    ours = chain_outcome(_chain_loops, np.array(chords, dtype=np.int64).reshape(-1, 2))
+    assert ours == chain_outcome(oracles.chain_loops_walk, chords)
+
+
 @PROPERTY_SETTINGS
 @given(case=planes())
 def test_body_volume_matches_clip(case, tmp_path_factory):
@@ -179,9 +241,51 @@ def test_saved_bodies_match_row_writer(name, data, tmp_path_factory):
             assert name == "l-prism"  # as in test_body_volume_matches_clip
             continue
         oracles.write_mesh_rows(body, rows)
-        for saved in (body, TriMesh(body.vertices, body.triangles)):
+        public = TriMesh(body.vertices, body.triangles)
+        for saved in (body, public):
             save_mesh(saved, ours)
             assert ours.read_bytes() == rows.read_bytes()
+        # a cut body derives its edge table on first use
+        for field in ("_edges", "_tri_edges"):
+            assert_bitwise(getattr(body, field), getattr(public, field), field)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_body_of_a_body_matches_public_rebuild(name, data):
+    # a cut body clipped and capped again, which derives its edge table,
+    # gives the clip table and the body that the same arrays give as a
+    # public TriMesh, bit for bit
+    mesh = FIXTURES[name]
+    _, normal, height = data.draw(planes((name,)))
+    try:
+        body = liquid_geometry(mesh, normal, height)
+    except (NonStarShapedCutLoop, OpenCutLoop):
+        assert name == "l-prism"  # as in test_body_volume_matches_clip
+        return
+    assume(len(body) and body is not mesh)
+    assert "_edges" not in vars(body)
+    public = TriMesh(body.vertices, body.triangles)
+    normal = unit_vector(data.draw(directions))
+    support = (body.vertices - body.bbox_center) @ normal
+    plane = LiquidPlane(normal, support.min() + data.draw(st.floats(0.0, 1.0)) * np.ptp(support))
+    assert_table_is_walk(_clip_table(body, plane), _clip_table(public, plane)._asdict())
+    for field in ("_edges", "_tri_edges"):
+        assert_bitwise(getattr(body, field), getattr(public, field), field)
+    again = []
+    for source in (body, public):
+        try:
+            again.append(liquid_geometry(source, plane.normal, plane.height))
+        except (NonStarShapedCutLoop, OpenCutLoop) as exc:
+            again.append(repr(exc))
+    if isinstance(again[0], str):
+        assert again[0] == again[1]
+        return
+    for field in ("vertices", "triangles"):
+        assert_bitwise(getattr(again[0], field), getattr(again[1], field), field)
+    expected = clip_volume(public, plane).volume
+    assert abs(mesh_volume(again[0]) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
 
 
 @PROPERTY_SETTINGS

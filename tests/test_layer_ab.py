@@ -1,6 +1,7 @@
 """The summary arithmetic of ``tools/layer_ab.py`` on synthetic series:
-each side's minimum and inclusive quartiles per input, and the ratio of
-the change's median to the parent's."""
+each side's minimum and inclusive quartiles per input, the ratio of the
+change's median to the parent's, and the quartiles of the per-round
+ratio."""
 
 import sys
 from pathlib import Path
@@ -38,6 +39,21 @@ def test_summary_per_input_and_side():
     assert summary["ico"]["change"] == {"min": 50.0, "q1": 75.0, "median": 100.0, "q3": 125.0}
     assert summary["ico"]["median_ratio"] == 0.5
     assert summary["prism"]["median_ratio"] == pytest.approx(1.1)
+    # per round: 50/200, 150/100, 100/300 and 1.2, 1.1, 1.0
+    assert summary["ico"]["round_ratio"] == pytest.approx(
+        {"q1": 0.5 * (0.25 + 1 / 3), "median": 1 / 3, "q3": 0.5 * (1 / 3 + 1.5)})
+    assert summary["prism"]["round_ratio"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.15})
+
+
+def test_round_ratio_cancels_a_slow_stretch():
+    # the host runs 2x slow for the second half of the rounds: the raw
+    # medians land between the two speeds, each round's ratio stays 0.8
+    slow = [1.0] * 5 + [2.0] * 5
+    series = {"parent": {"x": [100.0 * k for k in slow]},
+              "change": {"x": [80.0 * k for k in slow]}}
+    entry = layer_ab.summarize(series)["x"]
+    assert entry["parent"]["q1"] == 100.0 and entry["parent"]["q3"] == 200.0
+    assert entry["round_ratio"] == pytest.approx({"q1": 0.8, "median": 0.8, "q3": 0.8})
 
 
 @pytest.mark.parametrize("layer", layer_ab.LAYERS)

@@ -426,6 +426,22 @@ class TestLiquidGeometry:
         with pytest.raises(OpenCutLoop):
             _chain_loops([(0, 1), (1, 2)])
 
+    def test_body_path_shape_tests_the_created_triangles(self, cube):
+        # the private constructor of cut bodies skips the closure check and
+        # shape-tests only the triangles from `created` on, with the public
+        # message: here a zero-area triangle on the midpoint of edge 0-1
+        verts = np.vstack([cube.vertices, [0.5 * (cube.vertices[0] + cube.vertices[1])]])
+        tris = np.vstack([cube.triangles, [[0, 8, 1]]])
+        with pytest.raises(ValueError, match=r"^mesh contains degenerate \(near-zero-area\) "
+                                             r"triangles$"):
+            TriMesh._liquid_body(verts.copy(), tris.copy(), len(cube), None)
+        with pytest.raises(ValueError, match="degenerate"):
+            TriMesh(verts, tris)
+        # before `created` the triangles count as the container's, tested
+        # when it was built
+        body = TriMesh._liquid_body(verts.copy(), tris.copy(), len(tris), None)
+        assert body.vertices.tobytes() == verts.tobytes() and not body.vertices.flags.writeable
+
     def test_small_wall_piece_is_kept(self, tmp_path):
         # a plane just above an icosphere vertex clips a well-shaped wall
         # triangle of area 3.5e-13 * diag^2; the shape test must accept it

@@ -10,8 +10,12 @@ once.  After one warm-up round per side, the workers run rounds in turn,
 alternating which side goes first, so that a slow stretch of the host
 falls on both sides.  A round times the layer once on every input.  Per
 input and side the tool prints the minimum, the quartiles (q1, median, q3)
-over the rounds and the ratio of the medians; with ``--number`` it appends
-the series to ``BENCH_<number>.json`` under ``layer_ab``.
+over the rounds and the ratio of the medians.  It also prints the
+quartiles of the per-round ratio change/parent: a round times both sides
+back to back, so a slow stretch of the host that moves the raw medians
+between runs moves both sides of a round and mostly cancels in the ratio.
+With ``--number`` it appends the series to ``BENCH_<number>.json`` under
+``layer_ab``.
 
 Layers and inputs (times in microseconds):
 
@@ -173,12 +177,15 @@ def stats(values: list) -> dict:
 
 
 def summarize(series: dict) -> dict:
-    """Per input, each side's :func:`stats` and the ratio of the change's
-    median to the parent's."""
+    """Per input, each side's :func:`stats`, the ratio of the change's
+    median to the parent's, and the quartiles of the per-round ratio
+    change/parent (round r of one side against round r of the other)."""
     summary = {}
     for name in series["change"]:
         entry = {side: stats(values[name]) for side, values in series.items()}
         entry["median_ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+        ratios = [c / p for p, c in zip(series["parent"][name], series["change"][name])]
+        entry["round_ratio"] = dict(zip(("q1", "median", "q3"), quartiles(ratios)))
         summary[name] = entry
     return summary
 
@@ -248,7 +255,9 @@ def main(argv=None) -> int:
             s = entry[side]
             print(f"  {name:12s} {side:6s} min {s['min']:9.1f}  q1 {s['q1']:9.1f}  "
                   f"median {s['median']:9.1f}  q3 {s['q3']:9.1f}")
-        print(f"  {name:12s} median change/parent {entry['median_ratio']:.3f}")
+        r = entry["round_ratio"]
+        print(f"  {name:12s} median change/parent {entry['median_ratio']:.3f}; per round "
+              f"q1 {r['q1']:.3f}  median {r['median']:.3f}  q3 {r['q3']:.3f}")
     if args.number is not None:
         path = ROOT / f"BENCH_{args.number}.json"
         doc = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
