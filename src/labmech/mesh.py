@@ -766,20 +766,17 @@ def _chain_loops(chords) -> list:
     if not (np.sort(u) == ends).all():
         raise OpenCutLoop("cut boundary failed to close into a loop")
     succ = by_end[np.searchsorted(ends, u)].tolist()
-    seq, bounds, seen = [], [0], [False] * len(succ)
-    for first in range(len(succ)):
-        if seen[first]:
+    loops, seen = [], [False] * len(succ)
+    for k in range(len(succ)):
+        if seen[k]:
             continue
-        k = first
-        while True:
+        loop = []
+        while not seen[k]:
             seen[k] = True
-            seq.append(k)
+            loop.append(k)
             k = succ[k]
-            if k == first:
-                break
-        bounds.append(len(seq))
-    nodes = w[seq]
-    return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+        loops.append(w[loop])
+    return loops
 
 
 # ---------------------------------------------------------------------------
