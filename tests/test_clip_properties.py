@@ -147,9 +147,9 @@ def chord_lists(draw):
     not produce.  Disjoint closed loops of 2-5 distinct nodes (a 2-node
     loop is an opposite pair), their chords shuffled; opposite pairs put in
     reversed first, on a loop chord (it cancels and then reappears, or the
-    pair cancels) or on two free nodes; then at most one fault: a chord
-    repeated, a chord into a loop node from elsewhere (a branch) or a
-    chord left out (an open chain)."""
+    pair cancels) or on two free nodes; then up to two faults, each a
+    chord repeated, a chord into a loop node from elsewhere (a branch) or
+    a chord left out (an open chain)."""
     ids = draw(st.permutations(range(16)))
     chords, at = [], 0
     for size in draw(st.lists(st.integers(2, 5), max_size=3)):
@@ -166,14 +166,16 @@ def chord_lists(draw):
         i = draw(st.integers(0, len(chords)))
         chords.insert(draw(st.integers(i, len(chords))), (u, w))
         chords.insert(i, (w, u))
-    fault = draw(st.sampled_from(["none", "duplicate", "branch", "open"]))
-    if fault == "duplicate" and chords:
-        chords.insert(draw(st.integers(0, len(chords))), draw(st.sampled_from(chords)))
-    elif fault == "branch" and chords:
-        _, w = draw(st.sampled_from(chords))
-        chords.insert(draw(st.integers(0, len(chords))), (draw(node.filter(lambda v: v != w)), w))
-    elif fault == "open" and chords:
-        del chords[draw(st.integers(0, len(chords) - 1))]
+    for fault in draw(st.lists(st.sampled_from(["duplicate", "branch", "open"]), max_size=2)):
+        if not chords:
+            break
+        if fault == "duplicate":
+            chords.insert(draw(st.integers(0, len(chords))), draw(st.sampled_from(chords)))
+        elif fault == "branch":
+            _, w = draw(st.sampled_from(chords))
+            chords.insert(draw(st.integers(0, len(chords))), (draw(node.filter(lambda v: v != w)), w))
+        else:
+            del chords[draw(st.integers(0, len(chords) - 1))]
     return chords
 
 
@@ -191,6 +193,7 @@ def chain_outcome(chain, chords):
 @example(chords=[(1, 2), (2, 1), (1, 2), (2, 3), (3, 1)])  # cancels, then reappears
 @example(chords=[(2, 1), (1, 2), (1, 2), (2, 3), (3, 1)])  # a duplicate after a cancel
 @example(chords=[(1, 2), (2, 3), (3, 1), (4, 2)])  # branches at node 2
+@example(chords=[(5, 6), (6, 7), (7, 5), (8, 6), (1, 2), (2, 3), (3, 1), (4, 2)])  # first at 6
 @example(chords=[(1, 2), (2, 3)])  # open chain
 @example(chords=[])
 def test_chain_loops_matches_dict_walk(chords):
