@@ -381,6 +381,24 @@ def clip_walk(mesh, plane):
     }
 
 
+def cap_centroids(mesh, plane):
+    """The area centroid of each cut loop of three or more nodes, in loop
+    order, from :func:`clip_walk` and :func:`chain_loops_walk`: the doubled
+    fan areas about the loop's first node by ``np.cross``, times the
+    normal, and the area-weighted mean of the fan triangles' centers."""
+    table = clip_walk(mesh, plane)
+    centroids = []
+    for loop in chain_loops_walk(map(tuple, table["chords"].tolist())):
+        if len(loop) < 3:
+            continue
+        coords = table["nodes"][loop]
+        ref = coords[0]
+        doubled = np.cross(coords[1:-1] - ref, coords[2:] - ref) @ plane.normal
+        centers = (ref + coords[1:-1] + coords[2:]) / 3.0
+        centroids.append((doubled[:, None] * centers).sum(axis=0) / doubled.sum())
+    return np.array(centroids).reshape(-1, 3)
+
+
 def inside_box(points, origin, size):
     o = np.asarray(origin, dtype=float)
     s = np.asarray(size, dtype=float)

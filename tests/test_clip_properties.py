@@ -3,8 +3,9 @@ the clip table equals a plain-Python boundary walk bit for bit, in each of
 the 27 sign cases of a triangle too; the cut chords chain into the loops
 of a dict walk; the liquid body agrees with clip_volume, is watertight,
 saves the bytes of a row-by-row writer, has the edge table of a public
-TriMesh and clips and caps again as one; the cut area is the volume
-derivative; the height solve meets its budget and agrees with bisection.
+TriMesh, clips and caps again as one and caps with the centroids of an
+np.cross fan; the cut area is the volume derivative; the height solve
+meets its budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -289,6 +290,24 @@ def test_body_of_a_body_matches_public_rebuild(name, data):
         assert_bitwise(getattr(again[0], field), getattr(again[1], field), field)
     expected = clip_volume(public, plane).volume
     assert abs(mesh_volume(again[0]) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
+
+
+@PROPERTY_SETTINGS
+@given(case=planes())
+def test_cap_centroids_are_the_cross_product_fan(case):
+    # the cap's products keep the layout, and so every bit, of the
+    # np.cross formulation; the centroids are the body's last vertices
+    name, normal, height = case
+    mesh = FIXTURES[name]
+    try:
+        body = liquid_geometry(mesh, normal, height)
+    except (NonStarShapedCutLoop, OpenCutLoop):
+        assert name == "l-prism"  # as in test_body_volume_matches_clip
+        return
+    assume(len(body) and body is not mesh)
+    expected = oracles.cap_centroids(mesh, LiquidPlane(unit_vector(normal), height))
+    assert len(expected)
+    assert_bitwise(body.vertices[len(body.vertices) - len(expected):], expected, "centroids")
 
 
 @PROPERTY_SETTINGS
