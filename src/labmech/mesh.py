@@ -133,10 +133,12 @@ class TriMesh:
     ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
     cannot go stale.
 
-    Every public construction runs all of these checks.  A body that
-    :func:`liquid_geometry` cuts is built by :meth:`_liquid_body` instead,
-    which runs the same shape test on the triangles the cut created (band
-    fans and caps) and no other check; the rest holds by construction:
+    Every public construction runs all of these checks, the last two by
+    deriving the edge table (the cached ``_edges`` and ``_tri_edges``).  A
+    body that :func:`liquid_geometry` cuts is built by :meth:`_liquid_body`
+    instead, which runs the same shape test on the triangles the cut
+    created (band fans and caps) and no other check; the rest holds by
+    construction:
 
     * its whole triangles are container triangles with the same
       coordinates and corner order, so they passed the same shape test when
@@ -147,10 +149,9 @@ class TriMesh:
       vertices, points between two of them or centroids of a loop.
 
     Its edge table is derived on first use, when the body is clipped again,
-    by the same :meth:`_check_watertight` on the same arrays, so it equals
-    the one public construction gives, bit for bit.  A body also links to
-    its container, whose cached rows it reuses for the container vertices
-    it keeps.
+    by the same ``_edges`` from the same arrays, so it equals the one public
+    construction gives, bit for bit.  A body also links to its container,
+    whose cached rows it reuses for the container vertices it keeps.
     """
 
     vertices: np.ndarray
@@ -169,9 +170,7 @@ class TriMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise ValueError("triangle indices out of range")
         _check_shape(verts, tris)
-        edges, tri_edges = self._check_watertight(tris, len(verts))
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_tri_edges", tri_edges)
+        self._edges  # derives the edge table, or raises NotWatertight
 
     @classmethod
     def _liquid_body(cls, vertices, triangles, created, kept) -> TriMesh:
@@ -191,23 +190,12 @@ class TriMesh:
 
     @cached_property
     def _edges(self) -> np.ndarray:
-        """The edge table of a liquid body, derived when it is first
-        clipped; public construction sets it (and ``_tri_edges``)."""
-        edges, tri_edges = self._check_watertight(self.triangles, len(self.vertices))
-        self.__dict__["_tri_edges"] = tri_edges
-        return edges
-
-    @cached_property
-    def _tri_edges(self) -> np.ndarray:
-        self._edges  # derives both
-        return self.__dict__["_tri_edges"]
-
-    @staticmethod
-    def _check_watertight(tris, nverts):
-        """Return the undirected edge table: ``edges`` (lower index first)
-        and ``tri_edges[t, k]``, the edge from corner k to corner k + 1 of
+        """The undirected edge table, lower index first; also caches
+        ``_tri_edges[t, k]``, the edge from corner k to corner k + 1 of
         triangle t.  Closed and consistently oriented means every directed
-        edge is unique and every undirected edge is used exactly twice."""
+        edge is unique and every undirected edge is used exactly twice;
+        :class:`NotWatertight` otherwise."""
+        tris, nverts = self.triangles, len(self.vertices)
         start, end = tris.ravel(), tris[:, [1, 2, 0]].ravel()
         directed = np.sort(start * nverts + end)
         if (directed[1:] == directed[:-1]).any():
@@ -225,8 +213,14 @@ class TriMesh:
             raise NotWatertight("mesh has boundary edges (not closed)")
         tri_edges = np.empty_like(order)
         tri_edges[order] = np.arange(order.size) // 2
+        self.__dict__["_tri_edges"] = tri_edges.reshape(-1, 3)
         first = order[0::2]
-        return np.column_stack([lo[first], hi[first]]), tri_edges.reshape(-1, 3)
+        return np.column_stack([lo[first], hi[first]])
+
+    @cached_property
+    def _tri_edges(self) -> np.ndarray:
+        self._edges  # derives both
+        return self.__dict__["_tri_edges"]
 
     @cached_property
     def bbox_min(self) -> np.ndarray:
@@ -491,8 +485,9 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
 
 @dataclass(frozen=True)
 class HeightSearch:
-    """Outcome of a height solve: the height, its volume residual, and the
-    number of Newton-Bisect iterations spent."""
+    """Outcome of a height solve: the height, the volume residual of that
+    height, and the number of Newton-Bisect iterations spent, one
+    :func:`clip_volume` call each."""
 
     height: float
     residual: float
@@ -517,12 +512,19 @@ def height_search(
     height on this mesh: the step estimates the remaining height error, so
     the height is then converged whatever its magnitude (a root at h = 0,
     the half-full symmetric container, included).  A bisection step that no
-    longer moves the height ends the solve too.  Where a plane snaps mesh
-    vertices onto itself, the volume grows slower than the cut area says;
-    when the cut area stays put while the residual keeps its sign and falls
-    by less than 10x, the step uses the secant slope of the last two
-    iterates instead.  The mesh's capacity is cached on it, so a solve
-    clips and does not re-integrate the mesh.
+    longer moves the height ends the solve too, and so does the budget.
+    Where a plane snaps mesh vertices onto itself, the volume grows slower
+    than the cut area says; when the cut area stays put while the residual
+    keeps its sign and falls by less than 10x, the step uses the secant
+    slope of the last two iterates instead.  The mesh's capacity is cached
+    on it, so a solve clips and does not re-integrate the mesh.
+
+    However the solve ends (an exact hit included), one rule decides: the
+    last clipped height is returned, with its own residual and the number
+    of clips, when that residual is within ``tol_rel * mesh_volume(mesh)``,
+    and :class:`NoConvergence`, naming the height, the residual and the
+    iteration count, is raised otherwise.  A target of zero or of the full
+    capacity returns the support's end without a clip.
 
     Parameters
     ----------
@@ -539,8 +541,8 @@ def height_search(
         Volume residual tolerance relative to the total mesh volume;
         nonnegative and finite.
     max_iter : int
-        Iteration budget, an integer of at least 1; :class:`NoConvergence`
-        past it (degenerate mesh).
+        Iteration budget (clip calls), an integer of at least 1; at the
+        budget the last clipped height is judged by the same rule.
 
     A parameter outside these ranges is a ``ValueError`` that names it.
     """
@@ -566,14 +568,14 @@ def height_search(
     area_floor = AREA_FLOOR_FRACTION * mesh.bbox_diag**2
     step_floor = 4.0 * np.finfo(float).eps * mesh.bbox_diag
     lo, hi = h_lo, h_hi
-    h = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
-    f = np.nan
+    h_next = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
     prev = None  # (height, residual, cut area) of the previous iteration
     for iteration in range(1, max_iter + 1):
+        h = h_next
         res = clip_volume(mesh, LiquidPlane(n, h))
         f = res.volume - target
         if f == 0.0:
-            return HeightSearch(height=h, residual=0.0, iterations=iteration)
+            break
         if f < 0.0:
             lo = h
         else:
@@ -596,32 +598,22 @@ def height_search(
                     slope = secant
         prev = (h, f, res.cut_area)
         if res.cut_area > area_floor:
-            h_new = h - f / slope
-            if abs(h_new - h) <= step_floor:
+            h_next = h - f / slope
+            if abs(h_next - h) <= step_floor:
                 # the Newton correction estimates the remaining height error;
                 # once it falls below the mesh's fp resolution, h is done
                 # even if the opposite bracket end never moved
-                if abs(f) <= vtol:
-                    return HeightSearch(height=h, residual=abs(f), iterations=iteration)
-                raise NoConvergence(
-                    f"height stagnated at {h} with residual {f}"
-                )
-            if not (lo < h_new < hi):
-                h_new = 0.5 * (lo + hi)
+                break
+            if not (lo < h_next < hi):
+                h_next = 0.5 * (lo + hi)
         else:
-            h_new = 0.5 * (lo + hi)
-        if h_new == h:
-            # bracket at floating-point resolution
-            if abs(f) <= vtol:
-                return HeightSearch(height=h, residual=abs(f), iterations=iteration)
-            raise NoConvergence(
-                f"height stagnated at {h} with residual {f} "
-                "(flat or degenerate volume profile)"
-            )
-        h = h_new
+            h_next = 0.5 * (lo + hi)
+        if h_next == h:
+            break  # bracket at floating-point resolution
     if abs(f) <= vtol:
-        return HeightSearch(height=h, residual=abs(f), iterations=max_iter)
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+        return HeightSearch(height=h, residual=abs(f), iterations=iteration)
+    raise NoConvergence(f"no convergence by iteration {iteration}: height {h} has residual "
+                        f"{f}, above the tolerance {vtol}")
 
 
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:

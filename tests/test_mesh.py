@@ -343,6 +343,34 @@ class TestSolveHeight:
         with pytest.raises(NoConvergence):
             _height_search(cube, [0.0, 0.0, 1.0], 0.37, max_iter=1)
 
+    def test_budget_exit_returns_the_last_clipped_height(self):
+        # a solve cut short by its budget returns the height it clipped
+        # last, with that height's own residual, or raises.  Budgets just
+        # under a solve's own count end it at the budget with the residual
+        # already within tolerance.
+        cylinder = cylinder_mesh(segments=48)
+        cases = [(cylinder, unit_vector([0.3, -0.2, 1.0]), 0.3, range(1, 6))]
+        rng = np.random.default_rng(113)
+        for mesh in (box_mesh(), cylinder, icosphere_mesh(subdivisions=3)):
+            for _ in range(4):
+                normal = unit_vector(rng.normal(size=3) + [0.0, 0.0, 1.0])
+                fill = rng.uniform(0.05, 0.95)
+                full = _height_search(mesh, normal, fill * mesh_volume(mesh)).iterations
+                cases.append((mesh, normal, fill, range(max(1, full - 3), full + 1)))
+        at_budget = 0
+        for mesh, normal, fill, budgets in cases:
+            target = fill * mesh_volume(mesh)
+            for max_iter in budgets:
+                try:
+                    found = _height_search(mesh, normal, target, max_iter=max_iter)
+                except NoConvergence:
+                    continue
+                own = clip_volume(mesh, LiquidPlane(normal, found.height)).volume
+                assert found.residual == abs(own - target), (normal, fill, max_iter)
+                assert found.iterations <= max_iter
+                at_budget += found.iterations == max_iter < budgets[-1]
+        assert at_budget
+
     def test_residual_within_tolerance(self):
         mesh = l_prism_mesh()
         total = mesh_volume(mesh)

@@ -59,3 +59,35 @@ def test_patch_point_is_the_function_callers_look_up(module, attr, span):
         # the caller calls it through its own module attribute, which the
         # tracer replaces
         assert attr in global_names(caller)
+
+
+def solver_argument_names():
+    """The keys that ``_solver_wrappers`` in ``perfbench/tracing.py`` reads
+    from ``bound.arguments``, by subscript or ``.get``, read from the
+    source, so perfbench is not imported."""
+    tree = ast.parse(TRACING.read_text())
+    wrappers = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_solver_wrappers")
+
+    def is_arguments(node):
+        return isinstance(node, ast.Attribute) and node.attr == "arguments"
+
+    keys = set()
+    for node in ast.walk(wrappers):
+        if isinstance(node, ast.Subscript) and is_arguments(node.value):
+            keys.add(node.slice)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and is_arguments(node.func.value)):
+            keys.add(node.args[0])
+    return {ast.literal_eval(key) for key in keys}
+
+
+def test_traced_solver_binds_height_search_parameters():
+    # the traced wrapper binds height_search's arguments and reads them by
+    # name; a renamed parameter would surface only as a KeyError in a
+    # traced run
+    from labmech.mesh import height_search
+
+    names = solver_argument_names()
+    assert names
+    assert names <= set(inspect.signature(height_search).parameters)

@@ -27,6 +27,10 @@ Layers and inputs (times in microseconds):
   built container.
 * ``clip_volume``: per call, ten such planes on cylinder-48 and
   icosphere-4.
+* ``height_search``: per solve, on perfbench's two scene fixtures,
+  cylinder-48 at fill 0.5 and icosphere-4 at a fill drawn from 0.2-0.4:
+  ten normals of a seeded tilt sweep (0.01 rad a step), each solved cold
+  and warm-started from the previous normal's height, as a scene steps.
 * ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 17, 18,
   1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
   points per engagement query and 6 per contact normal, and its set-up 1549
@@ -52,7 +56,8 @@ from pathlib import Path
 from bench_record import describe, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "sdf_thread", "thread_engagement")
+LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "height_search", "sdf_thread",
+          "thread_engagement")
 SEED = 11
 
 
@@ -75,13 +80,24 @@ def _planes(mesh, count, rng):
     return planes
 
 
+def _tilt_sweep(count, rng):
+    """``count + 1`` unit normals that tilt away from +z by 0.01 rad a step
+    from a seeded start, at a seeded, slowly turning azimuth."""
+    import numpy as np
+
+    tilt = rng.uniform(0.0, 0.1) + 0.01 * np.arange(count + 1)
+    azimuth = rng.uniform(0.0, 2.0 * np.pi) + rng.uniform(-0.05, 0.05) * np.arange(count + 1)
+    return np.column_stack([np.sin(tilt) * np.cos(azimuth), np.sin(tilt) * np.sin(azimuth),
+                            np.cos(tilt)])
+
+
 def inputs(layer, workdir):
     """Per input name, ``(prepare, run, count)``: a round calls ``prepare()``
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
     import numpy as np
-    from labmech import (HelixSpec, LiquidPlane, TriMesh, clip_volume, cylinder_mesh, helix_point,
-                         icosphere_mesh, l_prism_mesh, liquid_geometry, save_mesh, screw_pose,
-                         sdf_thread, thread_engagement)
+    from labmech import (HelixSpec, LiquidPlane, TriMesh, clip_volume, cylinder_mesh,
+                         height_search, helix_point, icosphere_mesh, l_prism_mesh, liquid_geometry,
+                         mesh_volume, save_mesh, screw_pose, sdf_thread, thread_engagement)
 
     rng = np.random.default_rng(SEED)
     if layer in ("save_mesh", "liquid_geometry"):
@@ -116,6 +132,27 @@ def inputs(layer, workdir):
             out[name] = (lambda: None,
                          lambda _, mesh=mesh, planes=planes: [clip_volume(mesh, p) for p in planes],
                          len(planes))
+        return out
+    if layer == "height_search":
+        out = {}
+        # perfbench's scene fixtures
+        for name, mesh, fill in (
+            ("cylinder-48", cylinder_mesh(radius=14e-3, height=30e-3, segments=48), 0.5),
+            ("icosphere-4", icosphere_mesh(radius=15e-3, subdivisions=4), rng.uniform(0.2, 0.4)),
+        ):
+            target = fill * mesh_volume(mesh)
+            normals = _tilt_sweep(10, rng)
+            # each warm solve starts from the height of the normal before it
+            hints = [height_search(mesh, n, target).height for n in normals[:-1]]
+            out[f"{name} cold"] = (lambda: None,
+                                   lambda _, mesh=mesh, target=target, normals=normals:
+                                   [height_search(mesh, n, target) for n in normals[1:]],
+                                   len(normals) - 1)
+            out[f"{name} warm"] = (lambda: None,
+                                   lambda _, mesh=mesh, target=target, normals=normals, hints=hints:
+                                   [height_search(mesh, n, target, h) for n, h in
+                                    zip(normals[1:], hints)],
+                                   len(hints))
         return out
     # perfbench's thread-engage fixture
     bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
