@@ -20,18 +20,22 @@ interior with the halfspace below a plane.  Conventions used throughout:
   its below-side piece, a node-index polygon (mesh vertices plus one
   crossing node per sign-changing edge), and its cut chord, a piece edge
   lying on the plane, from a static table of the 27 cases built at
-  import from the boundary walk.  :func:`clip_volume` sums the
-  divergence flux with the reference point on the plane, so the cap
-  contributes zero flux and is never built in the height-solving hot
+  import from the boundary walk.  All of that is a function of the side
+  of the plane each vertex lies on, so each mesh keeps the topology of
+  its last clip, keyed by the bytes of the vertex side codes, and a clip
+  with the same sides, as most clips of a rollout are, only projects the
+  vertices and interpolates the crossing nodes.  :func:`clip_volume`
+  sums the divergence flux with the reference point on the plane, so the
+  cap contributes zero flux and is never built in the height-solving hot
   path: the band pieces directly, the whole triangles from per-container
-  terms that :class:`TriMesh` computes once.  The cut cross-section area
-  (the exact derivative of clipped volume with respect to height) comes
-  from Green's theorem on the chords.  :func:`liquid_geometry` emits the
-  whole triangles and the same band pieces, pairs the chords into loops
-  by their node ids and caps each loop.  Its body costs what the cut
-  creates: only the created triangles are shape-tested, since the whole
-  ones are the container's and the body is closed by construction (see
-  :class:`TriMesh`).
+  terms that :class:`TriMesh` computes once, summed once per topology.
+  The cut cross-section area (the exact derivative of clipped volume
+  with respect to height) comes from Green's theorem on the chords.
+  :func:`liquid_geometry` emits the whole triangles and the same band
+  pieces, pairs the chords into loops by their node ids and caps each
+  loop.  Its body costs what the cut creates: only the created triangles
+  are shape-tested, since the whole ones are the container's and the
+  body is closed by construction (see :class:`TriMesh`).
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -131,7 +135,9 @@ class TriMesh:
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
     the inputs, so the bounding box, the edge table, the flux terms and the
     ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
-    cannot go stale.
+    cannot go stale.  Nor can the cut topology of the last clip (see
+    :func:`_clip_table`): it is a function of these arrays and of the
+    vertex side codes, and it is reused only for the exact same codes.
 
     Every public construction runs all of these checks, the last two by
     deriving the edge table (the cached ``_edges`` and ``_tri_edges``).  A
@@ -370,6 +376,15 @@ class _ClipTable(NamedTuple):
     lie strictly on opposite sides, interpolated from the edge's lower
     vertex index so that both triangles on the edge get the identical
     point.  Band pieces and chords are listed by triangle index.
+
+    ``origin``, ``heights`` and ``nodes`` are computed for each plane.  The
+    other fields are the cut's topology (:class:`_Cut`), a function of the
+    mesh and of the side of the plane that each vertex lies on alone, and
+    are shared, read-only, by every clip with the same sides.  A clip that
+    reuses them gets the arrays that building them again would give, bit
+    for bit: the integer arrays are computed from the sides and the mesh's
+    fixed arrays only, and ``whole_flux`` is the same product of the same
+    operands.
     """
 
     origin: np.ndarray  # the plane point at ``height`` above the bbox center
@@ -378,20 +393,32 @@ class _ClipTable(NamedTuple):
     whole: np.ndarray  # (T,) triangles with every vertex strictly below
     pieces: np.ndarray  # (m, 4) band walk polygons; triangles repeat node 2
     chords: np.ndarray  # (c, 2) polygon steps with both nodes on the plane
-
-    @property
-    def empty(self) -> bool:
-        """No vertex lies strictly below the plane."""
-        return len(self.pieces) == 0 and not self.whole.any()
-
-    @property
-    def full(self) -> bool:
-        """No vertex lies strictly above the plane."""
-        return bool((self.heights <= 0.0).all())
+    whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
+    empty: np.bool_  # no vertex lies strictly below the plane
+    full: np.bool_  # no vertex lies strictly above the plane
 
 
-def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
-    """Split the below side into whole triangles and clipped band pieces.
+class _Cut(NamedTuple):
+    """The part of a clip table that depends only on the vertex sides (see
+    :func:`_cut`): the crossing edges' lower and higher vertex ids ``lo``
+    and ``hi``, their coordinates as ``v_lo`` and ``span = V[hi] - v_lo``,
+    and the :class:`_ClipTable` fields of the same names."""
+
+    whole: np.ndarray
+    pieces: np.ndarray
+    chords: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    v_lo: np.ndarray
+    span: np.ndarray
+    whole_flux: np.ndarray
+    empty: np.bool_
+    full: np.bool_
+
+
+def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
+    """The cut topology of ``mesh`` for the vertex ``side`` codes (0 below,
+    1 on, 2 above the plane), its arrays read-only.
 
     Each triangle's sign case (see :func:`_case_table`) is computed once
     over the mesh.  A whole triangle (case 0) lies strictly below and is
@@ -403,10 +430,6 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     triangles, so the sorted ids of the band's cut edges pair up: every
     other one is the crossing edges in edge-table order.
     """
-    o = mesh.bbox_center + plane.height * plane.normal
-    s = (mesh.vertices - o) @ plane.normal
-    s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
-    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)  # 0 below, 1 on, 2 above
     c0, c1, c2 = side[mesh.triangles.T]
     case = 9 * c0 + 3 * c1 + c2
     whole = case == 0
@@ -417,19 +440,43 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
     cut_edges = mesh._tri_edges[rows][cut]
     order = np.argsort(cut_edges)
     lo, hi = mesh._edges[cut_edges[order[0::2]]].T
-    t = (s[lo] / (s[lo] - s[hi]))[:, None]
     v_lo = mesh.vertices[lo]
-    nodes = np.concatenate([mesh.vertices, v_lo + t * (mesh.vertices[hi] - v_lo)])
     node = np.empty_like(order)
-    node[order] = len(s) + np.arange(len(order)) // 2
+    node[order] = len(side) + np.arange(len(order)) // 2
 
     six = np.empty((len(rows), 6), dtype=np.int64)
     six[:, :3] = mesh.triangles[rows]
     six[:, 3:][cut] = node  # no table entry reads the slot of an uncut edge
     picked = six[np.arange(len(rows))[:, None], _SLOTS[case]]
     pieces = picked[:, :4]
-    chords = picked[_CHORD[case], 4:]
-    return _ClipTable(o, s, nodes, whole, pieces, chords)
+    arrays = (whole, pieces, picked[_CHORD[case], 4:], lo, hi, v_lo, mesh.vertices[hi] - v_lo,
+              mesh._whole_flux @ whole.astype(float))
+    for array in arrays:
+        array.flags.writeable = False
+    return _Cut(*arrays, np.bool_(len(pieces) == 0 and not whole.any()), (side <= 1).all())
+
+
+def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
+    """Split the below side into whole triangles and clipped band pieces.
+
+    The snapped vertex heights and the crossing nodes are computed for
+    every plane; the topology comes from :func:`_cut`.  The mesh keeps the
+    last topology it built, keyed by the bytes of the vertex side codes,
+    and a clip whose sides equal that key reuses it.
+    """
+    o = mesh.bbox_center + plane.height * plane.normal
+    s = (mesh.vertices - o) @ plane.normal
+    s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
+    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)  # 0 below, 1 on, 2 above
+    key = side.tobytes()
+    last = mesh.__dict__.get("_last_cut")
+    if last is None or last[0] != key:
+        last = mesh.__dict__["_last_cut"] = (key, _cut(mesh, side))
+    cut = last[1]
+    t = (s[cut.lo] / (s[cut.lo] - s[cut.hi]))[:, None]
+    nodes = np.concatenate([mesh.vertices, cut.v_lo + t * cut.span])
+    return _ClipTable(o, s, nodes, cut.whole, cut.pieces, cut.chords, cut.whole_flux, cut.empty,
+                      cut.full)
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
@@ -438,14 +485,17 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     The volume is the divergence flux of the below-side surface with the
     reference point on the plane, so the cap needs no explicit
     construction.  Whole triangles (every vertex strictly below) add their
-    flux from the mesh's cached per-triangle terms, one dot product for all
-    of them; only the band triangles that the plane cuts are clipped into
-    pieces.  The cut area is Green's sum over the cut chords, referenced to
-    a chord node so that a small cut far from the bbox center keeps its
-    accuracy: every step of a band piece's boundary walk whose two nodes
-    both lie on the plane, including in-plane edges of kept triangles (an
-    edge shared by two kept triangles cancels).  It equals the area of the
-    cap that :func:`liquid_geometry` builds.
+    flux from the mesh's cached per-triangle terms, summed once per cut
+    topology; only the band triangles that the plane cuts are clipped into
+    pieces.  A clip that leaves every vertex on the side it was on at the
+    mesh's previous clip reuses that clip's topology, and then costs the
+    vertex projection, the crossing nodes and the band and chord sums.
+    The cut area is Green's sum over the cut chords, referenced to a chord
+    node so that a small cut far from the bbox center keeps its accuracy:
+    every step of a band piece's boundary walk whose two nodes both lie on
+    the plane, including in-plane edges of kept triangles (an edge shared
+    by two kept triangles cancels).  It equals the area of the cap that
+    :func:`liquid_geometry` builds.
 
     Parameters
     ----------
@@ -461,7 +511,7 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     """
     table = _clip_table(mesh, plane)
     # whole triangles: the plane point is height * normal off the bbox center
-    whole = mesh._whole_flux @ table.whole.astype(float)
+    whole = table.whole_flux
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
@@ -474,12 +524,12 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     area = 0.5 * (plane.normal @ _cross(w, u)).sum()
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
-    empty = table.empty
+    empty = bool(table.empty)
     return ClipResult(
         volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
         cut_area=max(float(area), 0.0),
         empty=empty,
-        full=table.full,
+        full=bool(table.full),
     )
 
 

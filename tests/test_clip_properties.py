@@ -1,11 +1,12 @@
 """Property tests of the clipping core and the height solve built on it:
 the clip table equals a plain-Python boundary walk bit for bit, in each of
-the 27 sign cases of a triangle too; the cut chords chain into the loops
-of a dict walk; the liquid body agrees with clip_volume, is watertight,
-saves the bytes of a row-by-row writer, has the edge table of a public
-TriMesh, clips and caps again as one and caps with the centroids of an
-np.cross fan; the cut area is the volume derivative; the height solve
-meets its budget and agrees with bisection.
+the 27 sign cases of a triangle too, and on planes clipped in turn, whose
+cut topology is reused exactly while no vertex changes side; the cut
+chords chain into the loops of a dict walk; the liquid body agrees with
+clip_volume, is watertight, saves the bytes of a row-by-row writer, has
+the edge table of a public TriMesh, clips and caps again as one and caps
+with the centroids of an np.cross fan; the cut area is the volume
+derivative; the height solve meets its budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -140,6 +141,63 @@ def test_every_sign_case_on_a_mesh(signs):
     table = _clip_table(mesh, plane)
     assert np.sign(table.heights[mesh.triangles[0]]).tolist() == list(signs)
     assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
+
+
+@st.composite
+def plane_walks(draw, name):
+    """Planes clipped in turn on one fixture: a start, a nudge, then up to
+    four moves, each a nudge (the height moved by 1e-12 diag, which keeps
+    every vertex on its side), a step that puts a drawn vertex just below,
+    on or just above the plane (two snap bands off), a jump to an
+    unrelated plane or a return to a plane visited before the current
+    one."""
+    mesh = FIXTURES[name]
+    walk = [draw(planes((name,)))[1:]]
+    kinds = st.sampled_from(["nudge", "vertex", "jump", "return"])
+    moves = ["nudge"] + draw(st.lists(kinds, max_size=4))
+    for move in moves:
+        normal, height = walk[-1]
+        if move == "nudge":
+            walk.append((normal, height + draw(st.sampled_from([1e-12, -1e-12])) * mesh.bbox_diag))
+        elif move == "vertex":
+            vertex = mesh.vertices[draw(st.integers(0, len(mesh.vertices) - 1))]
+            offset = draw(st.sampled_from([2.0, 0.0, -2.0])) * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+            walk.append((normal, float((vertex - mesh.bbox_center) @ normal) + offset))
+        elif move == "jump":
+            walk.append(draw(planes((name,)))[1:])
+        else:
+            walk.append(walk[draw(st.integers(0, len(walk) - 2))])
+    return moves, walk
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, data):
+    # each mesh keeps the topology of its last clip: a walk of clips on a
+    # warm copy gives the tables of the walk oracle and the results of a
+    # copy whose cache is emptied before every clip, bit for bit, and
+    # shares the topology with the clip before exactly when every vertex
+    # lies on the side it did
+    moves, walk = data.draw(plane_walks(name))
+    warm, cold = (TriMesh(FIXTURES[name].vertices, FIXTURES[name].triangles) for _ in range(2))
+    before, shared_by_a_nudge = None, False
+    for move, (normal, height) in zip([None] + moves, walk):
+        plane = LiquidPlane(normal, height)
+        table = _clip_table(warm, plane)
+        assert_table_is_walk(table, oracles.clip_walk(warm, plane))
+        got = clip_volume(warm, plane)
+        cold.__dict__.pop("_last_cut", None)
+        expected = clip_volume(cold, plane)
+        assert np.array([got.volume, got.cut_area]).tobytes() == np.array(
+            [expected.volume, expected.cut_area]).tobytes()
+        assert (got.empty, got.full) == (expected.empty, expected.full)
+        if before is not None:
+            same_sides = (np.sign(table.heights) == np.sign(before.heights)).all()
+            assert (table.pieces is before.pieces) == same_sides
+            shared_by_a_nudge |= move == "nudge" and same_sides
+        before = table
+    assert shared_by_a_nudge
 
 
 @st.composite

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""SHA-256 of a benchmark workload's outputs, one per seed.
+"""SHA-256 of benchmark workloads' outputs, one per workload and seed.
 
-    python3 tools/digest.py --workload replay-bodies --seeds 1 777 --ops 24
+    python3 tools/digest.py --workload slosh-half-cyl48 tilt-ico4 replay-bodies \
+        --seeds 1 777 --ops 24
 
-Builds the workload of ``perfbench/workloads.py`` (imported as it is, with
-labmech from this checkout's ``src/``) in a fresh temporary directory per
-seed, runs ops 0 .. ops-1 untraced, checks each with the workload's own
-gate and hashes the ops' ``digest`` bytes in order.  Two checkouts whose
-digests match produced byte-identical outputs on those ops: for
-``replay-bodies``, every exported body file.  Prints one line per seed;
-exits 1 if an op fails or its gate rejects it.
+Builds each workload of ``perfbench/workloads.py`` (imported as it is,
+with labmech from this checkout's ``src/``) in a fresh temporary directory
+per seed, runs ops 0 .. ops-1 untraced, checks each with the workload's
+own gate and hashes the ops' ``digest`` bytes in order.  Two checkouts
+whose digests match produced byte-identical outputs on those ops: for
+``replay-bodies``, every exported body file.  Prints one line per workload
+and seed, workloads in the order given; exits 1 if an op fails or its gate
+rejects it.
 """
 
 from __future__ import annotations
@@ -57,19 +59,20 @@ def seed_digest(workload: str, seed: int, ops: int) -> str:
 def main(argv=None) -> int:
     workloads, _ = _import_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(workloads), required=True)
+    parser.add_argument("--workload", choices=sorted(workloads), nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--ops", type=int, default=24, help="ops per seed")
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
-    for seed in args.seeds:
-        try:
-            digest = seed_digest(args.workload, seed, args.ops)
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        print(f"{args.workload} seed {seed} ops {args.ops}: {digest}", flush=True)
+    for workload in args.workload:
+        for seed in args.seeds:
+            try:
+                digest = seed_digest(workload, seed, args.ops)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            print(f"{workload} seed {seed} ops {args.ops}: {digest}", flush=True)
     return 0
 
 

@@ -26,7 +26,13 @@ Layers and inputs (times in microseconds):
 * ``liquid_geometry``: per body, the same bodies built from a freshly
   built container.
 * ``clip_volume``: per call, ten such planes on cylinder-48 and
-  icosphere-4.
+  icosphere-4; and, as ``rollout``, the 40 (normal, height) records of a
+  seeded ``run_liquid_scene`` under lateral forcing, in order, on
+  perfbench's cylinder-48 at fill 0.5 and icosphere-4 at fill 0.3.  A
+  clip reuses the cut topology of the mesh's previous clip when it
+  leaves every vertex on the same side.  None of the ten icosphere-4
+  planes does, most rollout planes do, and so do all ten cylinder-48
+  planes: each leaves the bottom ring below and the top ring above.
 * ``height_search``: per solve, on perfbench's two scene fixtures,
   cylinder-48 at fill 0.5 and icosphere-4 at a fill drawn from 0.2-0.4:
   ten normals of a seeded tilt sweep (0.01 rad a step), each solved cold
@@ -91,6 +97,27 @@ def _tilt_sweep(count, rng):
                             np.cos(tilt)])
 
 
+def _rollout_planes(mesh, fill, steps, rng):
+    """The (normal, height) records of a ``steps``-step liquid scene from
+    rest in ``mesh`` at ``fill``, under a seeded lateral sinusoid of
+    2-4 m/s^2 at 3-6 Hz, with perfbench's pendulum and 1 ms step."""
+    import numpy as np
+    from labmech import (FrameTrajectory, PendulumParams, SceneConfig, mesh_volume,
+                         run_liquid_scene)
+
+    dt = 1e-3
+    times = dt * np.arange(steps + 1)
+    heading = rng.uniform(0.0, 2.0 * np.pi)
+    wave = rng.uniform(2.0, 4.0) * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * times)
+    accels = np.column_stack([wave * np.cos(heading), wave * np.sin(heading), 0.0 * times])
+    pendulum = PendulumParams(length=0.02, damping_phi=0.01, damping_theta=0.01, epsilon=2.5e-2)
+    config = SceneConfig(gravity=(0.0, 0.0, -9.81), container=mesh, pendulum=pendulum,
+                         liquid_volume=fill * mesh_volume(mesh), dt=dt, duration=steps * dt)
+    trace = run_liquid_scene(config, FrameTrajectory(times, accels))
+    normals = np.column_stack([trace.column(c) for c in ("nx", "ny", "nz")])
+    return list(zip(normals, trace.column("height").tolist()))
+
+
 def inputs(layer, workdir):
     """Per input name, ``(prepare, run, count)``: a round calls ``prepare()``
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
@@ -125,13 +152,23 @@ def inputs(layer, workdir):
                 out[name] = (lambda bodies=bodies, fresh=fresh: bodies(fresh()), save, len(planes))
         return out
     if layer == "clip_volume":
+        def clips(mesh, planes):
+            return lambda _: [clip_volume(mesh, p) for p in planes]
+
         out = {}
         for name, mesh in (("cylinder-48", cylinder_mesh(segments=48)),
                            ("icosphere-4", icosphere_mesh(subdivisions=4))):
             planes = [LiquidPlane(n, h) for n, h in _planes(mesh, 10, rng)]
-            out[name] = (lambda: None,
-                         lambda _, mesh=mesh, planes=planes: [clip_volume(mesh, p) for p in planes],
-                         len(planes))
+            out[name] = (lambda: None, clips(mesh, planes), len(planes))
+        # perfbench's scene fixtures; a generator of their own, so that the
+        # planes above stay the draws they were before this input
+        rollout = np.random.default_rng([SEED, 1])
+        for name, mesh, fill in (
+            ("cylinder-48", cylinder_mesh(radius=14e-3, height=30e-3, segments=48), 0.5),
+            ("icosphere-4", icosphere_mesh(radius=15e-3, subdivisions=4), 0.3),
+        ):
+            planes = [LiquidPlane(n, h) for n, h in _rollout_planes(mesh, fill, 40, rollout)]
+            out[f"{name} rollout"] = (lambda: None, clips(mesh, planes), len(planes))
         return out
     if layer == "height_search":
         out = {}
