@@ -452,7 +452,7 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     arrays = (whole, pieces, picked[_CHORD[case], 4:], lo, hi, v_lo, mesh.vertices[hi] - v_lo,
               mesh._whole_flux @ whole.astype(float))
     for array in arrays:
-        array.flags.writeable = False
+        array.setflags(write=False)  # half the cost of assigning flags.writeable
     return _Cut(*arrays, np.bool_(len(pieces) == 0 and not whole.any()), (side <= 1).all())
 
 

@@ -161,7 +161,8 @@ def plane_walks(draw, name):
             walk.append((normal, height + draw(st.sampled_from([1e-12, -1e-12])) * mesh.bbox_diag))
         elif move == "vertex":
             vertex = mesh.vertices[draw(st.integers(0, len(mesh.vertices) - 1))]
-            offset = draw(st.sampled_from([2.0, 0.0, -2.0])) * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+            bands = draw(st.sampled_from([2.0, 0.0, -2.0]))
+            offset = bands * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
             walk.append((normal, float((vertex - mesh.bbox_center) @ normal) + offset))
         elif move == "jump":
             walk.append(draw(planes((name,)))[1:])

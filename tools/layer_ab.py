@@ -109,7 +109,8 @@ def _rollout_planes(mesh, fill, steps, rng):
     times = dt * np.arange(steps + 1)
     heading = rng.uniform(0.0, 2.0 * np.pi)
     wave = rng.uniform(2.0, 4.0) * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * times)
-    accels = np.column_stack([wave * np.cos(heading), wave * np.sin(heading), 0.0 * times])
+    accels = np.column_stack([wave * np.cos(heading), wave * np.sin(heading),
+                              np.zeros_like(times)])
     pendulum = PendulumParams(length=0.02, damping_phi=0.01, damping_theta=0.01, epsilon=2.5e-2)
     config = SceneConfig(gravity=(0.0, 0.0, -9.81), container=mesh, pendulum=pendulum,
                          liquid_volume=fill * mesh_volume(mesh), dt=dt, duration=steps * dt)
