@@ -159,6 +159,8 @@ class SceneConfig:
         _fields(self, _positive, "dt")
         _fields(self, _nonnegative, "duration", "liquid_volume")
         object.__setattr__(self, "_steps", _step_count(self.dt, self.duration))
+        if not len(self.container):
+            raise ValueError("container mesh has no triangles")
         total = mesh_volume(self.container)
         if self.liquid_volume > total:
             raise ValueError(

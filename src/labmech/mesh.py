@@ -21,21 +21,23 @@ interior with the halfspace below a plane.  Conventions used throughout:
   crossing node per sign-changing edge), and its cut chord, a piece edge
   lying on the plane, from a static table of the 27 cases built at
   import from the boundary walk.  All of that is a function of the side
-  of the plane each vertex lies on, so each mesh keeps the topology of
-  its last clip, keyed by the bytes of the vertex side codes, and a clip
-  with the same sides, as most clips of a rollout are, only projects the
-  vertices and interpolates the crossing nodes.  :func:`clip_volume`
-  sums the divergence flux with the reference point on the plane, so the
-  cap contributes zero flux and is never built in the height-solving hot
-  path: the band pieces directly, the whole triangles from per-container
-  terms that :class:`TriMesh` computes once, summed once per topology.
-  The cut cross-section area (the exact derivative of clipped volume
-  with respect to height) comes from Green's theorem on the chords.
-  :func:`liquid_geometry` emits the whole triangles and the same band
-  pieces, pairs the chords into loops by their node ids and caps each
-  loop.  Its body costs what the cut creates: only the created triangles
-  are shape-tested, since the whole ones are the container's and the
-  body is closed by construction (see :class:`TriMesh`).
+  of the plane each vertex lies on: it is the cut topology, one
+  read-only record (``_Cut``) that each mesh keeps for its last clip,
+  keyed by the bytes of the vertex side codes.  A clip with the same
+  sides, as most clips of a rollout are, returns that record with the
+  projected vertices and the interpolated crossing nodes, and nothing
+  else.  :func:`clip_volume` sums the divergence flux with the reference
+  point on the plane, so the cap contributes zero flux and is never
+  built in the height-solving hot path: the band pieces directly, the
+  whole triangles from per-container terms that :class:`TriMesh`
+  computes once, summed once per topology.  The cut cross-section area
+  (the exact derivative of clipped volume with respect to height) comes
+  from Green's theorem on the chords.  :func:`liquid_geometry` emits the
+  whole triangles and the same band pieces, pairs the chords into loops
+  by their node ids and caps each loop.  Its body costs what the cut
+  creates: only the created triangles are shape-tested, since the whole
+  ones are the container's and the body is closed by construction (see
+  :class:`TriMesh`).
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -133,14 +135,14 @@ class TriMesh:
     test depends on shape, not size), duplicated directed edges
     (non-manifold or inconsistently wound), and boundary edges.  An empty
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
-    the inputs, so the bounding box, the edge table, the flux terms and the
+    the inputs, so the bounding box, the edge tables, the flux terms and the
     ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
     cannot go stale.  Nor can the cut topology of the last clip (see
     :func:`_clip_table`): it is a function of these arrays and of the
     vertex side codes, and it is reused only for the exact same codes.
 
     Every public construction runs all of these checks, the last two by
-    deriving the edge table (the cached ``_edges`` and ``_tri_edges``).  A
+    deriving the edge tables (the cached ``_edge_tables``).  A
     body that :func:`liquid_geometry` cuts is built by :meth:`_liquid_body`
     instead, which runs the same shape test on the triangles the cut
     created (band fans and caps) and no other check; the rest holds by
@@ -154,9 +156,9 @@ class TriMesh:
     * its indices are renumbered node ids, and its nodes are container
       vertices, points between two of them or centroids of a loop.
 
-    Its edge table is derived on first use, when the body is clipped again,
-    by the same ``_edges`` from the same arrays, so it equals the one public
-    construction gives, bit for bit.  A body also links to its container,
+    Its edge tables are derived on first use, when the body is clipped
+    again, by the same ``_edge_tables`` from the same arrays, so they equal
+    the ones public construction gives, bit for bit.  A body also links to its container,
     whose cached rows it reuses for the container vertices it keeps.
     """
 
@@ -176,7 +178,7 @@ class TriMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise ValueError("triangle indices out of range")
         _check_shape(verts, tris)
-        self._edges  # derives the edge table, or raises NotWatertight
+        self._edge_tables  # derives the edge tables, or raises NotWatertight
 
     @classmethod
     def _liquid_body(cls, vertices, triangles, created, kept) -> TriMesh:
@@ -195,12 +197,12 @@ class TriMesh:
         return body
 
     @cached_property
-    def _edges(self) -> np.ndarray:
-        """The undirected edge table, lower index first; also caches
-        ``_tri_edges[t, k]``, the edge from corner k to corner k + 1 of
-        triangle t.  Closed and consistently oriented means every directed
-        edge is unique and every undirected edge is used exactly twice;
-        :class:`NotWatertight` otherwise."""
+    def _edge_tables(self) -> tuple:
+        """The undirected edge table, (2, E) rows of lower and higher vertex
+        ids, and ``tri_edges[t, k]``, the edge from corner k to corner k + 1
+        of triangle t.  Closed and consistently oriented means every
+        directed edge is unique and every undirected edge is used exactly
+        twice; :class:`NotWatertight` otherwise."""
         tris, nverts = self.triangles, len(self.vertices)
         start, end = tris.ravel(), tris[:, [1, 2, 0]].ravel()
         directed = np.sort(start * nverts + end)
@@ -219,14 +221,8 @@ class TriMesh:
             raise NotWatertight("mesh has boundary edges (not closed)")
         tri_edges = np.empty_like(order)
         tri_edges[order] = np.arange(order.size) // 2
-        self.__dict__["_tri_edges"] = tri_edges.reshape(-1, 3)
         first = order[0::2]
-        return np.column_stack([lo[first], hi[first]])
-
-    @cached_property
-    def _tri_edges(self) -> np.ndarray:
-        self._edges  # derives both
-        return self.__dict__["_tri_edges"]
+        return np.stack([lo[first], hi[first]]), tri_edges.reshape(-1, 3)
 
     @cached_property
     def bbox_min(self) -> np.ndarray:
@@ -368,52 +364,30 @@ def _case_table():
 _BAND, _CUT, _SLOTS, _CHORD = _case_table()
 
 
-class _ClipTable(NamedTuple):
-    """One mesh clipped by one plane, shared by every clipping caller.
+class _Cut(NamedTuple):
+    """The topology of one mesh clipped by one plane, a function of the
+    mesh and of the side of the plane that each vertex lies on alone (see
+    :func:`_cut`), shared, read-only, by every clip with the same sides.
 
     Node ids ``0 .. V-1`` are the mesh vertices; id ``V + k`` is the
     crossing node of the k-th edge, in edge-table order, whose endpoints
     lie strictly on opposite sides, interpolated from the edge's lower
     vertex index so that both triangles on the edge get the identical
-    point.  Band pieces and chords are listed by triangle index.
-
-    ``origin``, ``heights`` and ``nodes`` are computed for each plane.  The
-    other fields are the cut's topology (:class:`_Cut`), a function of the
-    mesh and of the side of the plane that each vertex lies on alone, and
-    are shared, read-only, by every clip with the same sides.  A clip that
-    reuses them gets the arrays that building them again would give, bit
-    for bit: the integer arrays are computed from the sides and the mesh's
-    fixed arrays only, and ``whole_flux`` is the same product of the same
-    operands.
+    point.  Band pieces and chords are listed by triangle index, one per
+    column: the volume and area sums gather them with ``take``.  The
+    index arrays are C-contiguous.
     """
 
-    origin: np.ndarray  # the plane point at ``height`` above the bbox center
-    heights: np.ndarray  # signed vertex heights, zero inside the snap band
-    nodes: np.ndarray  # node coordinates, vertices first
     whole: np.ndarray  # (T,) triangles with every vertex strictly below
-    pieces: np.ndarray  # (m, 4) band walk polygons; triangles repeat node 2
-    chords: np.ndarray  # (c, 2) polygon steps with both nodes on the plane
+    pieces: np.ndarray  # (4, m) band walk polygons; triangles repeat node 2
+    chords: np.ndarray  # (2, c) polygon steps with both nodes on the plane
+    lo: np.ndarray  # (k,) lower vertex id of each crossing edge
+    hi: np.ndarray  # (k,) its higher vertex id
+    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``
+    span: np.ndarray  # (k, 3) V[hi] - v_lo
     whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
-
-
-class _Cut(NamedTuple):
-    """The part of a clip table that depends only on the vertex sides (see
-    :func:`_cut`): the crossing edges' lower and higher vertex ids ``lo``
-    and ``hi``, their coordinates as ``v_lo`` and ``span = V[hi] - v_lo``,
-    and the :class:`_ClipTable` fields of the same names."""
-
-    whole: np.ndarray
-    pieces: np.ndarray
-    chords: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    v_lo: np.ndarray
-    span: np.ndarray
-    whole_flux: np.ndarray
-    empty: np.bool_
-    full: np.bool_
 
 
 def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
@@ -430,6 +404,7 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     triangles, so the sorted ids of the band's cut edges pair up: every
     other one is the crossing edges in edge-table order.
     """
+    edges, tri_edges = mesh._edge_tables
     c0, c1, c2 = side[mesh.triangles.T]
     case = 9 * c0 + 3 * c1 + c2
     whole = case == 0
@@ -437,9 +412,9 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     case = case[rows]
 
     cut = _CUT[case]
-    cut_edges = mesh._tri_edges[rows][cut]
+    cut_edges = tri_edges[rows][cut]
     order = np.argsort(cut_edges)
-    lo, hi = mesh._edges[cut_edges[order[0::2]]].T
+    lo, hi = edges.take(cut_edges[order[0::2]], axis=1)
     v_lo = mesh.vertices[lo]
     node = np.empty_like(order)
     node[order] = len(side) + np.arange(len(order)) // 2
@@ -447,22 +422,29 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     six = np.empty((len(rows), 6), dtype=np.int64)
     six[:, :3] = mesh.triangles[rows]
     six[:, 3:][cut] = node  # no table entry reads the slot of an uncut edge
-    picked = six[np.arange(len(rows))[:, None], _SLOTS[case]]
-    pieces = picked[:, :4]
-    arrays = (whole, pieces, picked[_CHORD[case], 4:], lo, hi, v_lo, mesh.vertices[hi] - v_lo,
-              mesh._whole_flux @ whole.astype(float))
+    # (6, m): the result takes the layout of the C-contiguous slot index
+    picked = six[np.arange(len(rows)), _SLOTS.T.take(case, axis=1)]
+    pieces = picked[:4]
+    arrays = (whole, pieces, picked[4:].compress(_CHORD[case], axis=1), lo, hi, v_lo,
+              mesh.vertices[hi] - v_lo, mesh._whole_flux @ whole.astype(float))
     for array in arrays:
         array.setflags(write=False)  # half the cost of assigning flags.writeable
-    return _Cut(*arrays, np.bool_(len(pieces) == 0 and not whole.any()), (side <= 1).all())
+    return _Cut(*arrays, np.bool_(pieces.size == 0 and not whole.any()), (side <= 1).all())
 
 
-def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
-    """Split the below side into whole triangles and clipped band pieces.
+def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
+    """``(cut, origin, heights, nodes)``: the cut topology of ``mesh`` under
+    ``plane`` (:class:`_Cut`), the plane point at ``height`` above the bbox
+    center, the signed vertex heights, zero inside the snap band, and the
+    coordinates of the nodes that the topology numbers.
 
-    The snapped vertex heights and the crossing nodes are computed for
-    every plane; the topology comes from :func:`_cut`.  The mesh keeps the
-    last topology it built, keyed by the bytes of the vertex side codes,
-    and a clip whose sides equal that key reuses it.
+    The heights and the crossing nodes are computed for every plane; the
+    topology comes from :func:`_cut`.  The mesh keeps the last topology it
+    built, keyed by the bytes of the vertex side codes, and a clip whose
+    sides equal that key returns it.  That is what building it again would
+    give, bit for bit: its integer arrays are computed from the sides and
+    the mesh's fixed arrays only, and ``whole_flux`` is the same product of
+    the same operands.
     """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
@@ -474,9 +456,7 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> _ClipTable:
         last = mesh.__dict__["_last_cut"] = (key, _cut(mesh, side))
     cut = last[1]
     t = (s[cut.lo] / (s[cut.lo] - s[cut.hi]))[:, None]
-    nodes = np.concatenate([mesh.vertices, cut.v_lo + t * cut.span])
-    return _ClipTable(o, s, nodes, cut.whole, cut.pieces, cut.chords, cut.whole_flux, cut.empty,
-                      cut.full)
+    return cut, o, s, np.concatenate([mesh.vertices, cut.v_lo + t * cut.span])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
@@ -509,27 +489,27 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         plane misses the mesh), and ``empty``/``full`` flags for planes
         below/above the whole mesh.
     """
-    table = _clip_table(mesh, plane)
+    cut, origin, _, nodes = _clip_table(mesh, plane)
     # whole triangles: the plane point is height * normal off the bbox center
-    whole = table.whole_flux
+    whole = cut.whole_flux
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
-    a, b, c, d = (table.nodes[table.pieces.T] - table.origin).transpose(0, 2, 1)
+    a, b, c, d = (nodes.take(cut.pieces, axis=0) - origin).transpose(0, 2, 1)
     six_volume += (a * _cross(c, d - b)).sum()
     # the cap runs each chord backwards; ends[0, :1] is the first chord's
     # first node (an empty slice when there are no chords)
-    ends = table.nodes[table.chords.T]
+    ends = nodes.take(cut.chords, axis=0)
     u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
     area = 0.5 * (plane.normal @ _cross(w, u)).sum()
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
-    empty = bool(table.empty)
+    empty = bool(cut.empty)
     return ClipResult(
         volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
         cut_area=max(float(area), 0.0),
         empty=empty,
-        full=bool(table.full),
+        full=bool(cut.full),
     )
 
 
@@ -594,12 +574,15 @@ def height_search(
         Iteration budget (clip calls), an integer of at least 1; at the
         budget the last clipped height is judged by the same rule.
 
-    A parameter outside these ranges is a ``ValueError`` that names it.
+    A parameter outside these ranges is a ``ValueError`` that names it, and
+    so is a mesh without triangles.
     """
     tol_rel = _nonnegative("tol_rel", tol_rel)
     max_iter = _count("max_iter", max_iter, 1)
     if h_prev is not None:
         h_prev = _finite("h_prev", h_prev)
+    if not len(mesh):
+        raise ValueError("mesh has no triangles")
     n = LiquidPlane(normal, 0.0).normal
     total = mesh._capacity
     target = float(target_volume)
@@ -669,10 +652,10 @@ def height_search(
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     """Closed mesh of the liquid body below the plane.
 
-    The wall is the whole triangles of the clip table that
-    :func:`clip_volume` sums, as they are, and its band pieces, each fanned
-    into triangles; the cut chords are chained into closed loops and each
-    loop is fan-triangulated from its area centroid to cap the body.  The
+    The wall is the whole triangles of the cut that :func:`clip_volume`
+    sums, as they are, and its band pieces, each fanned into triangles;
+    the cut chords are chained into closed loops and each loop is
+    fan-triangulated from its area centroid to cap the body.  The
     centroid fan is valid for the star-shaped (in practice convex) cut
     loops produced by the containers in scope; a loop that fans
     inconsistently raises :class:`NonStarShapedCutLoop`, and a cut boundary
@@ -683,10 +666,10 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     container (or, for a body of a body, its container) was built, and it
     is closed by construction, since band pieces share their crossing nodes
     and every chord loop is capped or the cut raises.  So a body costs what
-    the cut creates, not what the container holds: the clip table, one
+    the cut creates, not what the container holds: the clip, one
     shape test over the band fans and caps, the chord pairing and, per
     loop, a few small array operations for its cap.  The whole triangles
-    are one gather, and the body's edge table is derived only if the body
+    are one gather, and the body's edge tables are derived only if the body
     is clipped again.
 
     Returns an empty mesh when the plane lies below the container and the
@@ -700,23 +683,23 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     any mesh with these arrays.
     """
     plane = LiquidPlane(unit_vector(normal), height)
-    table = _clip_table(mesh, plane)
-    if table.empty:
+    cut, _, _, nodes = _clip_table(mesh, plane)
+    if cut.empty:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    if table.full:
+    if cut.full:
         return mesh
 
-    whole = mesh.triangles[table.whole]
-    fans = table.pieces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    whole = mesh.triangles[cut.whole]
+    fans = cut.pieces[[0, 1, 2, 0, 2, 3]].T.reshape(-1, 3)
     out_tris = [whole, fans[fans[:, 1] != fans[:, 2]]]
-    out_vertices = [table.nodes]
-    next_id = len(table.nodes)
+    out_vertices = [nodes]
+    next_id = len(nodes)
     nrm = plane.normal
-    for loop in _chain_loops(table.chords):
+    for loop in _chain_loops(cut.chords.T):
         k = len(loop)
         if k < 3:
             continue  # two-node loop bounds zero area
-        coords = table.nodes[loop]
+        coords = nodes[loop]
         # area centroid of the loop polygon: the node mean can land exactly
         # on a chord line (collinear chord subdivisions shift it), which
         # would degenerate the fan.  The doubled areas multiply an (m, 3)
@@ -739,7 +722,7 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
         cap[-1, 2] = loop[0]
         # every fan triangle must pass the TriMesh shape test with the
         # cap's orientation: spokes to each node and to the next
-        ring = (table.nodes[cap[:, 1:]] - centroid).T
+        ring = (nodes[cap[:, 1:]] - centroid).T
         spokes, rims = ring[:, 0], ring[:, 1] - ring[:, 0]
         if (nrm @ _cross(spokes, rims) <= _sliver_floor(spokes, rims)).any():
             raise NonStarShapedCutLoop(
@@ -760,7 +743,7 @@ def _chain_loops(chords) -> list:
     """Chain directed cut chords into closed loops, reversed so each loop runs
     counterclockwise around the upward normal (matching an outward cap).
 
-    ``chords`` is a (c, 2) integer array of node ids in clip-table order;
+    ``chords`` is a (c, 2) integer array of node ids in the cut's order;
     returns one int64 array of node ids per loop.  The chords are paired by
     sorted node ids, with the outcome of walking them in order:
 

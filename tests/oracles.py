@@ -331,8 +331,8 @@ def chain_loops_walk(chords):
 def clip_walk(mesh, plane):
     """The clip table of ``mesh`` under ``plane``, one triangle at a time in
     plain Python: snapped vertex heights, node coordinates, whole-triangle
-    flags, band pieces and cut chords, numbered as ``mesh._ClipTable``
-    documents.
+    flags, band pieces and cut chords, numbered as ``mesh._Cut`` documents.
+    Pieces and chords are listed one per row, (m, 4) and (c, 2).
 
     The heights are the one numpy projection ``(vertices - origin) @
     normal`` that the code under test computes too (a plain-Python sum

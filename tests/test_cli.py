@@ -12,6 +12,7 @@ from labmech import (
     HelixSpec,
     LiquidPlane,
     ReplayTrace,
+    TriMesh,
     box_mesh,
     clip_volume,
     height_search,
@@ -310,6 +311,16 @@ class TestFillHeight:
         assert code == 0
         expected = height_search(box_mesh(), [0, 0, 1], 0.37).height
         assert float(out) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("volume", ["0", "0.5"])
+    def test_empty_mesh_exits_2(self, tmp_path, capsys, volume):
+        path = tmp_path / "empty.mesh"
+        save_mesh(TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)), path)
+        code, out, err = run(
+            ["fill-height", "--mesh", path, "--normal", "0", "0", "1", "--volume", volume],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "fill-height: mesh has no triangles\n")
 
     def test_overfull_exits_4(self, cube_path, capsys):
         code, _, err = run(

@@ -93,9 +93,20 @@ def assert_bitwise(got, expected, what):
     assert got.tobytes() == expected.tobytes(), what
 
 
-def assert_table_is_walk(table, walk):
+def table_fields(clip):
+    """A ``_clip_table`` result by field, with pieces and chords in the
+    layout of ``oracles.clip_walk``: the cut keeps one per column, the walk
+    one per row."""
+    cut, origin, heights, nodes = clip
+    return {"origin": origin, "heights": heights, "nodes": nodes, "whole": cut.whole,
+            "pieces": cut.pieces.T, "chords": cut.chords.T, "whole_flux": cut.whole_flux,
+            "empty": cut.empty, "full": cut.full}
+
+
+def assert_table_is_walk(clip, walk):
+    got = table_fields(clip)
     for field, expected in walk.items():
-        assert_bitwise(getattr(table, field), expected, field)
+        assert_bitwise(got[field], expected, field)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -139,7 +150,8 @@ def test_every_sign_case_on_a_mesh(signs):
     height = -float(offset[0]) / np.linalg.norm(gradient) - float(normal @ mesh.bbox_center)
     plane = LiquidPlane(normal, height)
     table = _clip_table(mesh, plane)
-    assert np.sign(table.heights[mesh.triangles[0]]).tolist() == list(signs)
+    heights = table[2]
+    assert np.sign(heights[mesh.triangles[0]]).tolist() == list(signs)
     assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
 
 
@@ -186,6 +198,7 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
     for move, (normal, height) in zip([None] + moves, walk):
         plane = LiquidPlane(normal, height)
         table = _clip_table(warm, plane)
+        cut, _, heights, _ = table
         assert_table_is_walk(table, oracles.clip_walk(warm, plane))
         got = clip_volume(warm, plane)
         cold.__dict__.pop("_last_cut", None)
@@ -194,8 +207,8 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
             [expected.volume, expected.cut_area]).tobytes()
         assert (got.empty, got.full) == (expected.empty, expected.full)
         if before is not None:
-            same_sides = (np.sign(table.heights) == np.sign(before.heights)).all()
-            assert (table.pieces is before.pieces) == same_sides
+            same_sides = (np.sign(heights) == np.sign(before[2])).all()
+            assert (cut.pieces is before[0].pieces) == same_sides
             shared_by_a_nudge |= move == "nudge" and same_sides
         before = table
     assert shared_by_a_nudge
@@ -308,9 +321,9 @@ def test_saved_bodies_match_row_writer(name, data, tmp_path_factory):
         for saved in (body, public):
             save_mesh(saved, ours)
             assert ours.read_bytes() == rows.read_bytes()
-        # a cut body derives its edge table on first use
-        for field in ("_edges", "_tri_edges"):
-            assert_bitwise(getattr(body, field), getattr(public, field), field)
+        # a cut body derives its edge tables on first use
+        for got, expected in zip(body._edge_tables, public._edge_tables):
+            assert_bitwise(got, expected, "_edge_tables")
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -328,14 +341,14 @@ def test_body_of_a_body_matches_public_rebuild(name, data):
         assert name == "l-prism"  # as in test_body_volume_matches_clip
         return
     assume(len(body) and body is not mesh)
-    assert "_edges" not in vars(body)
+    assert "_edge_tables" not in vars(body)
     public = TriMesh(body.vertices, body.triangles)
     normal = unit_vector(data.draw(directions))
     support = (body.vertices - body.bbox_center) @ normal
     plane = LiquidPlane(normal, support.min() + data.draw(st.floats(0.0, 1.0)) * np.ptp(support))
-    assert_table_is_walk(_clip_table(body, plane), _clip_table(public, plane)._asdict())
-    for field in ("_edges", "_tri_edges"):
-        assert_bitwise(getattr(body, field), getattr(public, field), field)
+    assert_table_is_walk(_clip_table(body, plane), table_fields(_clip_table(public, plane)))
+    for got, expected in zip(body._edge_tables, public._edge_tables):
+        assert_bitwise(got, expected, "_edge_tables")
     again = []
     for source in (body, public):
         try:

@@ -15,6 +15,7 @@ from labmech import (
     PendulumParams,
     ProgressSpec,
     SceneConfig,
+    TriMesh,
     box_mesh,
     effective_accel,
     progress_score,
@@ -221,6 +222,12 @@ class TestLiquidScene:
     def test_volume_bounds_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             make_scene(volume=1.5)
+
+    def test_empty_container_rejected(self):
+        scene = make_scene()
+        empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="^container mesh has no triangles$"):
+            SceneConfig(gravity=G, container=empty, pendulum=scene.pendulum, liquid_volume=0.0)
 
     def test_duration_past_memory_names_duration(self):
         # 5 EiB of rows: malloc refuses it outright, whatever the overcommit setting

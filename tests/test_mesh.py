@@ -183,16 +183,17 @@ class TestClipVolume:
 
     def test_reused_cut_arrays_are_read_only(self):
         # clips with the same vertex sides share one topology, so a write
-        # through one table must not reach the next
+        # through one clip must not reach the next; its index arrays are
+        # C-contiguous, the layout the sums gather with
         mesh = cylinder_mesh(segments=48)
         plane = LiquidPlane(unit_vector([0.1, -0.2, 1.0]), 0.1)
-        table = _clip_table(mesh, plane)
-        for field in ("whole", "pieces", "chords"):
-            array = getattr(table, field)
-            assert array.size
+        cut = _clip_table(mesh, plane)[0]
+        for field in ("whole", "pieces", "chords", "lo", "hi"):
+            array = getattr(cut, field)
+            assert array.size and array.flags.c_contiguous, field
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        assert _clip_table(mesh, plane).pieces is table.pieces
+        assert _clip_table(mesh, plane)[0] is cut is mesh.__dict__["_last_cut"][1]
         cold = TriMesh(mesh.vertices, mesh.triangles)
         assert clip_volume(mesh, plane) == clip_volume(cold, plane)
 
@@ -216,8 +217,8 @@ class TestClipVolume:
             support = (mesh.vertices - mesh.bbox_center) @ normal
             depth = 10.0 ** rng.uniform(-7.0, -4.0) * mesh.bbox_diag
             plane = LiquidPlane(normal, support.min() + depth)
-            table = _clip_table(mesh, plane)
-            starts, ends = table.nodes[table.chords.T]
+            cut, _, _, nodes = _clip_table(mesh, plane)
+            starts, ends = nodes[cut.chords]
             exact = oracles.exact_chord_area(starts, ends, normal)
             assert abs(clip_volume(mesh, plane).cut_area - exact) <= 1e-12 * exact
 
@@ -281,6 +282,12 @@ class TestSolveHeight:
     def test_half_full_cube(self, cube):
         h = _height_search(cube, [0.0, 0.0, 1.0], 0.5).height
         assert h == pytest.approx(0.0, abs=1e-12)  # plane z = 0.5
+
+    @pytest.mark.parametrize("target", [0.0, 1.0])
+    def test_empty_mesh_is_a_named_value_error(self, target):
+        empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="^mesh has no triangles$"):
+            _height_search(empty, [0.0, 0.0, 1.0], target)
 
     def test_empty_target_returns_lower_support(self, cube):
         assert _height_search(cube, [0.0, 0.0, 1.0], 0.0).height == -0.5
