@@ -158,8 +158,9 @@ class TriMesh:
 
     Its edge tables are derived on first use, when the body is clipped
     again, by the same ``_edge_tables`` from the same arrays, so they equal
-    the ones public construction gives, bit for bit.  A body also links to its container,
-    whose cached rows it reuses for the container vertices it keeps.
+    the ones public construction gives, bit for bit.  A body also links to
+    its container, whose cached rows it reuses for the container vertices
+    it keeps.
     """
 
     vertices: np.ndarray

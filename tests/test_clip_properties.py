@@ -150,7 +150,7 @@ def test_every_sign_case_on_a_mesh(signs):
     height = -float(offset[0]) / np.linalg.norm(gradient) - float(normal @ mesh.bbox_center)
     plane = LiquidPlane(normal, height)
     table = _clip_table(mesh, plane)
-    heights = table[2]
+    _, _, heights, _ = table
     assert np.sign(heights[mesh.triangles[0]]).tolist() == list(signs)
     assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
 
@@ -207,10 +207,11 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
             [expected.volume, expected.cut_area]).tobytes()
         assert (got.empty, got.full) == (expected.empty, expected.full)
         if before is not None:
-            same_sides = (np.sign(heights) == np.sign(before[2])).all()
-            assert (cut.pieces is before[0].pieces) == same_sides
+            cut_before, heights_before = before
+            same_sides = (np.sign(heights) == np.sign(heights_before)).all()
+            assert (cut.pieces is cut_before.pieces) == same_sides
             shared_by_a_nudge |= move == "nudge" and same_sides
-        before = table
+        before = cut, heights
     assert shared_by_a_nudge
 
 
