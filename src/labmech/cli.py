@@ -22,9 +22,11 @@ manifest is the one output that varies between identical runs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -172,6 +174,21 @@ def _load_trajectory(path) -> FrameTrajectory:
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _memory_for(rows: int, columns: int, needs: str):
+    """Run a block that builds arrays of ``rows`` rows of ``columns`` floats;
+    ValueError ``needs`` (the flags that set ``rows``) when numpy cannot
+    describe such an array, past ``sys.maxsize`` bytes, or the host refuses
+    to allocate one."""
+    message = f"{needs}, more than memory can hold"
+    if rows > sys.maxsize // (8 * columns):
+        raise ValueError(message)
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(message) from None
+
+
 # ---------------------------------------------------------------------------
 # commands: each raises on failure and returns the (inputs, outputs) it
 # wrote, or None when it only prints
@@ -184,8 +201,10 @@ def cmd_sdf_grid(args):
     if (maxs <= mins).any():
         raise ValueError("grid max corner must exceed min corner componentwise")
     res = [_count("grid resolution", r, 2) for r in args.res]
+    points = math.prod(res)
+    needs = f"--res {' '.join(map(str, res))} needs {points} grid points"
     # a grid that reaches past the float range is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _memory_for(points, 3, needs), np.errstate(over="ignore", invalid="ignore"):
         axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         values = sdf_thread(spec, grid).distance
@@ -277,16 +296,18 @@ def cmd_screw_sim(args):
     spec = _helix_from(args)
     if args.profile:
         table = _read_table(args.profile, (2,))
-        angles = table[:, 1]
         try:
             dt = _uniform_step(table[:, 0]) if len(table) > 1 else args.dt
         except ValueError as exc:
             raise ValueError(f"{args.profile}: {exc}") from None
+        result = run_screw_scene(spec, table[:, 1], dt=dt)
     else:
         steps = _step_count(args.dt, args.duration, minimum=0)
-        angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps + 1)
-        dt = args.dt
-    result = run_screw_scene(spec, angles, dt=dt)
+        needs = f"--duration {args.duration} at --dt {args.dt} needs {steps + 1} samples"
+        # the trace's time, angle and axial columns
+        with _memory_for(steps + 1, 3, needs):
+            angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps + 1)
+            result = run_screw_scene(spec, angles, dt=args.dt)
     write_trace(result, args.output)
     last = result.data[-1]
     print(f"final_angle {last[1]:.15f} final_axial {last[2]:.15f}")

@@ -36,11 +36,14 @@ same order, point by point in Python floats with numpy's own ``arctan2``,
 ``cos`` and ``sin``, so its results are bitwise the array kernel's.  It
 costs about 6 µs for one point and 2 µs for each further point.  The
 point count alone selects the path, for :func:`sdf_bounded` and
-:func:`sdf_thread` alike.
-:func:`thread_engagement` builds each nut's probe cloud once (cached per
-nut and sampling); per call it maps the nut's centerline probes through
-the pose, then only the wire rings that could hold the minimum, and
-evaluates the field only on the probes among them that could.
+:func:`sdf_thread` alike.  :func:`sdf_gradient` evaluates the six
+stencil points of all its queries in one such call, so one point is a
+short call.
+:func:`thread_engagement` builds each nut's probe cloud once, as (3, N)
+columns cached per nut and sampling.  Per call it maps columns through
+the pose, first the nut's centerline probes, then only the wire rings
+that could hold the minimum, and evaluates the field only on the probes
+among them that could.
 
 The broad phase rests on one fact: every candidate the field can pick,
 the clamped and endpoint ones of short windows included, is a centerline
@@ -408,49 +411,47 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     Raises ValueError naming the step when a stencil point or its distance
     leaves the float range, and :class:`DegenerateGradient` when the
     difference vector has norm below 1e-12, which happens at points
-    equidistant from several turns (e.g. on the axis).
+    equidistant from several turns (e.g. on the axis).  The range check
+    covers every point of a batch before the first degenerate one is
+    named.
+
+    Cost model: the stencil is built in Python floats, the field is one
+    :func:`sdf_thread` call over the six stencil points of every query,
+    and the difference, its norm and the normalisation are Python floats
+    again, point by point.  One point makes a short call of six points,
+    about 40 µs in all on a 2-core VM; a batch of three or more points
+    reaches the array kernel and costs about 3.5 µs per point.
     """
     delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else _finite("step", step)
     if delta == 0.0:
         raise ValueError(f"step must be nonzero and finite, got {step}")
     pts, single = _as_points(point)
-    if single:
-        # the rows of pts + delta*eye(3), then pts - delta*eye(3), in Python
-        # floats; the zero entries are delta*0.0, which keeps the signs of zero
-        x, y, z = pts[0].tolist()
-        zero = delta * 0.0
-        stencil = np.array([x + delta, y + zero, z + zero, x + zero, y + delta, z + zero,
-                            x + zero, y + zero, z + delta, x - delta, y - zero, z - zero,
-                            x - zero, y - delta, z - zero, x - zero, y - zero, z - delta])
-    else:
-        offsets = delta * np.eye(3)
-        stencil = np.concatenate([pts[:, None, :] + offsets, pts[:, None, :] - offsets], axis=1)
-    # one batched field evaluation over all 6 stencil points per query
+    # the rows of pts + delta*eye(3), then pts - delta*eye(3), in Python
+    # floats; the zero entries are delta*0.0, which keeps the signs of zero
+    zero = delta * 0.0
+    stencil = []
+    for x, y, z in pts.tolist():
+        stencil += (x + delta, y + zero, z + zero, x + zero, y + delta, z + zero,
+                    x + zero, y + zero, z + delta, x - delta, y - zero, z - zero,
+                    x - zero, y - delta, z - zero, x - zero, y - zero, z - delta)
     try:
-        d = sdf_thread(spec, stencil.reshape(-1, 3)).distance
+        d = sdf_thread(spec, np.array(stencil).reshape(-1, 3)).distance.tolist()
     except ValueError:  # the points are finite, so a stencil point overflowed
         raise ValueError(_past_range(delta)) from None
-    if single:
-        # the batch arithmetic below in Python floats; the norm sums in
-        # np.linalg.norm's order over a length-3 axis
-        d = d.tolist()
-        if not all(map(math.isfinite, d)):
-            raise ValueError(_past_range(delta))
-        g = [(d[i] - d[i + 3]) / (2.0 * delta) for i in range(3)]
-        norm = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-        if norm < 1e-12:
-            raise DegenerateGradient(_vanished(pts[0]))
-        return np.array([g[0] / norm, g[1] / norm, g[2] / norm])
-    d = d.reshape(-1, 6)
     # an infinite distance makes the difference inf or NaN, which the norm test lets through
-    if not np.isfinite(d).all():
+    if not all(map(math.isfinite, d)):
         raise ValueError(_past_range(delta))
-    grad = (d[:, :3] - d[:, 3:]) / (2.0 * delta)
-    norms = np.linalg.norm(grad, axis=-1)
-    bad = norms < 1e-12
-    if bad.any():
-        raise DegenerateGradient(_vanished(pts[int(np.argmax(bad))]))
-    return grad / norms[:, None]
+    grads = []
+    for i in range(0, len(d), 6):
+        gx = (d[i] - d[i + 3]) / (2.0 * delta)
+        gy = (d[i + 1] - d[i + 4]) / (2.0 * delta)
+        gz = (d[i + 2] - d[i + 5]) / (2.0 * delta)
+        # summed in np.linalg.norm's order over a length-3 axis
+        norm = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if norm < 1e-12:
+            raise DegenerateGradient(_vanished(pts[i // 6]))
+        grads.append((gx / norm, gy / norm, gz / norm))
+    return np.array(grads[0]) if single else np.array(grads, dtype=float).reshape(-1, 3)
 
 
 def _past_range(step) -> str:
@@ -478,11 +479,10 @@ def screw_pose(spec: HelixSpec, angle: float) -> np.ndarray:
     return pose
 
 
-@functools.lru_cache(maxsize=8)
 def _nut_probes(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -> np.ndarray:
-    """The nut's probe cloud in its own frame, read-only: the centerline at
-    a fixed angular step, then ``wire_directions`` points on the wire
-    surface around each centerline point."""
+    """The nut's probe cloud in its own frame, as (N, 3) rows: the
+    centerline at a fixed angular step, then ``wire_directions`` points on
+    the wire surface around each centerline point."""
     step = np.radians(angular_step_deg)
     ts = np.arange(nut.t_min, nut.t_max + 0.5 * step, step)
     center = helix_point(nut, ts)
@@ -499,11 +499,7 @@ def _nut_probes(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -
         np.cos(psi)[None, :, None] * radial[:, None, :]
         + np.sin(psi)[None, :, None] * binormal[:, None, :]
     )
-    probes = np.concatenate(
-        [center, (center[:, None, :] + nut.r2 * ring).reshape(-1, 3)]
-    )
-    probes.setflags(write=False)
-    return probes
+    return np.concatenate([center, (center[:, None, :] + nut.r2 * ring).reshape(-1, 3)])
 
 
 class _ProbeGroups(NamedTuple):
@@ -522,8 +518,9 @@ class _ProbeGroups(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _probe_groups(nut: HelixSpec, angular_step_deg: float, wire_directions: int) -> _ProbeGroups:
-    """Group layout and constants of the probe cloud of :func:`_nut_probes`,
-    cached under the same key; the arrays are read-only."""
+    """The probe cloud of :func:`_nut_probes` in the one layout the
+    engagement query maps, with its group layout and constants; cached per
+    nut and sampling, the arrays read-only."""
     probes = _nut_probes(nut, angular_step_deg, wire_directions)
     n = len(probes) // (1 + wire_directions)
     index = np.arange(n)
@@ -625,16 +622,18 @@ def thread_engagement(
     within ``reach = |R|_2 * offset`` of the mapped centerline probe
     (``offset`` the largest ring radius in the cloud; ``|R|_2`` bounded by
     the square root of the largest absolute row sum of ``R^T R``, which is 1
-    for a rotation), plus a rounding pad.  Per call:
+    for a rotation), plus a rounding pad.  Every step maps probes in one
+    layout: columns of the cached (3, N) cloud, as ``R @ columns + t``.
+    Per call:
 
     1. map only the centerline probes and bound each (``_axis_bound``);
     2. bound each group by its centerline probe's bound minus ``reach``;
     3. map the group of least bound and evaluate the field on its probe of
        least bound: its centerline distance is a ceiling ``U`` on the
        minimum;
-    4. map (with ``take``) only the groups whose bound is at most ``U``, and
-       evaluate the field on their probes whose own bound is at most ``U``
-       plus a slack of ``1e-9*(r1 + U)``.
+    4. gather (with ``take``) and map only the groups whose bound is at
+       most ``U``, and evaluate the field on their probes whose own bound is
+       at most ``U`` plus a slack of ``1e-9*(r1 + U)``.
 
     The pad, ``1e-9*(r1 + U + |R|_inf * extent + |t|_inf)``, and the slack
     are some 10**6 times the rounding of the mapping, the radii and the
@@ -644,12 +643,13 @@ def thread_engagement(
 
     Cost model: step 1 maps ``1/(1 + wire_directions)`` of the cloud, and
     the field is evaluated twice, once on one probe and once on the few
-    that survive, both short calls at a typical pose.  Worst case: every group survives, e.g. a nut coaxial with
-    the bolt, whose every ring has a probe as near the bolt's cylinder as
-    the ceiling.  The whole cloud is then mapped in one product and screened
-    by ``|rho - r1|`` alone (the axial term would cost a pass and cull little
-    in a cloud whose every ring reaches the ceiling), so the query costs
-    steps 1-3 more than one screened pass over the whole cloud.
+    that survive, both short calls at a typical pose.  Worst case: every
+    group survives, e.g. a nut coaxial with the bolt, whose every ring has
+    a probe as near the bolt's cylinder as the ceiling.  The whole cloud is
+    then mapped in one product and screened by ``|rho - r1|`` alone (the
+    axial term would cost a pass and cull little in a cloud whose every
+    ring reaches the ceiling), so the query costs steps 1-3 more than one
+    screened pass over the whole cloud.
 
     Returns
     -------
@@ -673,33 +673,30 @@ def thread_engagement(
     if not np.isfinite(pose).all():
         raise ValueError(f"relative_pose must be finite, got {pose.tolist()}")
 
-    key = (nut, _positive("angular_step_deg", angular_step_deg),
-           _count("wire_directions", wire_directions, 1))
-    probes, groups = _nut_probes(*key), _probe_groups(*key)
-    rotation, shift = pose[:3, :3], pose[:3, 3]
-    # matmul is several times slower on a transposed right operand; the copy
-    # and the in-place add give the same products and sums as probes @ R.T + t
-    rotation_t = np.ascontiguousarray(rotation.T)
+    groups = _probe_groups(nut, _positive("angular_step_deg", angular_step_deg),
+                           _count("wire_directions", wire_directions, 1))
+    columns, rotation, shift = groups.columns, pose[:3, :3], pose[:3, 3:]
+
+    def mapped(probes):
+        """Probe columns of the cloud mapped through the pose."""
+        points = rotation @ probes
+        points += shift
+        return points
+
     magnitudes = np.abs(pose[:3]).tolist()
     size = (max(a + b + c for a, b, c, _ in magnitudes) * groups.extent
             + max(row[3] for row in magnitudes))
-    if not size < _MAPPABLE:
-        mapped = probes @ rotation_t
-        mapped += shift
-        if not np.isfinite(mapped).all():
-            raise ValueError("relative_pose maps the nut's probes past the float range")
+    if not size < _MAPPABLE and not np.isfinite(mapped(columns)).all():
+        raise ValueError("relative_pose maps the nut's probes past the float range")
 
     # steps 1-3: bound the groups by their centerline probes, and take the
     # ceiling from the least bound probe of the least bound group
     band = _candidate_band(bolt)
     n = len(groups.rows)
-    centres = rotation @ groups.columns[:, :n]
-    centres += shift[:, None]
-    group_bound = _axis_bound(bolt, band, *centres)
-    members = probes.take(groups.rows[np.argmin(group_bound)], axis=0) @ rotation_t
-    members += shift
-    best = np.argmin(_axis_bound(bolt, band, *members.T))
-    ceiling = sdf_thread(bolt, members[best]).distance + bolt.r2
+    group_bound = _axis_bound(bolt, band, *mapped(columns[:, :n]))
+    members = mapped(columns.take(groups.rows[np.argmin(group_bound)], axis=1))
+    best = np.argmin(_axis_bound(bolt, band, *members))
+    ceiling = sdf_thread(bolt, members[:, best]).distance + bolt.r2
 
     # step 4: the groups that can reach the ceiling, then their probes
     gram = np.abs(rotation.T @ rotation).sum(axis=1).max()
@@ -710,22 +707,20 @@ def thread_engagement(
     limit = ceiling + 1e-9 * (bolt.r1 + ceiling)
     if keep.size < n:
         # take is several times faster than fancy indexing
-        points = probes.take(groups.rows.take(keep, axis=0).ravel(), axis=0) @ rotation_t
-        points += shift
-        near = np.flatnonzero(_axis_bound(bolt, band, *points.T) <= limit)
-        points = points.take(near, axis=0)
+        points = mapped(columns.take(groups.rows.take(keep, axis=0).ravel(), axis=1))
+        near = _axis_bound(bolt, band, *points) <= limit
     else:
-        # every group survives: one product over the whole cloud, with the
-        # same values as probes @ R.T + t, screened by |rho - r1| alone
-        mapped = rotation @ groups.columns
-        mapped += shift[:, None]
-        x, y = mapped[0], mapped[1]
+        # every group survives: the whole cloud in one product, screened
+        # by |rho - r1| alone
+        points = mapped(columns)
+        x, y = points[0], points[1]
         radial = x * x
         radial += y * y
         np.sqrt(radial, out=radial)
         radial -= bolt.r1
         np.abs(radial, out=radial)
-        points = mapped.take(np.flatnonzero(radial <= limit), axis=1).T
+        near = radial <= limit
+    points = points.take(np.flatnonzero(near), axis=1).T
 
     clearance = float(np.min(sdf_thread(bolt, points).distance))
     return EngagementReport(min_clearance=clearance, overlapping=clearance < 0.0)

@@ -671,6 +671,8 @@ class TestExitCodes:
     KNOB = ["detent-sim", "--positions", "0", "0.5", "--output", "{dir}/k.trace"]
     SCREW = ["screw-sim", *HELIX, "--output", "{dir}/s.trace"]
     FILL = ["fill-height", "--mesh", "{cube}", "--normal", "0", "0", "1", "--volume", "0.3"]
+    GRID = ["sdf-grid", *HELIX, "--min", "0", "0", "0", "--max", "1", "1", "1",
+            "--output", "{dir}/g.tsv"]
 
     @pytest.mark.parametrize(
         "argv, code, fragment",
@@ -742,6 +744,15 @@ class TestExitCodes:
              2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
             ([*LIQUID, "--duration", "7.2e13"],
              2, "duration 72000000000000.0 needs 72000000000000000 steps, more rows than"),
+            # 7.1 PiB of angles, 2.4 EiB for the grid's first coordinate array:
+            # malloc refuses both outright
+            ([*SCREW, "--duration", "1e12"], 2, "--duration 1000000000000.0 at --dt 0.001 "
+             "needs 1000000000000001 samples, more than memory can hold"),
+            ([*GRID, "--res", "700000", "700000", "700000"], 2,
+             "--res 700000 700000 700000 needs 343000000000000000 grid points, more than"),
+            # 1e18 rows of three floats: more bytes than an array can describe
+            ([*GRID, "--res", "1000000", "1000000", "1000000"], 2,
+             "--res 1000000 1000000 1000000 needs 1000000000000000000 grid points, more than"),
             ([*FILL, "--guess", "nan"], 2, "h_prev must be finite, got nan"),
             ([*FILL, "--guess", "inf"], 2, "h_prev must be finite, got inf"),
             ([*FILL, "--guess", "-inf"], 2, "h_prev must be finite, got -inf"),
@@ -758,6 +769,7 @@ class TestExitCodes:
             "screw-non-utf8-profile", "sdf-grid-non-utf8-config", "screw-form-feed-line-number",
             "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
             "detent-duration-past-memory", "liquid-duration-past-memory",
+            "screw-duration-past-memory", "sdf-grid-res-past-memory", "sdf-grid-res-past-array",
             "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
         ],
     )

@@ -22,7 +22,7 @@ from labmech import (
     thread_engagement,
 )
 from labmech import helix
-from labmech.helix import _nut_probes
+from labmech.helix import _nut_probes, _probe_groups
 
 TWO_PI = 2.0 * np.pi
 
@@ -238,6 +238,22 @@ class TestGradient:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match=re.escape(f"step {step} takes the gradient stencil past")):
             sdf_gradient(spec, point, step=step)
+
+    def test_empty_batch_is_a_float_0_by_3_array(self):
+        g = sdf_gradient(wide_spec(), np.empty((0, 3)))
+        assert g.shape == (0, 3) and g.dtype == float
+
+    def test_past_range_point_wins_over_an_earlier_degenerate_point(self):
+        # alone, the first point raises DegenerateGradient (as in
+        # test_degenerate_on_the_wire) and the second the range error
+        spec, step = wide_spec(), 2.0**-20
+        with pytest.raises(ValueError, match=re.escape(f"step {step} takes the gradient")):
+            sdf_gradient(spec, [[1.0, 0.0, 0.0], [1e308, 0.2, 0.1]], step=step)
+
+    def test_batch_names_its_first_degenerate_point(self):
+        spec, step = wide_spec(), 2.0**-20
+        with pytest.raises(DegenerateGradient, match=re.escape("at point [1. 0. 0.] (")):
+            sdf_gradient(spec, [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], step=step)
 
     def test_negative_step_gives_the_same_gradient(self):
         # the symmetric difference only swaps its terms and the divisor's sign
@@ -467,7 +483,7 @@ class TestEngagement:
 
 class TestProbeCache:
     def test_interleaved_calls_repeat_their_first_value(self):
-        _nut_probes.cache_clear()
+        _probe_groups.cache_clear()
         bolt = wide_spec(l=-3.0, h=3.0)
         nuts = [HelixSpec(r1=1.1, r2=0.1, p=0.05, l=-2.0, h=2.0),
                 HelixSpec(r1=1.3, r2=0.15, p=0.05, l=-1.0, h=2.5)]
@@ -478,10 +494,10 @@ class TestProbeCache:
                 for j, pose in enumerate(poses):
                     report = thread_engagement(bolt, nut, pose)
                     assert report == first.setdefault((i, j), report)
-        assert _nut_probes.cache_info().misses == len(nuts)
+        assert _probe_groups.cache_info().misses == len(nuts)
 
     def test_cached_cloud_is_read_only(self):
-        cloud = _nut_probes(wide_spec(l=-1.0, h=1.0), 1.0, 8)
+        cloud = _probe_groups(wide_spec(l=-1.0, h=1.0), 1.0, 8).columns
         assert not cloud.flags.writeable
         with pytest.raises(ValueError):
             cloud[0, 0] = 1.0
@@ -588,6 +604,32 @@ def test_gradient_of_one_point_is_bitwise_its_batch_row(case):
     for step in (None, -1e-6 * spec.r1):
         for q in pts:
             assert outcome(q, step) == outcome(q[None, :], step), (q, step)
+
+
+@PROPERTY_SETTINGS
+@given(case=helix_queries())
+def test_gradient_batch_is_bitwise_the_stack_of_its_points(case):
+    # a batch of the points with a gradient gives their gradients in order;
+    # the whole batch raises the range error if any point does, and
+    # otherwise the first point's DegenerateGradient
+    spec, pts = case
+
+    def outcome(point, step):
+        try:
+            return sdf_gradient(spec, point, step)
+        except (ValueError, DegenerateGradient) as exc:
+            return type(exc), str(exc)
+
+    for step in (None, -1e-6 * spec.r1):
+        singles = [outcome(q, step) for q in pts]
+        good = [i for i, g in enumerate(singles) if isinstance(g, np.ndarray)]
+        batch = outcome(pts[good], step)
+        assert batch.shape == (len(good), 3) and batch.dtype == float
+        assert batch.tobytes() == b"".join(singles[i].tobytes() for i in good)
+        errors = [e for e in singles if isinstance(e, tuple)]
+        if errors:
+            past = [e for e in errors if e[0] is ValueError]
+            assert outcome(pts, step) == (past or errors)[0]
 
 
 @pytest.mark.parametrize("point, t", [([1.5, -0.0, -0.01], 0.0), ([1.0, -0.0, -1.0], -0.0)],

@@ -58,9 +58,9 @@ def test_round_ratio_cancels_a_slow_stretch():
 
 @pytest.mark.parametrize("layer", layer_ab.LAYERS)
 def test_every_layer_builds_and_runs_its_inputs_once(layer, tmp_path):
-    # a worker's round without the timing: each input is prepared and run once
+    # one worker round in-process, so that a layer whose inputs no longer
+    # fit the library's API fails here, not in a later A/B run
     cases = layer_ab.inputs(layer, tmp_path)
-    assert cases
-    for name, (prepare, run, count) in cases.items():
-        assert count >= 1, name
-        run(prepare())
+    assert cases and all(count >= 1 for _, _, count in cases.values())
+    times = layer_ab.time_round(cases)
+    assert list(times) == list(cases) and all(us > 0.0 for us in times.values())

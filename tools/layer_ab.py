@@ -41,6 +41,10 @@ Layers and inputs (times in microseconds):
   1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
   points per engagement query and 6 per contact normal, and its set-up 1549
   (the coaxial nut); 17 and 18 straddle the field's short-call crossover.
+* ``sdf_gradient``: per call, perfbench's bolt at one point, as
+  ``thread-engage``'s contact normal asks for it, and at batches of 6 and
+  100 points.  The points lie 1.5-3 gauge radii outward of the wire and
+  within half a gauge radius of its height, as in that workload.
 * ``thread_engagement``: per query, perfbench's bolt and nut at twenty
   seeded screw poses with lateral offsets up to 0.2 mm.
 
@@ -63,7 +67,7 @@ from bench_record import describe, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "height_search", "sdf_thread",
-          "thread_engagement")
+          "sdf_gradient", "thread_engagement")
 SEED = 11
 
 
@@ -125,7 +129,8 @@ def inputs(layer, workdir):
     import numpy as np
     from labmech import (HelixSpec, LiquidPlane, TriMesh, clip_volume, cylinder_mesh,
                          height_search, helix_point, icosphere_mesh, l_prism_mesh, liquid_geometry,
-                         mesh_volume, save_mesh, screw_pose, sdf_thread, thread_engagement)
+                         mesh_volume, save_mesh, screw_pose, sdf_gradient, sdf_thread,
+                         thread_engagement)
 
     rng = np.random.default_rng(SEED)
     if layer in ("save_mesh", "liquid_geometry"):
@@ -206,6 +211,24 @@ def inputs(layer, workdir):
                                      [sdf_thread(bolt, points) for _ in range(calls)],
                                      calls)
         return out
+    if layer == "sdf_gradient":
+        def near_wire(size):
+            t = rng.uniform(2.0 * np.pi, 14.0 * np.pi, size)
+            on_wire = helix_point(bolt, t)
+            radial = on_wire * [1.0, 1.0, 0.0] / bolt.r1
+            points = on_wire + rng.uniform(1.5, 3.0, (size, 1)) * bolt.r2 * radial
+            points[:, 2] += rng.uniform(-0.5, 0.5, size) * bolt.r2
+            return points
+
+        singles = near_wire(20)
+        out = {"1 point": (lambda: None, lambda _: [sdf_gradient(bolt, p) for p in singles],
+                           len(singles))}
+        for size, calls in ((6, 20), (100, 2)):
+            out[f"{size} points"] = (lambda: None,
+                                     lambda _, points=near_wire(size), calls=calls:
+                                     [sdf_gradient(bolt, points) for _ in range(calls)],
+                                     calls)
+        return out
     if layer == "thread_engagement":
         poses = []
         for _ in range(20):
@@ -231,14 +254,20 @@ def serve(checkout: Path, layer: str) -> int:
         cases = inputs(layer, Path(tmp))
         print("ready", flush=True)
         for _ in sys.stdin:
-            times = {}
-            for name, (prepare, run, count) in cases.items():
-                prepared = prepare()
-                t0 = time.perf_counter()
-                run(prepared)
-                times[name] = (time.perf_counter() - t0) / count * 1e6
-            print(json.dumps(times), flush=True)
+            print(json.dumps(time_round(cases)), flush=True)
     return 0
+
+
+def time_round(cases: dict) -> dict:
+    """One round over the inputs of :func:`inputs`: microseconds per item
+    by input name."""
+    times = {}
+    for name, (prepare, run, count) in cases.items():
+        prepared = prepare()
+        t0 = time.perf_counter()
+        run(prepared)
+        times[name] = (time.perf_counter() - t0) / count * 1e6
+    return times
 
 
 # ---------------------------------------------------------------------------
