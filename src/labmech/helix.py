@@ -37,8 +37,8 @@ same order, point by point in Python floats with numpy's own ``arctan2``,
 costs about 6 µs for one point and 2 µs for each further point.  The
 point count alone selects the path, for :func:`sdf_bounded` and
 :func:`sdf_thread` alike.  :func:`sdf_gradient` evaluates the six
-stencil points of all its queries in one such call, so one point is a
-short call.
+stencil points of all its queries in one field call: one query makes a
+short call, three or more reach the array kernel.
 :func:`thread_engagement` builds each nut's probe cloud once, as (3, N)
 columns cached per nut and sampling.  Per call it maps columns through
 the pose, first the nut's centerline probes, then only the wire rings
