@@ -198,6 +198,9 @@ def cmd_sdf_grid(args):
     spec = _helix_from(args)
     mins = np.array(args.min, dtype=float)
     maxs = np.array(args.max, dtype=float)
+    for flag, corner in (("--min", mins), ("--max", maxs)):
+        if not np.isfinite(corner).all():
+            raise ValueError(f"{flag} must be finite, got {' '.join(map(repr, corner.tolist()))}")
     if (maxs <= mins).any():
         raise ValueError("grid max corner must exceed min corner componentwise")
     res = [_count("grid resolution", r, 2) for r in args.res]

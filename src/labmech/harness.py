@@ -194,19 +194,25 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     surface normal to the negated pendulum direction, and re-solve the
     height from volume conservation warm-started at the previous height.
     The pendulum starts settled: aligned with the effective acceleration of
-    the first sample, at rest.  Solver failures propagate with the failing
-    step index; a duration with more rows than memory can hold is a
-    ValueError.
+    the first sample, at rest.  The effective accelerations of the samples
+    the steps read are formed once, by one subtraction, and read as floats.
+    Solver failures propagate with the failing step index; a duration with
+    more rows than memory can hold is a ValueError.
     """
+    rows = _rows(config.steps, len(LIQUID_COLUMNS), config.duration)
+    # the samples the steps read run from the first step's to the last's,
+    # since index_at does not decrease with t
+    first = trajectory.index_at(0.0)
+    last = trajectory.index_at((config.steps - 1) * config.dt)
+    accels = effective_accel(config.gravity, trajectory.accels[first:last + 1]).tolist()
 
     def forcing(sample):
-        g_eff = effective_accel(config.gravity, trajectory.accels[sample])
+        g_eff = accels[sample - first]
         if trajectory.orientations is not None:
             g_eff = rotate_world_to_frame(trajectory.orientations[sample], g_eff)
         return g_eff
 
-    state = init_state(forcing(trajectory.index_at(0.0)))
-    rows = _rows(config.steps, len(LIQUID_COLUMNS), config.duration)
+    state = init_state(forcing(first))
     h_prev = None
     for i in range(config.steps):
         t = i * config.dt

@@ -60,6 +60,7 @@ centerline probe and its wire ring) and on single probes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -173,9 +174,10 @@ def _as_points(point):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected shape (3,) or (N, 3), got {np.shape(point)}")
-    # a short batch is checked in Python floats, at a fraction of the cost
-    if not (all(map(math.isfinite, pts.ravel().tolist())) if len(pts) <= _SHORT_CALL_POINTS
-            else np.isfinite(pts).all()):
+    # a short batch is checked in Python floats, at a fraction of the cost;
+    # its rows as lists, since raveling a strided query would copy it
+    if not (all(map(math.isfinite, itertools.chain.from_iterable(pts.tolist())))
+            if len(pts) <= _SHORT_CALL_POINTS else np.isfinite(pts).all()):
         raise ValueError("query points must be finite")
     return pts, single
 

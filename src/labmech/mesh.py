@@ -25,19 +25,31 @@ interior with the halfspace below a plane.  Conventions used throughout:
   read-only record (``_Cut``) that each mesh keeps for its last clip,
   keyed by the bytes of the vertex side codes.  A clip with the same
   sides, as most clips of a rollout are, returns that record with the
-  projected vertices and the interpolated crossing nodes, and nothing
-  else.  :func:`clip_volume` sums the divergence flux with the reference
-  point on the plane, so the cap contributes zero flux and is never
-  built in the height-solving hot path: the band pieces directly, the
-  whole triangles from per-container terms that :class:`TriMesh`
-  computes once, summed once per topology.  The cut cross-section area
-  (the exact derivative of clipped volume with respect to height) comes
-  from Green's theorem on the chords.  :func:`liquid_geometry` emits the
-  whole triangles and the same band pieces, pairs the chords into loops
-  by their node ids and caps each loop.  Its body costs what the cut
-  creates: only the created triangles are shape-tested, since the whole
-  ones are the container's and the body is closed by construction (see
-  :class:`TriMesh`).
+  projected vertices, and nothing else.  :func:`clip_volume` sums the
+  divergence flux with the reference point on the plane, so the cap
+  contributes zero flux and is never built in the height-solving hot
+  path: the band pieces directly, the whole triangles from per-container
+  terms that :class:`TriMesh` computes once, summed once per topology.
+  The cut cross-section area (the exact derivative of clipped volume with
+  respect to height) comes from Green's theorem on the chords.
+  :func:`liquid_geometry` emits the whole triangles and the same band
+  pieces, pairs the chords into loops by their node ids and caps each
+  loop.  Its body costs what the cut creates: only the created triangles
+  are shape-tested, since the whole ones are the container's and the
+  body is closed by construction (see :class:`TriMesh`).
+
+The cost of a clip that reuses the topology (a hit) is the projection of
+every vertex, the one pass over the mesh, plus the arithmetic of the
+band.  On its first use by :func:`clip_volume` a topology gets a gather
+(``_Gather``): the band's vertex rows under compact node ids and flat
+indices of the components each sum reads.  A hit then interpolates the
+crossing nodes, stacks them under the band's vertex rows, and reads each
+sum's operands with one gather: a few dozen numpy calls on arrays of the
+band's size, whatever the size of the mesh.  The sums are the same IEEE
+operations on the same operands in the same order as over the full node
+array, so the result is the same to the bit (``clip_sums_reference`` in
+the tests).  A clip that changes a side (a miss) builds the topology and
+its gather, one pass over the triangles and a few over the band.
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -79,6 +91,10 @@ DEGENERATE_AREA_FRACTION = 1e-12
 AREA_FLOOR_FRACTION = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+#: Four float ulps at 1: times the bbox diagonal, the height resolution at
+#: which a Newton step ends the height solve.
+_STEP_FLOOR_EPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _cross(a, b) -> np.ndarray:
@@ -135,11 +151,11 @@ class TriMesh:
     test depends on shape, not size), duplicated directed edges
     (non-manifold or inconsistently wound), and boundary edges.  An empty
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
-    the inputs, so the bounding box, the edge tables, the flux terms and the
-    ``v x y z`` rows that :func:`save_mesh` writes, all cached from them,
-    cannot go stale.  Nor can the cut topology of the last clip (see
-    :func:`_clip_table`): it is a function of these arrays and of the
-    vertex side codes, and it is reused only for the exact same codes.
+    the inputs, so the bounding box, the centered vertices, the edge tables,
+    the flux terms and the ``v x y z`` rows that :func:`save_mesh` writes,
+    all cached from them, cannot go stale.  Nor can the cut topology of the
+    last clip (see :func:`_plane_cut`): it is a function of these arrays and
+    of the vertex side codes, and it is reused only for the exact same codes.
 
     Every public construction runs all of these checks, the last two by
     deriving the edge tables (the cached ``_edge_tables``).  A
@@ -266,13 +282,21 @@ class TriMesh:
         return rows
 
     @cached_property
+    def _centered(self) -> np.ndarray:
+        """(V, 3) read-only ``vertices - bbox_center``, C-contiguous: the
+        height solve projects it onto each normal for the support interval."""
+        centered = self.vertices - self.bbox_center
+        centered.flags.writeable = False
+        return centered
+
+    @cached_property
     def _whole_flux(self) -> np.ndarray:
         """(4, T) per-triangle flux terms with corners a, b, c taken relative
         to the bbox center: row 0 is det(a, b, c), rows 1-3 are
         a x b + b x c + c x a.  For a point p relative to the center,
         det(a - p, b - p, c - p) = det(a, b, c) - p . (a x b + b x c + c x a),
         so whole triangles are summed against any plane point at once."""
-        a, b, c = (self.vertices - self.bbox_center)[self.triangles].transpose(1, 2, 0)
+        a, b, c = self._centered[self.triangles].transpose(1, 2, 0)
         ab = _cross(a, b)
         flux = np.concatenate([[(ab * c).sum(0)], ab + _cross(b, c) + _cross(c, a)])
         flux.flags.writeable = False
@@ -296,6 +320,15 @@ class LiquidPlane:
         if not abs(math.sqrt(n.dot(n)) - 1.0) <= 1e-12:  # np.linalg.norm's sum; rejects NaN
             raise ValueError("plane normal must be a unit vector (within 1e-12)")
         object.__setattr__(self, "height", _finite("height", self.height))
+
+    @classmethod
+    def _of(cls, normal: np.ndarray, height: float) -> LiquidPlane:
+        """The plane of a unit ``normal`` array and a finite float ``height``
+        that the caller has checked: the fields public construction would
+        give, without the checks."""
+        plane = object.__new__(cls)
+        plane.__dict__.update(normal=normal, height=height)
+        return plane
 
 
 @dataclass(frozen=True)
@@ -365,7 +398,8 @@ def _case_table():
 _BAND, _CUT, _SLOTS, _CHORD = _case_table()
 
 
-class _Cut(NamedTuple):
+@dataclass(eq=False, slots=True)
+class _Cut:
     """The topology of one mesh clipped by one plane, a function of the
     mesh and of the side of the plane that each vertex lies on alone (see
     :func:`_cut`), shared, read-only, by every clip with the same sides.
@@ -375,8 +409,13 @@ class _Cut(NamedTuple):
     lie strictly on opposite sides, interpolated from the edge's lower
     vertex index so that both triangles on the edge get the identical
     point.  Band pieces and chords are listed by triangle index, one per
-    column: the volume and area sums gather them with ``take``.  The
-    index arrays are C-contiguous.
+    column.  The index arrays are C-contiguous.
+
+    ``gather`` is the one field set after construction: the band-local
+    layout that :func:`clip_volume` sums from, built on the cut's first
+    use by :func:`clip_volume` (see :func:`_gather`), so a cut that only
+    :func:`liquid_geometry` reads never builds it, nor the mesh's flux
+    terms.
     """
 
     whole: np.ndarray  # (T,) triangles with every vertex strictly below
@@ -386,9 +425,49 @@ class _Cut(NamedTuple):
     hi: np.ndarray  # (k,) its higher vertex id
     v_lo: np.ndarray  # (k, 3) coordinates of ``lo``
     span: np.ndarray  # (k, 3) V[hi] - v_lo
-    whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
+    gather: _Gather | None = None
+
+
+class _Gather(NamedTuple):
+    """How :func:`clip_volume` reads one cut topology: a band-local node
+    table and flat gather indices into it, read-only.
+
+    Compact node ids number the band's vertices (the mesh vertices that
+    band pieces use, by index), then the cut's crossing nodes in ``lo``
+    order.  A clip's node table is ``vertices`` followed by its crossing
+    nodes.  The indices address that table raveled, three components per
+    node, so that each sum reads its operands with one gather, as
+    C-contiguous (3, m) rows: a node's components as they are, rolled by
+    one, (y, z, x), or rolled by two, (z, x, y).  The cross product of
+    nodes p and q is then ``p1 * q2 - p2 * q1``, row by row, the
+    operations of :func:`_cross` in its order.
+    """
+
+    vertices: np.ndarray  # (b, 3) the band's vertex rows
+    pieces: np.ndarray  # (7, 3, m) a, then c, b and d rolled by one and by two
+    chords: np.ndarray  # (2, 2, 3, c) chord starts, then ends, rolled by one and by two
+    whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
+
+
+def _roll_table(rows, roles, rolls):
+    """A static gather table: for id row ``roles[i]`` of an index with
+    ``rows`` rows, read with its components rolled by ``rolls[i]``, the
+    rows to take from the (3, rows, m) component index, reshaped
+    (3 * rows, m)."""
+    roles, rolls = np.array(roles)[..., None], np.array(rolls)[..., None]
+    table = (np.arange(3) + rolls) % 3 * rows + roles
+    table.flags.writeable = False
+    return table
+
+
+# band piece rows (a, b, c, d): a, then c, b and d rolled by one and by two
+_PIECE_TABLE = _roll_table(4, [0, 2, 2, 1, 1, 3, 3], [0, 1, 2, 1, 2, 1, 2])
+# chord rows (start, end), each rolled by one and by two
+_CHORD_TABLE = _roll_table(2, [[0, 0], [1, 1]], [[1, 2], [1, 2]])
+# offsets of the x, y and z component of a node in a raveled (n, 3) table
+_COMPONENTS = np.arange(3).reshape(3, 1, 1)
 
 
 def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
@@ -407,7 +486,7 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     """
     edges, tri_edges = mesh._edge_tables
     c0, c1, c2 = side[mesh.triangles.T]
-    case = 9 * c0 + 3 * c1 + c2
+    case = (9 * c0 + 3 * c1 + c2).astype(np.intp)  # an int8 index is converted per lookup
     whole = case == 0
     rows = np.flatnonzero(_BAND[case])
     case = case[rows]
@@ -427,25 +506,56 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     picked = six[np.arange(len(rows)), _SLOTS.T.take(case, axis=1)]
     pieces = picked[:4]
     arrays = (whole, pieces, picked[4:].compress(_CHORD[case], axis=1), lo, hi, v_lo,
-              mesh.vertices[hi] - v_lo, mesh._whole_flux @ whole.astype(float))
+              mesh.vertices[hi] - v_lo)
     for array in arrays:
         array.setflags(write=False)  # half the cost of assigning flags.writeable
     return _Cut(*arrays, np.bool_(pieces.size == 0 and not whole.any()), (side <= 1).all())
 
 
-def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
-    """``(cut, origin, heights, nodes)``: the cut topology of ``mesh`` under
-    ``plane`` (:class:`_Cut`), the plane point at ``height`` above the bbox
-    center, the signed vertex heights, zero inside the snap band, and the
-    coordinates of the nodes that the topology numbers.
+def _gather(mesh: TriMesh, cut: _Cut) -> _Gather:
+    """Build ``cut.gather``, the layout :func:`clip_volume` sums from (see
+    :class:`_Gather`), and return it.
 
-    The heights and the crossing nodes are computed for every plane; the
-    topology comes from :func:`_cut`.  The mesh keeps the last topology it
-    built, keyed by the bytes of the vertex side codes, and a clip whose
-    sides equal that key returns it.  That is what building it again would
-    give, bit for bit: its integer arrays are computed from the sides and
-    the mesh's fixed arrays only, and ``whole_flux`` is the same product of
-    the same operands.
+    Every node that the sums read is a node of a band piece: a chord is a
+    step of a piece's walk, and each crossing edge's node is on the walk
+    of both its triangles.  Numbering the nodes the pieces use in id order
+    therefore gives the band's vertices first, in index order, and
+    crossing node k the id b + k.  Each index is the flat position of
+    every component of every piece (or chord) node, (3, 4, m) or (3, 2,
+    c), from which a static table takes the rows each sum reads; the whole
+    triangles' flux is summed here, once per topology, as the same product
+    of the same operands it always was.
+    """
+    used = np.zeros(len(mesh.vertices) + len(cut.lo), dtype=bool)
+    used[cut.pieces] = True
+    ids = used.nonzero()[0]
+    flat = np.empty(len(used), dtype=np.int64)  # read at used ids only
+    flat[ids] = np.arange(0, 3 * len(ids), 3)
+    pieces, chords = ((flat[index] + _COMPONENTS).reshape(3 * len(index), index.shape[1])
+                      for index in (cut.pieces, cut.chords))
+    gather = cut.gather = _Gather(
+        mesh.vertices[ids[: len(ids) - len(cut.lo)]],
+        pieces.take(_PIECE_TABLE, axis=0),
+        chords.take(_CHORD_TABLE, axis=0),
+        mesh._whole_flux @ cut.whole.astype(float),
+    )
+    for array in gather:
+        array.setflags(write=False)
+    return gather
+
+
+def _plane_cut(mesh: TriMesh, plane: LiquidPlane) -> tuple:
+    """``(cut, origin, heights)``: the cut topology of ``mesh`` under
+    ``plane`` (:class:`_Cut`), the plane point at ``height`` above the bbox
+    center, and the signed vertex heights, zero inside the snap band.
+
+    The heights are projected from the whole C-contiguous vertex array for
+    every plane (a row projected alone can round differently).  The mesh
+    keeps the last topology it built, keyed by the bytes of the vertex
+    side codes, and a clip whose sides equal that key returns it.  That is
+    what building it again would give, bit for bit: its integer arrays are
+    computed from the sides and the mesh's fixed arrays only, and its
+    gather and flux sum are the same functions of those.
     """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
@@ -455,9 +565,27 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
     last = mesh.__dict__.get("_last_cut")
     if last is None or last[0] != key:
         last = mesh.__dict__["_last_cut"] = (key, _cut(mesh, side))
-    cut = last[1]
-    t = (s[cut.lo] / (s[cut.lo] - s[cut.hi]))[:, None]
-    return cut, o, s, np.concatenate([mesh.vertices, cut.v_lo + t * cut.span])
+    return last[1], o, s
+
+
+def _crossings(cut: _Cut, heights: np.ndarray) -> np.ndarray:
+    """(k, 3) crossing nodes of ``cut`` at these vertex ``heights``, each
+    interpolated from its edge's lower vertex."""
+    s_lo = heights[cut.lo]
+    return cut.v_lo + (s_lo / (s_lo - heights[cut.hi]))[:, None] * cut.span
+
+
+def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
+    """``(cut, origin, heights, nodes)``: :func:`_plane_cut`, plus the
+    coordinates of every node that the topology numbers, the mesh vertices
+    and then the crossing nodes.
+
+    This full node order is the body path's: :func:`liquid_geometry` lists
+    a body's vertices in it.  :func:`clip_volume` does not build it; it
+    reads the band-local table of the cut's gather instead.
+    """
+    cut, o, s = _plane_cut(mesh, plane)
+    return cut, o, s, np.concatenate([mesh.vertices, _crossings(cut, s)])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
@@ -469,8 +597,9 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     flux from the mesh's cached per-triangle terms, summed once per cut
     topology; only the band triangles that the plane cuts are clipped into
     pieces.  A clip that leaves every vertex on the side it was on at the
-    mesh's previous clip reuses that clip's topology, and then costs the
-    vertex projection, the crossing nodes and the band and chord sums.
+    mesh's previous clip reuses that clip's topology and its band-local
+    gather, and then costs the vertex projection, the crossing nodes and
+    the band and chord sums over the band's own nodes.
     The cut area is Green's sum over the cut chords, referenced to a chord
     node so that a small cut far from the bbox center keeps its accuracy:
     every step of a band piece's boundary walk whose two nodes both lie on
@@ -490,19 +619,21 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         plane misses the mesh), and ``empty``/``full`` flags for planes
         below/above the whole mesh.
     """
-    cut, origin, _, nodes = _clip_table(mesh, plane)
+    cut, origin, heights = _plane_cut(mesh, plane)
+    gather = cut.gather or _gather(mesh, cut)
+    nodes = np.concatenate([gather.vertices, _crossings(cut, heights)])
     # whole triangles: the plane point is height * normal off the bbox center
-    whole = cut.whole_flux
+    whole = gather.whole_flux
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
-    a, b, c, d = (nodes.take(cut.pieces, axis=0) - origin).transpose(0, 2, 1)
-    six_volume += (a * _cross(c, d - b)).sum()
-    # the cap runs each chord backwards; ends[0, :1] is the first chord's
-    # first node (an empty slice when there are no chords)
-    ends = nodes.take(cut.chords, axis=0)
-    u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
-    area = 0.5 * (plane.normal @ _cross(w, u)).sum()
+    p = (nodes - origin).ravel()[gather.pieces]  # rows a, c1, c2, b1, b2, d1, d2
+    six_volume += (p[0] * (p[1] * (p[6] - p[4]) - p[2] * (p[5] - p[3]))).sum()
+    # the cap runs each chord backwards: w x u over the chords (u, w), both
+    # taken from the first chord's first node (none when there are no chords)
+    ends = nodes.ravel()[gather.chords]
+    e = ends - ends[0, :, :, :1]  # rows (u1, u2), (w1, w2)
+    area = 0.5 * (plane.normal @ (e[1, 0] * e[0, 1] - e[1, 1] * e[0, 0])).sum()
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
     empty = bool(cut.empty)
@@ -550,6 +681,12 @@ def height_search(
     slope of the last two iterates instead.  The mesh's capacity is cached
     on it, so a solve clips and does not re-integrate the mesh.
 
+    The arguments are checked once, here; the solve itself runs on the
+    checked floats.  It takes the support interval from the mesh's cached
+    centered vertices and calls the module's :func:`clip_volume` with a
+    plane per iteration that it builds without checking again, since the
+    normal and every height it tries are checked already.
+
     However the solve ends (an exact hit included), one rule decides: the
     last clipped height is returned, with its own residual and the number
     of clips, when that residual is within ``tol_rel * mesh_volume(mesh)``,
@@ -587,11 +724,21 @@ def height_search(
     n = LiquidPlane(normal, 0.0).normal
     total = mesh._capacity
     target = float(target_volume)
-    if not np.isfinite(target) or target < 0.0 or target > total * (1.0 + 1e-12):
+    if not math.isfinite(target) or target < 0.0 or target > total * (1.0 + 1e-12):
         raise VolumeOutOfRange(
             f"target volume {target} outside [0, {total}]"
         )
-    support = (mesh.vertices - mesh.bbox_center) @ n
+    return _solve_height(mesh, n, target, h_prev, tol_rel, max_iter)
+
+
+def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: float,
+                  max_iter: int) -> HeightSearch:
+    """:func:`height_search` on the arguments it has checked: a mesh with
+    triangles, a unit normal array, a float target within the capacity, a
+    finite float ``h_prev`` or None, a nonnegative float ``tol_rel`` and an
+    integer ``max_iter`` of at least 1."""
+    total = mesh._capacity
+    support = mesh._centered @ n
     h_lo, h_hi = float(support.min()), float(support.max())
     if target == 0.0:
         return HeightSearch(height=h_lo, residual=0.0, iterations=0)
@@ -600,13 +747,13 @@ def height_search(
 
     vtol = tol_rel * total
     area_floor = AREA_FLOOR_FRACTION * mesh.bbox_diag**2
-    step_floor = 4.0 * np.finfo(float).eps * mesh.bbox_diag
+    step_floor = _STEP_FLOOR_EPS * mesh.bbox_diag
     lo, hi = h_lo, h_hi
     h_next = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
     prev = None  # (height, residual, cut area) of the previous iteration
     for iteration in range(1, max_iter + 1):
         h = h_next
-        res = clip_volume(mesh, LiquidPlane(n, h))
+        res = clip_volume(mesh, LiquidPlane._of(n, h))
         f = res.volume - target
         if f == 0.0:
             break

@@ -212,7 +212,7 @@ def init_state(accel) -> PendulumState:
     :class:`ZeroGravity` for a zero vector.
     """
     g = np.asarray(accel, dtype=float)
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(g.dot(g))  # np.linalg.norm of a vector
     if norm == 0.0:
         raise ZeroGravity("cannot align to a zero acceleration vector")
     d = g / norm

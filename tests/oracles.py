@@ -11,8 +11,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
-from labmech import LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, ode_rhs
-from labmech.mesh import ONPLANE_SNAP_FRACTION
+from labmech import (
+    ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, ode_rhs,
+)
+from labmech.mesh import ONPLANE_SNAP_FRACTION, _clip_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -259,6 +261,36 @@ def exact_chord_area(starts, ends, normal):
         cross = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
         total += sum(a * b for a, b in zip(n, cross))
     return float(total / 2)
+
+
+def clip_sums_reference(mesh, plane):
+    """The :class:`ClipResult` of ``mesh`` under ``plane`` as the clip sums
+    were written before the band-local gather: over ``_clip_table``'s full
+    node array, each band piece gathered as a (4, m, 3) row block and
+    transposed to (4, 3, m) components, the row-wise cross product stacked
+    by ``np.array``, and the chords gathered and referenced to the first
+    chord's first node the same way.  ``clip_volume`` promises these bytes:
+    the same IEEE operations on the same operands in the same order."""
+
+    def cross(a, b):
+        return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                         a[0] * b[1] - a[1] * b[0]])
+
+    cut, origin, _, nodes = _clip_table(mesh, plane)
+    whole = mesh._whole_flux @ cut.whole.astype(float)
+    six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
+    a, b, c, d = (nodes.take(cut.pieces, axis=0) - origin).transpose(0, 2, 1)
+    six_volume += (a * cross(c, d - b)).sum()
+    ends = nodes.take(cut.chords, axis=0)
+    u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
+    area = 0.5 * (plane.normal @ cross(w, u)).sum()
+    empty = bool(cut.empty)
+    return ClipResult(
+        volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
+        cut_area=max(float(area), 0.0),
+        empty=empty,
+        full=bool(cut.full),
+    )
 
 
 def walk_triangle(signs, corners, crossings):

@@ -753,6 +753,10 @@ class TestExitCodes:
             # 1e18 rows of three floats: more bytes than an array can describe
             ([*GRID, "--res", "1000000", "1000000", "1000000"], 2,
              "--res 1000000 1000000 1000000 needs 1000000000000000000 grid points, more than"),
+            (["sdf-grid", *HELIX, "--min", "nan", "0", "0", "--max", "1", "1", "1",
+              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2, "--min must be finite, got nan 0.0 0.0"),
+            (["sdf-grid", *HELIX, "--min", "0", "0", "0", "--max", "inf", "1", "1",
+              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2, "--max must be finite, got inf 1.0 1.0"),
             ([*FILL, "--guess", "nan"], 2, "h_prev must be finite, got nan"),
             ([*FILL, "--guess", "inf"], 2, "h_prev must be finite, got inf"),
             ([*FILL, "--guess", "-inf"], 2, "h_prev must be finite, got -inf"),
@@ -770,7 +774,7 @@ class TestExitCodes:
             "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
             "detent-duration-past-memory", "liquid-duration-past-memory",
             "screw-duration-past-memory", "sdf-grid-res-past-memory", "sdf-grid-res-past-array",
-            "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
+            "sdf-grid-min-nan", "sdf-grid-max-inf", "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):

@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 
 import oracles
 from labmech import (
+    FrameTrajectory,
     LiquidPlane,
     NonStarShapedCutLoop,
     OpenCutLoop,
+    PendulumParams,
+    SceneConfig,
     TriMesh,
     box_mesh,
     clip_volume,
@@ -33,6 +36,7 @@ from labmech import (
     liquid_geometry,
     load_mesh,
     mesh_volume,
+    run_liquid_scene,
     save_mesh,
     unit_vector,
 )
@@ -44,6 +48,7 @@ from labmech.mesh import (
     ONPLANE_SNAP_FRACTION,
     _chain_loops,
     _clip_table,
+    _gather,
     height_search,
 )
 
@@ -93,18 +98,20 @@ def assert_bitwise(got, expected, what):
     assert got.tobytes() == expected.tobytes(), what
 
 
-def table_fields(clip):
-    """A ``_clip_table`` result by field, with pieces and chords in the
-    layout of ``oracles.clip_walk``: the cut keeps one per column, the walk
-    one per row."""
+def table_fields(mesh, clip):
+    """A ``_clip_table`` result of ``mesh`` by field, with pieces and chords
+    in the layout of ``oracles.clip_walk``: the cut keeps one per column,
+    the walk one per row.  ``whole_flux`` is the lazy sum of the cut's
+    gather, built here if no clip has built it."""
     cut, origin, heights, nodes = clip
     return {"origin": origin, "heights": heights, "nodes": nodes, "whole": cut.whole,
-            "pieces": cut.pieces.T, "chords": cut.chords.T, "whole_flux": cut.whole_flux,
+            "pieces": cut.pieces.T, "chords": cut.chords.T,
+            "whole_flux": (cut.gather or _gather(mesh, cut)).whole_flux,
             "empty": cut.empty, "full": cut.full}
 
 
-def assert_table_is_walk(clip, walk):
-    got = table_fields(clip)
+def assert_table_is_walk(mesh, clip, walk):
+    got = table_fields(mesh, clip)
     for field, expected in walk.items():
         assert_bitwise(got[field], expected, field)
 
@@ -115,7 +122,8 @@ def assert_table_is_walk(clip, walk):
 def test_clip_table_matches_walk(name, data):
     _, normal, height = data.draw(planes((name,)))
     plane = LiquidPlane(normal, height)
-    assert_table_is_walk(_clip_table(FIXTURES[name], plane), oracles.clip_walk(FIXTURES[name], plane))
+    mesh = FIXTURES[name]
+    assert_table_is_walk(mesh, _clip_table(mesh, plane), oracles.clip_walk(mesh, plane))
 
 
 SIGN_CASES = list(itertools.product((-1, 0, 1), repeat=3))
@@ -152,7 +160,7 @@ def test_every_sign_case_on_a_mesh(signs):
     table = _clip_table(mesh, plane)
     _, _, heights, _ = table
     assert np.sign(heights[mesh.triangles[0]]).tolist() == list(signs)
-    assert_table_is_walk(table, oracles.clip_walk(mesh, plane))
+    assert_table_is_walk(mesh, table, oracles.clip_walk(mesh, plane))
 
 
 @st.composite
@@ -199,7 +207,7 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
         plane = LiquidPlane(normal, height)
         table = _clip_table(warm, plane)
         cut, _, heights, _ = table
-        assert_table_is_walk(table, oracles.clip_walk(warm, plane))
+        assert_table_is_walk(warm, table, oracles.clip_walk(warm, plane))
         got = clip_volume(warm, plane)
         cold.__dict__.pop("_last_cut", None)
         expected = clip_volume(cold, plane)
@@ -213,6 +221,86 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
             shared_by_a_nudge |= move == "nudge" and same_sides
         before = cut, heights
     assert shared_by_a_nudge
+
+
+def assert_same_clip(got, expected):
+    assert np.array([got.volume, got.cut_area]).tobytes() == np.array(
+        [expected.volume, expected.cut_area]).tobytes()
+    assert (got.empty, got.full) == (expected.empty, expected.full)
+
+
+def support_ends(mesh, normal):
+    """Heights of planes along ``normal`` below the mesh, through its lowest
+    vertex (empty), through its highest (full) and above it."""
+    support = (mesh.vertices - mesh.bbox_center) @ normal
+    low, high = float(support.min()), float(support.max())
+    return [low - mesh.bbox_diag, low, high, high + mesh.bbox_diag]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_clip_sums_match_reference(name, data):
+    # clip_volume sums a cut from the band-local gather it builds on first
+    # use; the result is the bytes of the sums over the full node array, on
+    # a cold clip, on the same clip repeated and along a walk of clips in
+    # turn, and at the ends of the support
+    moves, walk = data.draw(plane_walks(name))
+    mesh = FIXTURES[name]
+    normal = walk[0][0]
+    walk += [(normal, height) for height in support_ends(mesh, normal)]
+    warm, cold, reference = (TriMesh(mesh.vertices, mesh.triangles) for _ in range(3))
+    for normal, height in walk:
+        plane = LiquidPlane(normal, height)
+        expected = oracles.clip_sums_reference(reference, plane)
+        cold.__dict__.pop("_last_cut", None)
+        for got in (clip_volume(cold, plane), clip_volume(warm, plane), clip_volume(warm, plane)):
+            assert_same_clip(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_support_ends_clip_empty_full_and_chordless(name):
+    # a tilted plane through the lowest vertex holds nothing; one through
+    # the single highest vertex holds everything, and its band, the
+    # triangles around that vertex, has no chord
+    mesh = FIXTURES[name]
+    normal = unit_vector([0.3, -0.2, 1.0])
+    for height in support_ends(mesh, normal):
+        plane = LiquidPlane(normal, height)
+        assert_same_clip(clip_volume(mesh, plane), oracles.clip_sums_reference(mesh, plane))
+    below, low, high, above = (_clip_table(mesh, LiquidPlane(normal, height))[0]
+                               for height in support_ends(mesh, normal))
+    assert below.empty and low.empty and not low.full
+    assert high.full and not high.empty and high.pieces.size and not high.chords.size
+    assert above.full and not above.pieces.size
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_rollout_clips_match_reference(name):
+    # the planes of a seeded liquid rollout, clipped in order, mostly reuse
+    # the cut of the clip before; each gives the reference's bytes
+    mesh = FIXTURES[name]
+    rng = np.random.default_rng(18)
+    times = 1e-3 * np.arange(41)
+    heading = rng.uniform(0.0, 2.0 * np.pi)
+    wave = rng.uniform(2.0, 4.0) * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * times)
+    accels = np.column_stack([wave * np.cos(heading), wave * np.sin(heading), 0.0 * times])
+    config = SceneConfig(
+        gravity=(0.0, 0.0, -9.81), container=TriMesh(mesh.vertices, mesh.triangles),
+        pendulum=PendulumParams(length=0.02, damping_phi=0.01, damping_theta=0.01,
+                                epsilon=2.5e-2),
+        liquid_volume=0.4 * mesh_volume(mesh), duration=40e-3,
+    )
+    trace = run_liquid_scene(config, FrameTrajectory(times, accels))
+    warm, reference = (TriMesh(mesh.vertices, mesh.triangles) for _ in range(2))
+    hits, before = 0, None
+    for *normal, height in zip(*(trace.column(c) for c in ("nx", "ny", "nz", "height"))):
+        plane = LiquidPlane(np.array(normal), height)
+        assert_same_clip(clip_volume(warm, plane), oracles.clip_sums_reference(reference, plane))
+        cut = warm.__dict__["_last_cut"][1]
+        hits += cut is before
+        before = cut
+    assert hits
 
 
 @st.composite
@@ -347,7 +435,8 @@ def test_body_of_a_body_matches_public_rebuild(name, data):
     normal = unit_vector(data.draw(directions))
     support = (body.vertices - body.bbox_center) @ normal
     plane = LiquidPlane(normal, support.min() + data.draw(st.floats(0.0, 1.0)) * np.ptp(support))
-    assert_table_is_walk(_clip_table(body, plane), table_fields(_clip_table(public, plane)))
+    assert_table_is_walk(body, _clip_table(body, plane),
+                         table_fields(public, _clip_table(public, plane)))
     for got, expected in zip(body._edge_tables, public._edge_tables):
         assert_bitwise(got, expected, "_edge_tables")
     again = []

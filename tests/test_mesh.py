@@ -197,6 +197,19 @@ class TestClipVolume:
         cold = TriMesh(mesh.vertices, mesh.triangles)
         assert clip_volume(mesh, plane) == clip_volume(cold, plane)
 
+    def test_body_cut_builds_no_flux_terms(self):
+        # the whole-triangle flux sum is clip_volume's alone: a body cut from
+        # a freshly built container neither builds the container's
+        # per-triangle flux terms nor the cut's gather
+        mesh = cylinder_mesh(segments=48)
+        normal = unit_vector([0.1, -0.2, 1.0])
+        body = liquid_geometry(mesh, normal, 0.1)
+        assert len(body) and body is not mesh
+        assert "_whole_flux" not in vars(mesh)
+        assert mesh.__dict__["_last_cut"][1].gather is None
+        clip_volume(mesh, LiquidPlane(normal, 0.1))
+        assert "_whole_flux" in vars(mesh)
+
     @pytest.mark.xfail(strict=True, reason=(
         "FOUND in CHANGES.md: a liquid body thinner than the on-plane snap "
         "band snaps every vertex onto a plane through it, so its clip is "

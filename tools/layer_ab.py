@@ -37,6 +37,12 @@ Layers and inputs (times in microseconds):
   cylinder-48 at fill 0.5 and icosphere-4 at a fill drawn from 0.2-0.4:
   ten normals of a seeded tilt sweep (0.01 rad a step), each solved cold
   and warm-started from the previous normal's height, as a scene steps.
+* ``liquid_scene``: per op, the ops of perfbench's two scene workloads at
+  seed 11, run as perfbench runs them, so that each builds its
+  ``SceneConfig`` and ``FrameTrajectory`` inside the timing: twenty
+  ``slosh-half-cyl48`` ops (cylinder-48 at fill 0.5, 2 steps) as
+  ``cylinder-48`` and ten ``tilt-ico4`` ops (icosphere-4 at fills 0.2-0.4,
+  4 steps) as ``icosphere-4``.
 * ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 17, 18,
   1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
   points per engagement query and 6 per contact normal, and its set-up 1549
@@ -49,7 +55,7 @@ Layers and inputs (times in microseconds):
   seeded screw poses with lateral offsets up to 0.2 mm.
 
 The controller uses only the standard library; the workers use what
-labmech uses.
+labmech uses, and ``liquid_scene`` imports perfbench's workload module.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ from pathlib import Path
 from bench_record import describe, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "height_search", "sdf_thread",
-          "sdf_gradient", "thread_engagement")
+LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "height_search", "liquid_scene",
+          "sdf_thread", "sdf_gradient", "thread_engagement")
 SEED = 11
 
 
@@ -196,6 +202,23 @@ def inputs(layer, workdir):
                                    [height_search(mesh, n, target, h) for n, h in
                                     zip(normals[1:], hints)],
                                    len(hints))
+        return out
+    if layer == "liquid_scene":
+        if str(ROOT / "perfbench") not in sys.path:
+            sys.path.insert(0, str(ROOT / "perfbench"))
+        from tracing import NullRecorder
+        from workloads import WORKLOADS
+
+        out = {}
+        for name, workload, ops in (("cylinder-48", "slosh-half-cyl48", 20),
+                                    ("icosphere-4", "tilt-ico4", 10)):
+            wl = WORKLOADS[workload]
+            fx = wl.setup(SEED, workdir)
+            items = [wl.make_input(fx, i) for i in range(ops)]
+            out[name] = (lambda: None,
+                         lambda _, wl=wl, fx=fx, items=items:
+                         [wl.run(fx, item, NullRecorder()) for item in items],
+                         len(items))
         return out
     # perfbench's thread-engage fixture
     bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
