@@ -264,13 +264,13 @@ def exact_chord_area(starts, ends, normal):
 
 
 def clip_sums_reference(mesh, plane):
-    """The :class:`ClipResult` of ``mesh`` under ``plane`` as the clip sums
-    were written before the band-local gather: over ``_clip_table``'s full
-    node array, each band piece gathered as a (4, m, 3) row block and
-    transposed to (4, 3, m) components, the row-wise cross product stacked
-    by ``np.array``, and the chords gathered and referenced to the first
-    chord's first node the same way.  ``clip_volume`` promises these bytes:
-    the same IEEE operations on the same operands in the same order."""
+    """The :class:`ClipResult` of ``mesh`` under ``plane`` summed over
+    ``_clip_table``'s full node array, without the band-local gather: each
+    band piece gathered as a (4, m, 3) row block and transposed to (4, 3,
+    m) components, the row-wise cross product stacked by ``np.array``, and
+    the chords gathered and referenced to the first chord's first node the
+    same way.  ``clip_volume`` promises these bytes: the same IEEE
+    operations on the same operands in the same order."""
 
     def cross(a, b):
         return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],

@@ -1,12 +1,15 @@
 """Property tests of the clipping core and the height solve built on it:
 the clip table equals a plain-Python boundary walk bit for bit, in each of
 the 27 sign cases of a triangle too, and on planes clipped in turn, whose
-cut topology is reused exactly while no vertex changes side; the cut
-chords chain into the loops of a dict walk; the liquid body agrees with
-clip_volume, is watertight, saves the bytes of a row-by-row writer, has
-the edge table of a public TriMesh, clips and caps again as one and caps
-with the centroids of an np.cross fan; the cut area is the volume
-derivative; the height solve meets its budget and agrees with bisection.
+cut topology is reused exactly while no vertex changes side; clip_volume's
+sums from the band-local gather equal the full-node-array reference bit
+for bit on cold, repeated and walked clips, at the ends of the support and
+along a rollout; the cut chords chain into the loops of a dict walk; the
+liquid body agrees with clip_volume, is watertight, saves the bytes of a
+row-by-row writer, has the edge table of a public TriMesh, clips and caps
+again as one and caps with the centroids of an np.cross fan; the cut area
+is the volume derivative; the height solve meets its budget and agrees
+with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
@@ -96,6 +99,12 @@ def planes(draw, names=tuple(sorted(FIXTURES))):
 def assert_bitwise(got, expected, what):
     assert (got.dtype, got.shape) == (expected.dtype, expected.shape), what
     assert got.tobytes() == expected.tobytes(), what
+
+
+def assert_same_clip(got, expected):
+    assert np.array([got.volume, got.cut_area]).tobytes() == np.array(
+        [expected.volume, expected.cut_area]).tobytes()
+    assert (got.empty, got.full) == (expected.empty, expected.full)
 
 
 def table_fields(mesh, clip):
@@ -210,10 +219,7 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
         assert_table_is_walk(warm, table, oracles.clip_walk(warm, plane))
         got = clip_volume(warm, plane)
         cold.__dict__.pop("_last_cut", None)
-        expected = clip_volume(cold, plane)
-        assert np.array([got.volume, got.cut_area]).tobytes() == np.array(
-            [expected.volume, expected.cut_area]).tobytes()
-        assert (got.empty, got.full) == (expected.empty, expected.full)
+        assert_same_clip(got, clip_volume(cold, plane))
         if before is not None:
             cut_before, heights_before = before
             same_sides = (np.sign(heights) == np.sign(heights_before)).all()
@@ -221,12 +227,6 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
             shared_by_a_nudge |= move == "nudge" and same_sides
         before = cut, heights
     assert shared_by_a_nudge
-
-
-def assert_same_clip(got, expected):
-    assert np.array([got.volume, got.cut_area]).tobytes() == np.array(
-        [expected.volume, expected.cut_area]).tobytes()
-    assert (got.empty, got.full) == (expected.empty, expected.full)
 
 
 def support_ends(mesh, normal):
