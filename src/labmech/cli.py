@@ -22,7 +22,6 @@ manifest is the one output that varies between identical runs).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -41,6 +40,7 @@ from .errors import (
     MeshFormatError,
     VolumeOutOfRange,
     _count,
+    _memory_for,
     _step_count,
 )
 from .harness import (
@@ -99,8 +99,10 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: line {ln}: byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def _load_config(path):
-    """Parse a version-1 JSON config document."""
+def _load_config(path) -> dict:
+    """Parse a version-1 JSON config document; empty without a path."""
+    if not path:
+        return {}
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -114,12 +116,13 @@ def _load_config(path):
     return doc
 
 
-def _section(path, name, args, keys, required, prefix="") -> dict:
-    """Section ``name`` of the config document at ``path`` (dotted for a
-    nested section; empty without a document) with the flags given for
-    ``keys`` laid over it; the flag for key ``k`` is ``args.<prefix><k>``.
-    Raises ValueError naming the ``required`` keys still missing."""
-    section = _load_config(path) if path else {}
+def _section(path, doc, name, args, keys, required, prefix="") -> dict:
+    """Section ``name`` (dotted for a nested section) of the config document
+    ``doc`` that :func:`_load_config` read from ``path``, with the flags
+    given for ``keys`` laid over it; the flag for key ``k`` is
+    ``args.<prefix><k>``.  Raises ValueError naming the ``required`` keys
+    still missing."""
+    section = doc
     for part in name.split("."):
         section = section.get(part, {})
         if not isinstance(section, dict):
@@ -137,7 +140,7 @@ def _section(path, name, args, keys, required, prefix="") -> dict:
 
 def _helix_from(args) -> HelixSpec:
     keys = ("r1", "r2", "p", "l", "h")
-    merged = _section(args.config, "helix", args, keys, keys)
+    merged = _section(args.config, _load_config(args.config), "helix", args, keys, keys)
     return HelixSpec(**{k: merged[k] for k in keys})
 
 
@@ -174,21 +177,6 @@ def _load_trajectory(path) -> FrameTrajectory:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _memory_for(rows: int, columns: int, needs: str):
-    """Run a block that builds arrays of ``rows`` rows of ``columns`` floats;
-    ValueError ``needs`` (the flags that set ``rows``) when numpy cannot
-    describe such an array, past ``sys.maxsize`` bytes, or the host refuses
-    to allocate one."""
-    message = f"{needs}, more than memory can hold"
-    if rows > sys.maxsize // (8 * columns):
-        raise ValueError(message)
-    try:
-        yield
-    except MemoryError:
-        raise ValueError(message) from None
-
-
 # ---------------------------------------------------------------------------
 # commands: each raises on failure and returns the (inputs, outputs) it
 # wrote, or None when it only prints
@@ -205,9 +193,10 @@ def cmd_sdf_grid(args):
         raise ValueError("grid max corner must exceed min corner componentwise")
     res = [_count("grid resolution", r, 2) for r in args.res]
     points = math.prod(res)
-    needs = f"--res {' '.join(map(str, res))} needs {points} grid points"
+    past = (f"--res {' '.join(map(str, res))} needs {points} grid points, "
+            "more than memory can hold")
     # a grid that reaches past the float range is refused below, not warned about
-    with _memory_for(points, 3, needs), np.errstate(over="ignore", invalid="ignore"):
+    with _memory_for(points, 3, past), np.errstate(over="ignore", invalid="ignore"):
         axes = [np.linspace(mins[i], maxs[i], res[i]) for i in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         values = sdf_thread(spec, grid).distance
@@ -224,12 +213,13 @@ def cmd_sdf_grid(args):
 
 
 def _scene_from(args) -> tuple[SceneConfig, list]:
+    doc = _load_config(args.scene)
     merged = _section(
-        args.scene, "scene", args, ("gravity", "mesh", "liquid_volume", "dt", "duration"),
+        args.scene, doc, "scene", args, ("gravity", "mesh", "liquid_volume", "dt", "duration"),
         ("mesh", "liquid_volume"),
     )
     pend = _section(
-        args.scene, "scene.pendulum", args,
+        args.scene, doc, "scene.pendulum", args,
         ("length", "mass", "damping_phi", "damping_theta", "epsilon"), ("length",), "pend_",
     )
     mesh_path = Path(merged["mesh"])
@@ -273,8 +263,8 @@ def cmd_fill_height(args):
 
 def cmd_detent_sim(args):
     merged = _section(
-        args.config, "detent", args, ("positions", "stiffness", "damping", "inertia"),
-        ("positions", "stiffness", "inertia"),
+        args.config, _load_config(args.config), "detent", args,
+        ("positions", "stiffness", "damping", "inertia"), ("positions", "stiffness", "inertia"),
     )
     profile = DetentProfile(
         positions=np.asarray(merged["positions"], dtype=float),
@@ -306,9 +296,10 @@ def cmd_screw_sim(args):
         result = run_screw_scene(spec, table[:, 1], dt=dt)
     else:
         steps = _step_count(args.dt, args.duration, minimum=0)
-        needs = f"--duration {args.duration} at --dt {args.dt} needs {steps + 1} samples"
+        past = (f"--duration {args.duration} at --dt {args.dt} needs {steps + 1} samples, "
+                "more than memory can hold")
         # the trace's time, angle and axial columns
-        with _memory_for(steps + 1, 3, needs):
+        with _memory_for(steps + 1, 3, past):
             angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps + 1)
             result = run_screw_scene(spec, angles, dt=args.dt)
     write_trace(result, args.output)

@@ -1,6 +1,7 @@
-"""Exception types shared across the kernel, and the rule every scalar
-parameter and step schedule is checked by."""
+"""Exception types shared across the kernel, the rule every scalar
+parameter and step schedule is checked by, and the guard on output sizes."""
 
+import contextlib
 import math
 import operator
 import sys
@@ -125,3 +126,16 @@ def _step_count(dt, duration, minimum=1) -> int:
     if steps < minimum:
         raise ValueError(f"duration {duration} covers no whole step at dt {dt}")
     return steps
+
+
+@contextlib.contextmanager
+def _memory_for(rows: int, columns: int, message: str):
+    """Run a block that builds arrays of ``rows`` rows of ``columns`` floats;
+    ValueError ``message`` when numpy cannot describe such an array, past
+    ``sys.maxsize`` bytes, or the host refuses to allocate one."""
+    if rows > sys.maxsize // (8 * columns):
+        raise ValueError(message)
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(message) from None

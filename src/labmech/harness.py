@@ -21,7 +21,7 @@ import numpy as np
 from .detent import DetentProfile, KnobState, nearest_detent, step_knob
 from .errors import (
     DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange,
-    _fields, _nonnegative, _positive, _step_count,
+    _fields, _memory_for, _nonnegative, _positive, _step_count,
 )
 from .helix import HelixSpec, screw_advance
 from .mesh import TriMesh, height_search, mesh_volume
@@ -76,8 +76,10 @@ class FrameTrajectory:
             raise ValueError("times and accelerations disagree in length")
         if not (np.isfinite(times).all() and np.isfinite(accels).all()):
             raise ValueError("trajectory samples must be finite")
+        # index_at reads the start and the spacing as floats
+        object.__setattr__(self, "_start", float(times[0]))
         if len(times) > 1:
-            _uniform_step(times)
+            object.__setattr__(self, "_spacing", float(_uniform_step(times)))
         if self.orientations is not None:
             quats = np.asarray(self.orientations, dtype=float).reshape(-1, 4)
             object.__setattr__(self, "orientations", quats)
@@ -92,20 +94,8 @@ class FrameTrajectory:
         """Sample covering time ``t`` (zero-order hold, clamped to the ends)."""
         if len(self.times) == 1:
             return 0
-        dt = self.times[1] - self.times[0]
-        i = int(math.floor((t - self.times[0]) / dt + 1e-12))
+        i = int(math.floor((t - self._start) / self._spacing + 1e-12))
         return min(max(i, 0), len(self.times) - 1)
-
-
-def _rows(steps: int, columns: int, duration: float) -> np.ndarray:
-    """An uninitialised table of one row per step; ValueError naming the
-    duration and the step count when the host refuses to allocate it."""
-    try:
-        return np.empty((steps, columns))
-    except MemoryError:
-        raise ValueError(
-            f"duration {duration} needs {steps} steps, more rows than memory can hold"
-        ) from None
 
 
 def effective_accel(gravity, frame_accel) -> np.ndarray:
@@ -199,11 +189,14 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     Solver failures propagate with the failing step index; a duration with
     more rows than memory can hold is a ValueError.
     """
-    rows = _rows(config.steps, len(LIQUID_COLUMNS), config.duration)
+    steps = config.steps
+    with _memory_for(steps, len(LIQUID_COLUMNS), f"duration {config.duration} needs "
+                     f"{steps} steps, more rows than memory can hold"):
+        rows = np.empty((steps, len(LIQUID_COLUMNS)))
     # the samples the steps read run from the first step's to the last's,
     # since index_at does not decrease with t
     first = trajectory.index_at(0.0)
-    last = trajectory.index_at((config.steps - 1) * config.dt)
+    last = trajectory.index_at((steps - 1) * config.dt)
     accels = effective_accel(config.gravity, trajectory.accels[first:last + 1]).tolist()
 
     def forcing(sample):
@@ -214,7 +207,7 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
 
     state = init_state(forcing(first))
     h_prev = None
-    for i in range(config.steps):
+    for i in range(steps):
         t = i * config.dt
         g_eff = forcing(trajectory.index_at(t))
         try:
@@ -265,7 +258,9 @@ def run_knob_scene(
     steps = _step_count(dt, duration)
     torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
-    rows = _rows(steps, len(KNOB_COLUMNS), duration)
+    with _memory_for(steps, len(KNOB_COLUMNS), f"duration {duration} needs "
+                     f"{steps} steps, more rows than memory can hold"):
+        rows = np.empty((steps, len(KNOB_COLUMNS)))
     for i in range(steps):
         try:
             state = step_knob(profile, state, torques[i], dt)

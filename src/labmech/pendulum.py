@@ -95,37 +95,33 @@ def ode_rhs(
     params: PendulumParams, state: PendulumState, accel
 ) -> tuple[float, float, float, float]:
     """Time derivatives ``(dphi, dtheta, dphidot, dthetadot)`` at ``state``."""
+    return _rhs(_constants(params, accel), state.phi, state.theta, state.phidot, state.thetadot)
+
+
+def _constants(params, accel) -> tuple:
+    """What :func:`_rhs` reads besides the state, fixed under one forcing:
+    ``(m*l, m*l*l, damping_phi, damping_theta, epsilon, gx, gy, gz)``."""
     gx, gy, gz = (float(a) for a in accel)
-    return _rhs(
-        params.mass,
-        params.length,
-        params.damping_phi,
-        params.damping_theta,
-        params.epsilon,
-        state.phi,
-        state.theta,
-        state.phidot,
-        state.thetadot,
-        gx,
-        gy,
-        gz,
-    )
+    ml = params.mass * params.length
+    return (ml, ml * params.length, params.damping_phi, params.damping_theta, params.epsilon,
+            gx, gy, gz)
 
 
-def _rhs(m, l, lam_phi, lam_theta, eps, phi, theta, phidot, thetadot, gx, gy, gz):
+def _rhs(k, phi, theta, phidot, thetadot):
+    # ml * X and ml2 are the module docstring's m l X and m l^2, evaluated left to right
+    ml, ml2, lam_phi, lam_theta, eps, gx, gy, gz = k
     st = math.sin(theta)
     ct = math.cos(theta)
     sp = math.sin(phi)
     cp = math.cos(phi)
-    ml2 = m * l * l
     dphidot = (
         -2.0 * ml2 * phidot * thetadot * st * ct
-        + m * l * (-gx * sp + gy * cp) * st
+        + ml * (-gx * sp + gy * cp) * st
         - lam_phi * phidot
     ) / (ml2 * max(st * st, eps))
     dthetadot = (
         ml2 * phidot * phidot * st * ct
-        + m * l * (gx * cp * ct + gy * sp * ct + gz * st)
+        + ml * (gx * cp * ct + gy * sp * ct + gz * st)
         - lam_theta * thetadot
     ) / ml2
     return phidot, thetadot, dphidot, dthetadot
@@ -148,23 +144,14 @@ def _renormalize(phi, theta, phidot, thetadot):
     return phi, theta, phidot, thetadot
 
 
-def _step(m, l, lam_phi, lam_theta, eps, y, gx, gy, gz, dt):
-    """One RK4 step on the raw state tuple with constant forcing."""
+def _step(k, y, dt):
+    """One RK4 step on the raw state tuple under the constants ``k``."""
     p0, t0, pd0, td0 = y
-    a1, b1, c1, d1 = _rhs(m, l, lam_phi, lam_theta, eps, p0, t0, pd0, td0, gx, gy, gz)
+    a1, b1, c1, d1 = _rhs(k, p0, t0, pd0, td0)
     h = 0.5 * dt
-    a2, b2, c2, d2 = _rhs(
-        m, l, lam_phi, lam_theta, eps,
-        p0 + h * a1, t0 + h * b1, pd0 + h * c1, td0 + h * d1, gx, gy, gz,
-    )
-    a3, b3, c3, d3 = _rhs(
-        m, l, lam_phi, lam_theta, eps,
-        p0 + h * a2, t0 + h * b2, pd0 + h * c2, td0 + h * d2, gx, gy, gz,
-    )
-    a4, b4, c4, d4 = _rhs(
-        m, l, lam_phi, lam_theta, eps,
-        p0 + dt * a3, t0 + dt * b3, pd0 + dt * c3, td0 + dt * d3, gx, gy, gz,
-    )
+    a2, b2, c2, d2 = _rhs(k, p0 + h * a1, t0 + h * b1, pd0 + h * c1, td0 + h * d1)
+    a3, b3, c3, d3 = _rhs(k, p0 + h * a2, t0 + h * b2, pd0 + h * c2, td0 + h * d2)
+    a4, b4, c4, d4 = _rhs(k, p0 + dt * a3, t0 + dt * b3, pd0 + dt * c3, td0 + dt * d3)
     sixth = dt / 6.0
     return _renormalize(
         p0 + sixth * (a1 + 2.0 * (a2 + a3) + a4),
@@ -189,13 +176,11 @@ def integrate_pendulum(
     overflows, divides by zero or leaves a non-finite state."""
     dt = _positive("dt", dt)
     steps = _count("steps", steps)
-    gx, gy, gz = (float(a) for a in accel)
-    m, l = params.mass, params.length
-    lam_phi, lam_theta, eps = params.damping_phi, params.damping_theta, params.epsilon
+    k = _constants(params, accel)
     y = (state.phi, state.theta, state.phidot, state.thetadot)
     try:
         for _ in range(steps):
-            y = _step(m, l, lam_phi, lam_theta, eps, y, gx, gy, gz, dt)
+            y = _step(k, y, dt)
             if not (math.isfinite(y[0]) and math.isfinite(y[1])
                     and math.isfinite(y[2]) and math.isfinite(y[3])):
                 raise NonFiniteState(f"pendulum state diverged: {y}")

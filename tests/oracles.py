@@ -15,6 +15,7 @@ from labmech import (
     ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, ode_rhs,
 )
 from labmech.mesh import ONPLANE_SNAP_FRACTION, _clip_table
+from labmech.pendulum import _renormalize
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,6 +214,93 @@ def pendulum_energy(params, state, accel):
         - gz * math.cos(state.theta)
     )
     return kinetic + potential
+
+
+# ---------------------------------------------------------------------------
+# pendulum: the RK4 kernel as it read before its constants were built once per
+# forcing; labmech's _rhs and _step promise these bytes
+
+
+def pendulum_rhs_reference(params, state, accel):
+    """:func:`ode_rhs` by the reference kernel below."""
+    gx, gy, gz = (float(a) for a in accel)
+    return _rhs_reference(
+        params.mass, params.length, params.damping_phi, params.damping_theta, params.epsilon,
+        state.phi, state.theta, state.phidot, state.thetadot, gx, gy, gz,
+    )
+
+
+def pendulum_step_reference(params, state, accel, dt):
+    """The raw state tuple after one RK4 step of the reference kernel below
+    (renormalized by labmech's own ``_renormalize``), without the finite
+    check ``step_pendulum`` adds; ArithmeticError or ValueError where the
+    arithmetic fails."""
+    gx, gy, gz = (float(a) for a in accel)
+    y = (state.phi, state.theta, state.phidot, state.thetadot)
+    return _step_reference(
+        params.mass, params.length, params.damping_phi, params.damping_theta, params.epsilon,
+        y, gx, gy, gz, float(dt),
+    )
+
+
+def _rhs_reference(m, l, lam_phi, lam_theta, eps, phi, theta, phidot, thetadot, gx, gy, gz):
+    st = math.sin(theta)
+    ct = math.cos(theta)
+    sp = math.sin(phi)
+    cp = math.cos(phi)
+    ml2 = m * l * l
+    dphidot = (
+        -2.0 * ml2 * phidot * thetadot * st * ct
+        + m * l * (-gx * sp + gy * cp) * st
+        - lam_phi * phidot
+    ) / (ml2 * max(st * st, eps))
+    dthetadot = (
+        ml2 * phidot * phidot * st * ct
+        + m * l * (gx * cp * ct + gy * sp * ct + gz * st)
+        - lam_theta * thetadot
+    ) / ml2
+    return phidot, thetadot, dphidot, dthetadot
+
+
+def _step_reference(m, l, lam_phi, lam_theta, eps, y, gx, gy, gz, dt):
+    """One RK4 step on the raw state tuple with constant forcing."""
+    p0, t0, pd0, td0 = y
+    a1, b1, c1, d1 = _rhs_reference(m, l, lam_phi, lam_theta, eps, p0, t0, pd0, td0, gx, gy, gz)
+    h = 0.5 * dt
+    a2, b2, c2, d2 = _rhs_reference(
+        m, l, lam_phi, lam_theta, eps,
+        p0 + h * a1, t0 + h * b1, pd0 + h * c1, td0 + h * d1, gx, gy, gz,
+    )
+    a3, b3, c3, d3 = _rhs_reference(
+        m, l, lam_phi, lam_theta, eps,
+        p0 + h * a2, t0 + h * b2, pd0 + h * c2, td0 + h * d2, gx, gy, gz,
+    )
+    a4, b4, c4, d4 = _rhs_reference(
+        m, l, lam_phi, lam_theta, eps,
+        p0 + dt * a3, t0 + dt * b3, pd0 + dt * c3, td0 + dt * d3, gx, gy, gz,
+    )
+    sixth = dt / 6.0
+    return _renormalize(
+        p0 + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+        t0 + sixth * (b1 + 2.0 * (b2 + b3) + b4),
+        pd0 + sixth * (c1 + 2.0 * (c2 + c3) + c4),
+        td0 + sixth * (d1 + 2.0 * (d2 + d3) + d4),
+    )
+
+
+# ---------------------------------------------------------------------------
+# trajectory: the sample index from the timestamps themselves
+
+
+def sample_index_reference(times, t):
+    """:meth:`FrameTrajectory.index_at` by the numpy-scalar formula: the
+    spacing ``times[1] - times[0]`` and the offset from ``times[0]`` taken
+    from the array on every call."""
+    if len(times) == 1:
+        return 0
+    dt = times[1] - times[0]
+    i = int(math.floor((t - times[0]) / dt + 1e-12))
+    return min(max(i, 0), len(times) - 1)
 
 
 # ---------------------------------------------------------------------------

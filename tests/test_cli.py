@@ -24,7 +24,7 @@ from labmech import (
     unit_vector,
     write_trace,
 )
-from labmech import helix
+from labmech import cli, helix
 from labmech.cli import main
 
 
@@ -426,6 +426,24 @@ class TestLiquid:
         )
         assert code == 0
         assert len(read_trace(out_path)) == 20
+
+    def test_scene_file_read_once(self, tmp_path, cube_path, capsys, monkeypatch):
+        # the scene and scene.pendulum sections come from one parsed document
+        scene = self.write_scene(tmp_path, cube_path)
+        traj = self.write_trajectory(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
+        read = []
+
+        def counting(path, _read=cli._read_text):
+            read.append(path)
+            return _read(path)
+
+        monkeypatch.setattr(cli, "_read_text", counting)
+        code, _, err = run(
+            ["liquid", "--scene", scene, "--trajectory", traj, "--output", tmp_path / "run.trace"],
+            capsys,
+        )
+        assert code == 0, err
+        assert [str(p) for p in read].count(str(scene)) == 1
 
 
 class TestDetentAndScrew:

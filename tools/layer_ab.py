@@ -55,7 +55,7 @@ Layers and inputs (times in microseconds):
   seeded screw poses with lateral offsets up to 0.2 mm.
 
 The controller uses only the standard library; the workers use what
-labmech uses, and ``liquid_scene`` imports perfbench's workload module.
+labmech uses and take perfbench's fixtures from its workload module.
 """
 
 from __future__ import annotations
@@ -107,23 +107,18 @@ def _tilt_sweep(count, rng):
                             np.cos(tilt)])
 
 
-def _rollout_planes(mesh, fill, steps, rng):
-    """The (normal, height) records of a ``steps``-step liquid scene from
-    rest in ``mesh`` at ``fill``, under a seeded lateral sinusoid of
-    2-4 m/s^2 at 3-6 Hz, with perfbench's pendulum and 1 ms step."""
+def _rollout_planes(config, rng):
+    """The (normal, height) records of ``config``'s liquid scene from rest,
+    under a seeded lateral sinusoid of 2-4 m/s^2 at 3-6 Hz sampled every
+    step."""
     import numpy as np
-    from labmech import (FrameTrajectory, PendulumParams, SceneConfig, mesh_volume,
-                         run_liquid_scene)
+    from labmech import FrameTrajectory, run_liquid_scene
 
-    dt = 1e-3
-    times = dt * np.arange(steps + 1)
+    times = config.dt * np.arange(config.steps + 1)
     heading = rng.uniform(0.0, 2.0 * np.pi)
     wave = rng.uniform(2.0, 4.0) * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * times)
     accels = np.column_stack([wave * np.cos(heading), wave * np.sin(heading),
                               np.zeros_like(times)])
-    pendulum = PendulumParams(length=0.02, damping_phi=0.01, damping_theta=0.01, epsilon=2.5e-2)
-    config = SceneConfig(gravity=(0.0, 0.0, -9.81), container=mesh, pendulum=pendulum,
-                         liquid_volume=fill * mesh_volume(mesh), dt=dt, duration=steps * dt)
     trace = run_liquid_scene(config, FrameTrajectory(times, accels))
     normals = np.column_stack([trace.column(c) for c in ("nx", "ny", "nz")])
     return list(zip(normals, trace.column("height").tolist()))
@@ -133,10 +128,14 @@ def inputs(layer, workdir):
     """Per input name, ``(prepare, run, count)``: a round calls ``prepare()``
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
     import numpy as np
-    from labmech import (HelixSpec, LiquidPlane, TriMesh, clip_volume, cylinder_mesh,
-                         height_search, helix_point, icosphere_mesh, l_prism_mesh, liquid_geometry,
-                         mesh_volume, save_mesh, screw_pose, sdf_gradient, sdf_thread,
-                         thread_engagement)
+    from labmech import (LiquidPlane, TriMesh, clip_volume, cylinder_mesh, height_search,
+                         helix_point, icosphere_mesh, l_prism_mesh, liquid_geometry, mesh_volume,
+                         save_mesh, screw_pose, sdf_gradient, sdf_thread, thread_engagement)
+
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    from tracing import NullRecorder
 
     rng = np.random.default_rng(SEED)
     if layer in ("save_mesh", "liquid_geometry"):
@@ -175,20 +174,17 @@ def inputs(layer, workdir):
         # perfbench's scene fixtures; a generator of their own, so that the
         # planes above stay the draws they were before this input
         rollout = np.random.default_rng([SEED, 1])
-        for name, mesh, fill in (
-            ("cylinder-48", cylinder_mesh(radius=14e-3, height=30e-3, segments=48), 0.5),
-            ("icosphere-4", icosphere_mesh(radius=15e-3, subdivisions=4), 0.3),
-        ):
-            planes = [LiquidPlane(n, h) for n, h in _rollout_planes(mesh, fill, 40, rollout)]
+        for name, mesh, fill in (("cylinder-48", workloads.cylinder48(), 0.5),
+                                 ("icosphere-4", workloads.icosphere(4)(), 0.3)):
+            config = workloads.scene_config(mesh, fill * mesh_volume(mesh), 40)
+            planes = [LiquidPlane(n, h) for n, h in _rollout_planes(config, rollout)]
             out[f"{name} rollout"] = (lambda: None, clips(mesh, planes), len(planes))
         return out
     if layer == "height_search":
         out = {}
         # perfbench's scene fixtures
-        for name, mesh, fill in (
-            ("cylinder-48", cylinder_mesh(radius=14e-3, height=30e-3, segments=48), 0.5),
-            ("icosphere-4", icosphere_mesh(radius=15e-3, subdivisions=4), rng.uniform(0.2, 0.4)),
-        ):
+        for name, mesh, fill in (("cylinder-48", workloads.cylinder48(), 0.5),
+                                 ("icosphere-4", workloads.icosphere(4)(), rng.uniform(0.2, 0.4))):
             target = fill * mesh_volume(mesh)
             normals = _tilt_sweep(10, rng)
             # each warm solve starts from the height of the normal before it
@@ -204,15 +200,10 @@ def inputs(layer, workdir):
                                    len(hints))
         return out
     if layer == "liquid_scene":
-        if str(ROOT / "perfbench") not in sys.path:
-            sys.path.insert(0, str(ROOT / "perfbench"))
-        from tracing import NullRecorder
-        from workloads import WORKLOADS
-
         out = {}
         for name, workload, ops in (("cylinder-48", "slosh-half-cyl48", 20),
                                     ("icosphere-4", "tilt-ico4", 10)):
-            wl = WORKLOADS[workload]
+            wl = workloads.WORKLOADS[workload]
             fx = wl.setup(SEED, workdir)
             items = [wl.make_input(fx, i) for i in range(ops)]
             out[name] = (lambda: None,
@@ -221,8 +212,8 @@ def inputs(layer, workdir):
                          len(items))
         return out
     # perfbench's thread-engage fixture
-    bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
-    nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
+    threads = workloads.WORKLOADS["thread-engage"].setup(SEED, workdir)
+    bolt, nut = threads.bolt, threads.nut
     if layer == "sdf_thread":
         out = {}
         for size, calls in ((1, 20), (4, 20), (6, 20), (17, 20), (18, 20), (1549, 2), (13941, 1)):
