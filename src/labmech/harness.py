@@ -76,10 +76,10 @@ class FrameTrajectory:
             raise ValueError("times and accelerations disagree in length")
         if not (np.isfinite(times).all() and np.isfinite(accels).all()):
             raise ValueError("trajectory samples must be finite")
-        # index_at reads the start and the spacing as floats
+        # index_at reads the start and the spacing as floats, infinite for one sample
         object.__setattr__(self, "_start", float(times[0]))
-        if len(times) > 1:
-            object.__setattr__(self, "_spacing", float(_uniform_step(times)))
+        object.__setattr__(self, "_spacing",
+                           float(_uniform_step(times)) if len(times) > 1 else math.inf)
         if self.orientations is not None:
             quats = np.asarray(self.orientations, dtype=float).reshape(-1, 4)
             object.__setattr__(self, "orientations", quats)
@@ -91,11 +91,10 @@ class FrameTrajectory:
                 raise ValueError("orientation quaternions must be unit length")
 
     def index_at(self, t: float) -> int:
-        """Sample covering time ``t`` (zero-order hold, clamped to the ends)."""
-        if len(self.times) == 1:
-            return 0
-        i = int(math.floor((t - self._start) / self._spacing + 1e-12))
-        return min(max(i, 0), len(self.times) - 1)
+        """Sample covering time ``t`` (zero-order hold, clamped to the ends,
+        also past the float range: the position is clamped, then floored)."""
+        at = (t - self._start) / self._spacing + 1e-12
+        return math.floor(min(max(at, 0.0), len(self.times) - 1))
 
 
 def effective_accel(gravity, frame_accel) -> np.ndarray:
@@ -184,8 +183,9 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     surface normal to the negated pendulum direction, and re-solve the
     height from volume conservation warm-started at the previous height.
     The pendulum starts settled: aligned with the effective acceleration of
-    the first sample, at rest.  The effective accelerations of the samples
-    the steps read are formed once, by one subtraction, and read as floats.
+    the first sample, at rest.  The forcing of each sample the steps read
+    is formed once: one subtraction, and one rotation into the container
+    frame when the trajectory carries orientations, read as floats.
     Solver failures propagate with the failing step index; a duration with
     more rows than memory can hold is a ValueError.
     """
@@ -197,19 +197,17 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     # since index_at does not decrease with t
     first = trajectory.index_at(0.0)
     last = trajectory.index_at((steps - 1) * config.dt)
-    accels = effective_accel(config.gravity, trajectory.accels[first:last + 1]).tolist()
-
-    def forcing(sample):
-        g_eff = accels[sample - first]
-        if trajectory.orientations is not None:
-            g_eff = rotate_world_to_frame(trajectory.orientations[sample], g_eff)
-        return g_eff
-
-    state = init_state(forcing(first))
+    forcing = effective_accel(config.gravity, trajectory.accels[first:last + 1]).tolist()
+    if trajectory.orientations is not None:
+        # only the rows a step reads: a trajectory may be sampled finer than dt
+        for k in {trajectory.index_at(i * config.dt) - first for i in range(steps)}:
+            forcing[k] = rotate_world_to_frame(trajectory.orientations[first + k],
+                                               forcing[k]).tolist()
+    state = init_state(forcing[0])
     h_prev = None
     for i in range(steps):
         t = i * config.dt
-        g_eff = forcing(trajectory.index_at(t))
+        g_eff = forcing[trajectory.index_at(t) - first]
         try:
             state = step_pendulum(config.pendulum, state, g_eff, config.dt)
             normal = -direction_of(state)

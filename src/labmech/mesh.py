@@ -331,8 +331,7 @@ class LiquidPlane:
         return plane
 
 
-@dataclass(frozen=True)
-class ClipResult:
+class ClipResult(NamedTuple):
     """Clipped volume, cut cross-section area, and trivial-case flags."""
 
     volume: float
@@ -617,9 +616,14 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     ClipResult
         ``volume`` in length^3, ``cut_area`` in length^2 (zero when the
         plane misses the mesh), and ``empty``/``full`` flags for planes
-        below/above the whole mesh.
+        below/above the whole mesh.  A plane past every vertex holds
+        exactly :func:`mesh_volume`, whatever its height.
     """
     cut, origin, heights = _plane_cut(mesh, plane)
+    if cut.full and not cut.empty and not cut.pieces.size:
+        # every triangle is whole: the container itself, whose flux sum
+        # would only scale its rounding dust by the plane's height
+        return ClipResult(mesh._capacity, 0.0, False, True)
     gather = cut.gather or _gather(mesh, cut)
     nodes = np.concatenate([gather.vertices, _crossings(cut, heights)])
     # whole triangles: the plane point is height * normal off the bbox center
@@ -637,16 +641,11 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     # snapped faces sit a snap-band off the plane geometrically, leaving
     # flux dust; an empty clip holds no volume by definition
     empty = bool(cut.empty)
-    return ClipResult(
-        volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
-        cut_area=max(float(area), 0.0),
-        empty=empty,
-        full=bool(cut.full),
-    )
+    return ClipResult(0.0 if empty else max(float(six_volume) / 6.0, 0.0), max(float(area), 0.0),
+                      empty, bool(cut.full))
 
 
-@dataclass(frozen=True)
-class HeightSearch:
+class HeightSearch(NamedTuple):
     """Outcome of a height solve: the height, the volume residual of that
     height, and the number of Newton-Bisect iterations spent, one
     :func:`clip_volume` call each."""
@@ -741,9 +740,9 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     support = mesh._centered @ n
     h_lo, h_hi = float(support.min()), float(support.max())
     if target == 0.0:
-        return HeightSearch(height=h_lo, residual=0.0, iterations=0)
+        return HeightSearch(h_lo, 0.0, 0)
     if target >= total:
-        return HeightSearch(height=h_hi, residual=abs(total - target), iterations=0)
+        return HeightSearch(h_hi, abs(total - target), 0)
 
     vtol = tol_rel * total
     area_floor = AREA_FLOOR_FRACTION * mesh.bbox_diag**2
@@ -792,7 +791,7 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
         if h_next == h:
             break  # bracket at floating-point resolution
     if abs(f) <= vtol:
-        return HeightSearch(height=h, residual=abs(f), iterations=iteration)
+        return HeightSearch(h, abs(f), iteration)
     raise NoConvergence(f"no convergence by iteration {iteration}: height {h} has residual "
                         f"{f}, above the tolerance {vtol}")
 
@@ -845,8 +844,6 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     nrm = plane.normal
     for loop in _chain_loops(cut.chords.T):
         k = len(loop)
-        if k < 3:
-            continue  # two-node loop bounds zero area
         coords = nodes[loop]
         # area centroid of the loop polygon: the node mean can land exactly
         # on a chord line (collinear chord subdivisions shift it), which
@@ -904,7 +901,9 @@ def _chain_loops(chords) -> list:
       node raise ``cut boundary branches`` at the later one.  Otherwise
       each starts where another ends, or the boundary ``failed to close``.
     * Each loop starts at the end node of its first standing chord, and
-      the loops come in the order of those chords.
+      the loops come in the order of those chords.  A loop has at least
+      three nodes: at most one chord stands per node pair, and no chord
+      joins a node to itself.
     """
     chords = np.asarray(chords, dtype=np.int64).reshape(-1, 2)
     if not len(chords):

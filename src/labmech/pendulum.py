@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, ZeroGravity, _count, _fields, _finite, _nonnegative, _positive
+from .mesh import _SMALLEST_NORMAL, unit_vector
 
 _PI = math.pi
 
@@ -192,15 +193,20 @@ def integrate_pendulum(
 def init_state(accel) -> PendulumState:
     """State aligned with the effective acceleration, at rest.
 
-    The direction of the returned state is parallel to ``accel``; ``phi``
+    The direction of the returned state is parallel to ``accel``, of any
+    finite, nonzero size: where ``accel . accel`` is not a normal float, it
+    is :func:`~labmech.mesh.unit_vector`'s, which rescales first.  ``phi``
     is gauged to 0 when the direction sits on a pole.  Raises
-    :class:`ZeroGravity` for a zero vector.
+    :class:`ZeroGravity` for a zero vector, ValueError for a non-finite one.
     """
     g = np.asarray(accel, dtype=float)
-    norm = math.sqrt(g.dot(g))  # np.linalg.norm of a vector
-    if norm == 0.0:
+    squared = g.dot(g)
+    if _SMALLEST_NORMAL <= squared < math.inf:
+        d = g / math.sqrt(squared)  # np.linalg.norm of a vector
+    elif not g.any():
         raise ZeroGravity("cannot align to a zero acceleration vector")
-    d = g / norm
+    else:
+        d = unit_vector(g)
     theta = math.acos(max(-1.0, min(1.0, -d[2])))
     phi = 0.0 if (d[0] == 0.0 and d[1] == 0.0) else math.atan2(d[1], d[0])
     return PendulumState(phi=phi, theta=theta, phidot=0.0, thetadot=0.0)

@@ -12,7 +12,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from labmech import (
-    ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, ode_rhs,
+    ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, mesh_volume,
+    ode_rhs,
 )
 from labmech.mesh import ONPLANE_SNAP_FRACTION, _clip_table
 from labmech.pendulum import _renormalize
@@ -358,7 +359,9 @@ def clip_sums_reference(mesh, plane):
     m) components, the row-wise cross product stacked by ``np.array``, and
     the chords gathered and referenced to the first chord's first node the
     same way.  ``clip_volume`` promises these bytes: the same IEEE
-    operations on the same operands in the same order."""
+    operations on the same operands in the same order.  A plane past every
+    vertex, whose every triangle is whole, holds the container's
+    ``mesh_volume`` exactly."""
 
     def cross(a, b):
         return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
@@ -373,6 +376,8 @@ def clip_sums_reference(mesh, plane):
     u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
     area = 0.5 * (plane.normal @ cross(w, u)).sum()
     empty = bool(cut.empty)
+    if cut.full and not empty and not cut.pieces.size:
+        return ClipResult(volume=mesh_volume(mesh), cut_area=0.0, empty=False, full=True)
     return ClipResult(
         volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
         cut_area=max(float(area), 0.0),

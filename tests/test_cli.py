@@ -15,6 +15,7 @@ from labmech import (
     TriMesh,
     box_mesh,
     clip_volume,
+    cylinder_mesh,
     height_search,
     load_mesh,
     mesh_volume,
@@ -178,6 +179,18 @@ class TestClip:
         volume, cut_area = out.split()
         assert volume == "0.300000000000000"
         assert cut_area == "1.000000000000000"
+
+    def test_plane_past_every_vertex_prints_the_capacity(self, tmp_path, capsys):
+        # at h = 1e300 the flux sum's rounding dust, scaled by the height,
+        # printed as a 281-digit volume
+        mesh = cylinder_mesh(radius=14e-3, height=30e-3, segments=48)
+        path = tmp_path / "cylinder.mesh"
+        save_mesh(mesh, path)
+        code, out, err = run(
+            ["clip", "--mesh", path, "--normal", "0.6", "0.8", "0", "--height", "1e300"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == f"{mesh_volume(load_mesh(path)):.15f} 0.000000000000000\n"
 
     def test_random_plane_matches_library(self, cube_path, capsys):
         rng = np.random.default_rng(149)
@@ -414,6 +427,22 @@ class TestLiquid:
         expected = unit_vector([2.0, 0.0, 9.81])
         angle = np.arccos(np.clip(normal @ expected, -1, 1))
         assert angle <= 1e-3
+
+    def test_subnormal_spacing_holds_the_last_sample(self, tmp_path, cube_path, capsys):
+        # on a 5e-324 s spacing every step after the first lies past the
+        # float range of sample positions and holds the last sample, as on
+        # a spacing of one step
+        scene = self.write_scene(tmp_path, cube_path, duration=0.01)
+        traces = []
+        for spacing in (5e-324, 1e-3):
+            traj = self.write_trajectory(tmp_path, [[0.0, 0.0, 0.0, 0.0], [spacing, 2.0, 0.0, 0.0]])
+            out_path = tmp_path / f"run{spacing}.trace"
+            code, _, err = run(
+                ["liquid", "--scene", scene, "--trajectory", traj, "--output", out_path], capsys
+            )
+            assert (code, err) == (0, "")
+            traces.append(read_trace(out_path).data)
+        assert traces[0].tobytes() == traces[1].tobytes()
 
     def test_flags_override_scene(self, tmp_path, cube_path, capsys):
         scene = self.write_scene(tmp_path, cube_path)
@@ -679,6 +708,22 @@ class TestExitCodes:
         for name, body in profiles.items():
             (tmp_path / f"{name}.txt").write_bytes(body)
         (tmp_path / "utf8.json").write_bytes(b'{"version": 1,\n "helix": "\xc3\xa9\xff"}\n')
+        documents = {
+            "bad.json": '{"version": 1,\n "helix": }\n',
+            "list.json": "[1]\n",
+            "v2.json": '{"version": 2}\n',
+            "section.json": '{"version": 1, "helix": [1]}\n',
+            "narrow.txt": "0 0 0\n",
+            "mixed.txt": "0 0 0 0\n0.001 0 0 0 1 0 0 0\n",
+            "blank.txt": "# time ax ay az\n\n",
+            "uneven.txt": "0 0 0 0\n0.001 0 0 0\n0.003 0 0 0\n",
+        }
+        for name, text in documents.items():
+            (tmp_path / name).write_text(text)
+        write_trace(ReplayTrace(kind="screw", columns=("time", "angle", "axial"),
+                                data=[[0.0, 0.0, 0.0]]), tmp_path / "screw.trace")
+        write_trace(ReplayTrace(kind="liquid", columns=("nx", "ny", "nz", "height"),
+                                data=np.zeros((0, 4))), tmp_path / "empty.trace")
         return {
             "dir": tmp_path, "open": open_mesh, "latin": latin, "traj": traj,
             "liquid": liquid, "truncated": truncated, "no_nz": no_nz, "cube": cube,
@@ -778,6 +823,32 @@ class TestExitCodes:
             ([*FILL, "--guess", "nan"], 2, "h_prev must be finite, got nan"),
             ([*FILL, "--guess", "inf"], 2, "h_prev must be finite, got inf"),
             ([*FILL, "--guess", "-inf"], 2, "h_prev must be finite, got -inf"),
+            ([*GRID, "--res", "2", "2", "2", "--config", "{dir}/bad.json"],
+             2, "{dir}/bad.json: line 2 column 11: Expecting value"),
+            ([*GRID, "--res", "2", "2", "2", "--config", "{dir}/list.json"],
+             2, "{dir}/list.json: config must be a JSON object"),
+            ([*GRID, "--res", "2", "2", "2", "--config", "{dir}/v2.json"],
+             2, "{dir}/v2.json: unsupported config version 2, expected 1"),
+            ([*GRID, "--res", "2", "2", "2", "--config", "{dir}/section.json"],
+             2, "{dir}/section.json: section 'helix' must be a JSON object"),
+            ([*LIQUID, "--trajectory", "{dir}/narrow.txt"],
+             2, "{dir}/narrow.txt: line 1: expected 4 or 8 columns, got 3"),
+            ([*LIQUID, "--trajectory", "{dir}/mixed.txt"],
+             2, "{dir}/mixed.txt: line 2: inconsistent column count"),
+            ([*LIQUID, "--trajectory", "{dir}/blank.txt"], 2, "{dir}/blank.txt: no data rows"),
+            ([*LIQUID, "--trajectory", "{dir}/uneven.txt"],
+             2, "{dir}/uneven.txt: timestamps must be uniformly spaced"),
+            (["sdf-grid", *HELIX, "--min", "0", "0", "0", "--max", "1", "0", "1",
+              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"],
+             2, "grid max corner must exceed min corner componentwise"),
+            (["replay", "--trace", "{liquid}", "--export", "meshes", "--mesh", "{cube}"],
+             2, "mesh export needs --outdir"),
+            (["replay", "--trace", "{liquid}", "--export", "meshes", "--outdir", "{dir}/frames"],
+             2, "mesh export needs --mesh (the container)"),
+            (["replay", "--trace", "{dir}/screw.trace", "--export", "meshes", "--mesh", "{cube}",
+              "--outdir", "{dir}/frames"], 2, "mesh export needs a liquid trace, got kind 'screw'"),
+            (["replay", "--trace", "{dir}/empty.trace", "--export", "meshes", "--mesh", "{cube}",
+              "--outdir", "{dir}/frames"], 2, "trace has no records"),
         ],
         ids=[
             "liquid-open-mesh", "replay-open-mesh", "clip-non-ascii-mesh", "screw-equal-times",
@@ -793,6 +864,11 @@ class TestExitCodes:
             "detent-duration-past-memory", "liquid-duration-past-memory",
             "screw-duration-past-memory", "sdf-grid-res-past-memory", "sdf-grid-res-past-array",
             "sdf-grid-min-nan", "sdf-grid-max-inf", "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
+            "sdf-grid-invalid-json", "sdf-grid-config-not-object", "sdf-grid-config-version",
+            "sdf-grid-section-not-object", "liquid-trajectory-width", "liquid-trajectory-mixed-widths",
+            "liquid-trajectory-no-rows", "liquid-trajectory-uneven-times", "sdf-grid-max-not-above-min",
+            "replay-meshes-no-outdir", "replay-meshes-no-mesh", "replay-meshes-screw-trace",
+            "replay-meshes-no-records",
         ],
     )
     def test_failure_exit_code(self, files, capsys, argv, code, fragment):

@@ -18,12 +18,14 @@ from labmech import (
     TriMesh,
     box_mesh,
     effective_accel,
+    init_state,
     progress_score,
     rotate_world_to_frame,
     run_knob_scene,
     run_liquid_scene,
     run_screw_scene,
     screw_advance,
+    step_pendulum,
     write_trace,
 )
 
@@ -77,6 +79,18 @@ class TestFrameTrajectory:
         assert traj.index_at(0.19) == 1
         assert traj.index_at(5.0) == 2
         assert traj.index_at(-1.0) == 0
+
+    def test_times_past_the_float_range_give_the_end_samples(self):
+        # the sample position is clamped before it is floored: it is
+        # +-1e300 on a 1 s spacing, and inf past the first sample on 5e-324 s
+        traj = FrameTrajectory(times=[0.0, 1.0, 2.0], accels=np.zeros((3, 3)))
+        assert (traj.index_at(-1e300), traj.index_at(1e300)) == (0, 2)
+        tiny = FrameTrajectory(times=[0.0, 5e-324], accels=np.zeros((2, 3)))
+        assert [tiny.index_at(t) for t in (-1e300, 0.0, 1e-3, 1e300)] == [0, 0, 1, 1]
+
+    def test_one_sample_covers_every_time(self):
+        traj = FrameTrajectory(times=[3.0], accels=[[1.0, 0.0, 0.0]])
+        assert [traj.index_at(t) for t in (-1e300, 0.0, 3.0, 1e300)] == [0, 0, 0, 0]
 
     def test_quaternion_rotation_matches_matrix(self):
         rng = np.random.default_rng(131)
@@ -197,6 +211,25 @@ class TestLiquidScene:
         traj = FrameTrajectory(times=[0.0], accels=[[0, 0, 0]], orientations=[quat])
         trace = run_liquid_scene(scene, traj)
         np.testing.assert_allclose(trace.data[-1][5:8], [0.0, 1.0, 0.0], atol=1e-9)
+
+    def test_turning_frame_sampled_finer_than_dt(self):
+        # each step's forcing is its sample's, rotated into the frame, as a
+        # step at a time computes it; nine of ten samples are never read
+        scene = make_scene(duration=0.02)
+        times = 1e-4 * np.arange(201)
+        half = 0.2 * np.sin(30.0 * times)
+        zero = np.zeros_like(times)
+        traj = FrameTrajectory(times, np.column_stack([2.0 * np.sin(50.0 * times), zero, zero]),
+                               np.column_stack([np.cos(half), np.sin(half), zero, zero]))
+        trace = run_liquid_scene(scene, traj)
+        samples = [traj.index_at(i * scene.dt) for i in range(scene.steps)]
+        forcing = [rotate_world_to_frame(traj.orientations[k],
+                                         effective_accel(scene.gravity, traj.accels[k]))
+                   for k in samples]
+        state = init_state(forcing[0])
+        for row, g_eff in zip(trace.data, forcing):
+            state = step_pendulum(scene.pendulum, state, g_eff, scene.dt)
+            assert (state.phi, state.theta, state.phidot, state.thetadot) == tuple(row[1:5])
 
     def test_sloshing_across_vertical_stays_finite(self):
         # reversing lateral forcing swings the surface through level; the

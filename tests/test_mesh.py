@@ -175,6 +175,24 @@ class TestClipVolume:
         above = clip_volume(cube, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.7))
         assert above.full and above.volume == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mesh",
+        [cylinder_mesh(radius=14e-3, height=30e-3, segments=48), icosphere_mesh(subdivisions=3)],
+        ids=["cylinder-48", "icosphere-3"],
+    )
+    def test_plane_past_every_vertex_holds_the_container(self, mesh):
+        # every triangle is whole: the flux sum with the plane's point as
+        # reference would scale its rounding dust by the height, to 1.36e280
+        # on the cylinder at h = 1e300
+        capacity = mesh_volume(mesh)
+        for normal in (np.array([0.6, 0.8, 0.0]), unit_vector([0.3, -0.2, 1.0]),
+                       np.array([0.0, 0.0, -1.0])):
+            top = float(((mesh.vertices - mesh.bbox_center) @ normal).max())
+            for height in (top + 1e-8 * mesh.bbox_diag, 1e6, 1e12, 1e300):
+                res = clip_volume(mesh, LiquidPlane(normal, height))
+                assert (res.volume, res.cut_area, res.empty, res.full) == (
+                    capacity, 0.0, False, True), (normal, height)
+
     def test_empty_mesh(self):
         empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
         res = clip_volume(empty, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.0))
@@ -383,6 +401,29 @@ class TestSolveHeight:
     def test_near_full_meets_iteration_budget(self, cube):
         normal = unit_vector([-0.75, -0.6, -0.285])
         assert _height_search(cube, normal, 1.0 - 1e-4).iterations <= 20
+
+    def test_degenerate_cut_area_bisects(self, monkeypatch):
+        # a warm start within the snap band of the lowest vertex clips
+        # empty, with no cut area for Newton: the next iterate bisects
+        mesh = icosphere_mesh(subdivisions=4)
+        normal = np.array([0.0, 0.0, 1.0])
+        support = mesh._centered @ normal
+        start = float(support.min()) + 0.5e-9 * mesh.bbox_diag
+        clips = []
+
+        def recording(mesh, plane, clip=clip_volume):
+            clips.append((plane.height, clip(mesh, plane)))
+            return clips[-1][1]
+
+        monkeypatch.setattr("labmech.mesh.clip_volume", recording)
+        target = 0.3 * mesh_volume(mesh)
+        found = _height_search(mesh, normal, target, h_prev=start)
+        (first, empty), (second, _) = clips[:2]
+        assert first == start and empty.empty and empty.cut_area == 0.0
+        assert second == 0.5 * (start + float(support.max()))
+        assert found.iterations == len(clips) <= 20
+        reference = oracles.bisect_height(mesh, normal, target)
+        assert abs(found.height - reference) <= 1e-9 * mesh.bbox_diag
 
     def test_iteration_budget_exhaustion(self, cube):
         with pytest.raises(NoConvergence):

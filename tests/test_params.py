@@ -4,27 +4,34 @@ that names the field, and a step schedule that covers no whole step, or
 too many steps to count, into a ValueError too."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from labmech import (
     DetentProfile,
     EccentricSpec,
+    FrameTrajectory,
     HelixSpec,
     KnobState,
     LiquidPlane,
     PendulumParams,
     PendulumState,
+    ProgressSpec,
+    ReplayTrace,
     SceneConfig,
     box_mesh,
     cylinder_mesh,
     height_search,
     icosphere_mesh,
     integrate_pendulum,
+    l_prism_mesh,
     run_knob_scene,
     run_screw_scene,
     screw_pose,
     sdf_gradient,
+    sdf_thread,
     step_knob,
     step_pendulum,
     thread_engagement,
@@ -163,3 +170,48 @@ class TestHeightSearch:
     def test_one_iteration_and_zero_tolerance_are_valid(self):
         found = height_search(self.CUBE, self.UP, 0.5, max_iter=1, tol_rel=0.0)
         assert (found.height, found.iterations) == (0.0, 1)
+
+
+# (id, call, message): documented bad input past the scalar rule, each a
+# ValueError with this whole message
+BAD_INPUT = [
+    ("trajectory-no-sample", lambda: FrameTrajectory([], np.zeros((0, 3))),
+     "trajectory needs at least one sample"),
+    ("trajectory-lengths", lambda: FrameTrajectory([0.0, 1.0], [[0.0, 0.0, 0.0]]),
+     "times and accelerations disagree in length"),
+    ("trajectory-non-finite",
+     lambda: FrameTrajectory([0.0, 1.0], [[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]]),
+     "trajectory samples must be finite"),
+    ("trajectory-orientations", lambda: FrameTrajectory(
+        [0.0, 1.0], np.zeros((2, 3)), orientations=[[1.0, 0.0, 0.0, 0.0]]),
+     "orientations and times disagree in length"),
+    ("scene-gravity", lambda: SceneConfig(gravity=(0.0, math.nan, -9.81), container=box_mesh(),
+                                          pendulum=PARAMS, liquid_volume=0.5),
+     "gravity must be finite"),
+    ("progress-lengths", lambda: ProgressSpec([0.0, 1.0], [1.0], [0.5], [1.0]),
+     "initial, target, final, and weights must share a length >= 1"),
+    ("progress-empty", lambda: ProgressSpec([], [], [], []),
+     "initial, target, final, and weights must share a length >= 1"),
+    ("progress-non-finite", lambda: ProgressSpec([0.0], [1.0], [math.nan], [1.0]),
+     "progress parameters must be finite"),
+    ("detent-positions", lambda: DetentProfile(positions=[0.0, math.inf], stiffness=10.0),
+     "positions must be finite"),
+    ("plane-normal", lambda: LiquidPlane([0.0, 0.0, 2.0], 0.0),
+     "plane normal must be a unit vector (within 1e-12)"),
+    ("l-prism-notch", lambda: l_prism_mesh(notch=(2.0, 1.0)),
+     "notch must be strictly smaller than the outer rectangle"),
+    ("trace-no-column", lambda: ReplayTrace(kind="generic", columns=(), data=[]),
+     "a trace needs at least one column"),
+    ("trace-long-name", lambda: ReplayTrace(kind="generic", columns=("x" * 17,), data=[0.0]),
+     f"column name {'x' * 17!r} exceeds 16 bytes"),
+    ("sdf-thread-shape", lambda: sdf_thread(SPEC, [1.0, 0.0]),
+     "expected shape (3,) or (N, 3), got (2,)"),
+    ("engagement-pose", lambda: thread_engagement(SPEC, SPEC, np.eye(3)),
+     "relative_pose must be 4x4, got (3, 3)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in BAD_INPUT], ids=[c[0] for c in BAD_INPUT])
+def test_bad_input_is_a_named_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

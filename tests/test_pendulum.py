@@ -239,6 +239,21 @@ class TestInitAndDirection:
         with pytest.raises(ZeroGravity):
             init_state((0.0, 0.0, 0.0))
 
+    # accel . accel overflows (numpy warns) or underflows to zero there
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "accel, direction",
+        [
+            ((0.0, 0.0, -1e200), (0.0, 0.0, -1.0)),
+            ((3e160, 0.0, -4e160), (0.6, 0.0, -0.8)),
+            ((0.0, 0.0, -1e-200), (0.0, 0.0, -1.0)),
+            ((0.0, 4e-170, 3e-170), (0.0, 0.8, 0.6)),
+        ],
+        ids=["down-overflow", "oblique-overflow", "down-underflow", "oblique-underflow"],
+    )
+    def test_init_at_the_float_range_edges(self, accel, direction):
+        np.testing.assert_allclose(direction_of(init_state(accel)), direction, atol=1e-15)
+
     def test_direction_examples(self):
         np.testing.assert_allclose(
             direction_of(PendulumState(0, 0, 0, 0)), [0, 0, -1], atol=1e-15
