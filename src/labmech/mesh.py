@@ -34,9 +34,12 @@ interior with the halfspace below a plane.  Conventions used throughout:
   respect to height) comes from Green's theorem on the chords.
   :func:`liquid_geometry` emits the whole triangles and the same band
   pieces, pairs the chords into loops by their node ids and caps each
-  loop.  Its body costs what the cut creates: only the created triangles
-  are shape-tested, since the whole ones are the container's and the
-  body is closed by construction (see :class:`TriMesh`).
+  loop.  Its body costs what moves with the plane: what the topology
+  fixes (the loops, the renumbered triangles, the nodes kept and their
+  face text) is built once per topology (``_Body``), and only the
+  created triangles are shape-tested, on every body, since the whole ones
+  are the container's and the body is closed by construction (see
+  :class:`TriMesh`).
 
 The cost of a clip that reuses the topology (a hit) is the projection of
 every vertex, the one pass over the mesh, plus the arithmetic of the
@@ -57,7 +60,6 @@ File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,8 +154,9 @@ class TriMesh:
     (non-manifold or inconsistently wound), and boundary edges.  An empty
     mesh is valid.  ``vertices`` and ``triangles`` are read-only copies of
     the inputs, so the bounding box, the centered vertices, the edge tables,
-    the flux terms and the ``v x y z`` rows that :func:`save_mesh` writes,
-    all cached from them, cannot go stale.  Nor can the cut topology of the
+    the flux terms and the ``v x y z`` rows that :func:`save_mesh` writes
+    (each formatted on its first write, see :meth:`_rows`), all cached from
+    them, cannot go stale.  Nor can the cut topology of the
     last clip (see :func:`_plane_cut`): it is a function of these arrays and
     of the vertex side codes, and it is reused only for the exact same codes.
 
@@ -175,13 +178,14 @@ class TriMesh:
     Its edge tables are derived on first use, when the body is clipped
     again, by the same ``_edge_tables`` from the same arrays, so they equal
     the ones public construction gives, bit for bit.  A body also links to
-    its container, whose cached rows it reuses for the container vertices
-    it keeps.
+    its container, whose row cache gives the rows of the container
+    vertices it keeps, and to its cut topology's :class:`_Body`, whose
+    triangles it shares and whose face rows :func:`save_mesh` writes.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    _kept = None  # (container, kept-vertex mask) of a liquid body; not a field
+    _source = None  # (container, _Body) of a liquid body; not a field
 
     def __post_init__(self):
         verts = np.array(self.vertices, dtype=float).reshape(-1, 3)
@@ -198,19 +202,20 @@ class TriMesh:
         self._edge_tables  # derives the edge tables, or raises NotWatertight
 
     @classmethod
-    def _liquid_body(cls, vertices, triangles, created, kept) -> TriMesh:
-        """The body :func:`liquid_geometry` assembled: fresh ``vertices``
-        (float) and ``triangles`` (int64) arrays, made read-only and used as
-        they are.  Only ``triangles[created:]``, the band fans and caps, are
-        shape-tested (see the class docstring for why that suffices);
-        ``kept`` is the body's link to its container."""
+    def _liquid_body(cls, vertices, triangles, created, source) -> TriMesh:
+        """The body :func:`liquid_geometry` assembled: ``vertices`` (float)
+        and ``triangles`` (int64) arrays, made read-only and used as they
+        are; the triangles may be shared with other bodies.  Only
+        ``triangles[created:]``, the band fans and caps, are shape-tested
+        (see the class docstring for why that suffices); ``source`` is the
+        body's link to its container and to its cut's :class:`_Body`."""
         body = object.__new__(cls)
         vertices.flags.writeable = False
         triangles.flags.writeable = False
         object.__setattr__(body, "vertices", vertices)
         object.__setattr__(body, "triangles", triangles)
         _check_shape(vertices, triangles[created:])
-        object.__setattr__(body, "_kept", kept)
+        object.__setattr__(body, "_source", source)
         return body
 
     @cached_property
@@ -267,19 +272,24 @@ class TriMesh:
         return float(np.einsum("ij,ij->i", np.cross(c[:, 0], c[:, 1]), c[:, 2]).sum() / 6.0)
 
     @cached_property
-    def _vertex_rows(self) -> list:
-        """The ``v x y z`` row of each vertex as :func:`save_mesh` writes
-        it, formatted at most once per mesh.  A liquid body links to its
-        container (``_kept``: the container and the mask of its vertices
-        that the body keeps, which the body lists first, in index order)
-        and takes those rows from the container's cache; only the rows
-        after them are formatted here."""
-        rows = []
-        if self._kept is not None:
-            container, mask = self._kept
-            rows = list(itertools.compress(container._vertex_rows, mask))
-        rows += [f"v {x!r} {y!r} {z!r}\n" for x, y, z in self.vertices[len(rows):].tolist()]
-        return rows
+    def _row_cache(self) -> tuple:
+        """``(rows, formatted)``: an object array with the ``v x y z`` row of
+        each vertex that :func:`save_mesh` has written so far, None for the
+        others, and the mask of the rows it holds (see :meth:`_rows`)."""
+        return np.full(len(self.vertices), None, dtype=object), np.zeros(len(self.vertices), bool)
+
+    def _rows(self, ids: np.ndarray) -> list:
+        """The ``v x y z`` rows of the vertices ``ids``, an array of distinct
+        indices, as :func:`save_mesh` writes them.  Each row is formatted on
+        its first request and kept in the mesh's row cache, so a container's
+        row is formatted at most once, and only if some body it cuts keeps
+        it."""
+        rows, formatted = self._row_cache
+        missing = ids[~formatted[ids]]
+        if missing.size:
+            rows[missing] = _vertex_lines(self.vertices[missing])
+            formatted[missing] = True
+        return rows[ids].tolist()
 
     @cached_property
     def _centered(self) -> np.ndarray:
@@ -410,11 +420,12 @@ class _Cut:
     point.  Band pieces and chords are listed by triangle index, one per
     column.  The index arrays are C-contiguous.
 
-    ``gather`` is the one field set after construction: the band-local
-    layout that :func:`clip_volume` sums from, built on the cut's first
-    use by :func:`clip_volume` (see :func:`_gather`), so a cut that only
-    :func:`liquid_geometry` reads never builds it, nor the mesh's flux
-    terms.
+    Two fields are set after construction, each on the cut's first use by
+    one path, so that a cut builds only what its users read: ``gather``,
+    the band-local layout that :func:`clip_volume` sums from (see
+    :func:`_gather`), which also sums the mesh's flux terms; and ``body``,
+    the parts of a liquid body that the topology fixes, which
+    :func:`liquid_geometry` builds on (see :func:`_body`).
     """
 
     whole: np.ndarray  # (T,) triangles with every vertex strictly below
@@ -427,6 +438,7 @@ class _Cut:
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
     gather: _Gather | None = None
+    body: _Body | None = None
 
 
 class _Gather(NamedTuple):
@@ -448,6 +460,33 @@ class _Gather(NamedTuple):
     pieces: np.ndarray  # (7, 3, m) a, then c, b and d rolled by one and by two
     chords: np.ndarray  # (2, 2, 3, c) chord starts, then ends, rolled by one and by two
     whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
+
+
+@dataclass(frozen=True, eq=False)
+class _Body:
+    """The parts of a liquid body that one cut topology fixes, read-only.
+
+    Every body that :func:`liquid_geometry` cuts with the topology has
+    these triangles and keeps these nodes; only the coordinates of its
+    crossing nodes and cap centroids move from plane to plane.  The body's
+    node table is the mesh vertices, the cut's crossing nodes (the node ids
+    of :class:`_Cut`) and then one cap centroid per loop, and the body
+    lists its ``used`` rows in id order, so that its first vertices are the
+    mesh vertices ``kept``.  ``faces``, the ``f i j k`` rows of
+    ``triangles`` as :func:`save_mesh` writes them, is formatted on the
+    first save of a body of the topology.
+    """
+
+    loops: list  # (k,) node ids of each chord loop, counterclockwise about the normal
+    rings: list  # (k, 2) per loop: its cap's rims, each loop node and the next
+    triangles: np.ndarray  # (t, 3) whole triangles, band fans, caps, in body vertex ids
+    created: int  # triangles[:created] are whole, the container's own
+    used: np.ndarray  # (n,) node ids of the body's vertices
+    kept: np.ndarray  # (K,) the mesh vertices among them
+
+    @cached_property
+    def faces(self) -> str:
+        return _face_lines(self.triangles)
 
 
 def _roll_table(rows, roles, rolls):
@@ -541,6 +580,41 @@ def _gather(mesh: TriMesh, cut: _Cut) -> _Gather:
     for array in gather:
         array.setflags(write=False)
     return gather
+
+
+def _body(mesh: TriMesh, cut: _Cut) -> _Body:
+    """Build ``cut.body``, the fixed parts of its liquid bodies (see
+    :class:`_Body`), and return it.  Chords that do not chain into loops
+    raise :class:`OpenCutLoop` before the cut is changed.
+
+    The wall is the cut's whole triangles, as they are, and its band
+    pieces, each fanned into triangles (a triangle piece repeats its last
+    node, so its second fan triangle is degenerate and dropped).  Each
+    loop is capped by a fan from its centroid node to every rim, with the
+    orientation of the loop; a node that no triangle uses (a mesh vertex
+    above the plane) is not listed.
+    """
+    loops = _chain_loops(cut.chords.T)
+    centroid_ids = len(mesh.vertices) + len(cut.lo)
+    whole = mesh.triangles[cut.whole]
+    fans = cut.pieces[[0, 1, 2, 0, 2, 3]].T.reshape(-1, 3)
+    caps = []
+    for c, loop in enumerate(loops):
+        cap = np.empty((len(loop), 3), dtype=np.int64)
+        cap[:, 0] = centroid_ids + c
+        cap[:, 1] = loop
+        cap[:-1, 2] = loop[1:]
+        cap[-1, 2] = loop[0]
+        caps.append(cap)
+    tris = np.concatenate([whole, fans[fans[:, 1] != fans[:, 2]], *caps])
+    used = np.zeros(centroid_ids + len(loops), dtype=bool)
+    used[tris] = True
+    body = _Body(loops, [cap[:, 1:] for cap in caps], (np.cumsum(used) - 1)[tris], len(whole),
+                 np.flatnonzero(used), np.flatnonzero(used[: len(mesh.vertices)]))
+    for array in (*body.loops, *body.rings, body.triangles, body.used, body.kept):
+        array.setflags(write=False)
+    cut.body = body
+    return body
 
 
 def _plane_cut(mesh: TriMesh, plane: LiquidPlane) -> tuple:
@@ -812,22 +886,26 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     :class:`TriMesh`): its whole triangles passed the shape test when the
     container (or, for a body of a body, its container) was built, and it
     is closed by construction, since band pieces share their crossing nodes
-    and every chord loop is capped or the cut raises.  So a body costs what
-    the cut creates, not what the container holds: the clip, one
-    shape test over the band fans and caps, the chord pairing and, per
-    loop, a few small array operations for its cap.  The whole triangles
-    are one gather, and the body's edge tables are derived only if the body
-    is clipped again.
+    and every chord loop is capped or the cut raises.  Its triangles, the
+    chord loops and the nodes it keeps are a function of the cut topology:
+    they are built on the topology's first body (:func:`_body`) and shared
+    by the bodies of every later plane with the same vertex sides, as the
+    records of a replayed rollout mostly are.  So a body costs what moves
+    with the plane: the clip and its crossing nodes, per loop the area
+    centroid and the shape test of its cap, one shape test over the band
+    fans and caps, and a gather of the vertex rows.  The body's edge tables
+    are derived only if the body is clipped again.
 
     Returns an empty mesh when the plane lies below the container and the
     input mesh itself when it lies above.  Vertices are listed in node
     order (mesh vertices by index, then crossing nodes by edge, then cap
     centroids by loop) and triangles as whole triangles, band fans, caps,
     so identical inputs give identical meshes.  A body that the plane
-    cuts links to the container and to the mask of container
-    vertices it keeps, its first vertices; :func:`save_mesh` then takes
-    their rows from the container's cache and writes the same bytes as for
-    any mesh with these arrays.
+    cuts links to the container and to its topology's :class:`_Body`, which
+    names the container vertices it keeps, its first vertices;
+    :func:`save_mesh` then takes their rows from the container's row cache
+    and the face rows from the :class:`_Body`, and writes the same bytes as
+    for any mesh with these arrays.
     """
     plane = LiquidPlane(unit_vector(normal), height)
     cut, _, _, nodes = _clip_table(mesh, plane)
@@ -835,53 +913,45 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     if cut.full:
         return mesh
+    body = cut.body or _body(mesh, cut)
+    centroids = [_cap_centroid(nodes, loop, ring, plane.normal)
+                 for loop, ring in zip(body.loops, body.rings)]
+    return TriMesh._liquid_body(np.concatenate([nodes, *centroids]).take(body.used, axis=0),
+                                body.triangles, body.created, (mesh, body))
 
-    whole = mesh.triangles[cut.whole]
-    fans = cut.pieces[[0, 1, 2, 0, 2, 3]].T.reshape(-1, 3)
-    out_tris = [whole, fans[fans[:, 1] != fans[:, 2]]]
-    out_vertices = [nodes]
-    next_id = len(nodes)
-    nrm = plane.normal
-    for loop in _chain_loops(cut.chords.T):
-        k = len(loop)
-        coords = nodes[loop]
-        # area centroid of the loop polygon: the node mean can land exactly
-        # on a chord line (collinear chord subdivisions shift it), which
-        # would degenerate the fan.  The doubled areas multiply an (m, 3)
-        # C-ordered array by the normal: another layout can round the sums
-        # differently, and exported bodies are fixed to the bit.
-        ref = coords[0]
-        spans = (coords[1:] - ref).T
-        doubled = np.ascontiguousarray(_cross(spans[:, :-1], spans[:, 1:]).T) @ nrm
-        total = doubled.sum()
-        if total <= DEGENERATE_AREA_FRACTION * ((coords.max(0) - coords.min(0)) ** 2).sum():
-            raise NonStarShapedCutLoop(
-                f"cut loop of {k} nodes encloses no usable area"
-            )
-        piece_centers = (ref + coords[1:-1] + coords[2:]) / 3.0
-        centroid = (doubled[:, None] * piece_centers).sum(axis=0) / total
-        cap = np.empty((k, 3), dtype=np.int64)
-        cap[:, 0] = next_id
-        cap[:, 1] = loop
-        cap[:-1, 2] = loop[1:]
-        cap[-1, 2] = loop[0]
-        # every fan triangle must pass the TriMesh shape test with the
-        # cap's orientation: spokes to each node and to the next
-        ring = (nodes[cap[:, 1:]] - centroid).T
-        spokes, rims = ring[:, 0], ring[:, 1] - ring[:, 0]
-        if (nrm @ _cross(spokes, rims) <= _sliver_floor(spokes, rims)).any():
-            raise NonStarShapedCutLoop(
-                f"cut loop of {k} nodes is not star-shaped around its centroid"
-            )
-        out_vertices.append(centroid[None])
-        out_tris.append(cap)
-        next_id += 1
 
-    tris = np.concatenate(out_tris)
-    used = np.zeros(next_id, dtype=bool)
-    used[tris] = True
-    return TriMesh._liquid_body(np.concatenate(out_vertices)[used], (np.cumsum(used) - 1)[tris],
-                                len(whole), (mesh, used[: len(mesh.vertices)]))
+def _cap_centroid(nodes, loop, ring_ids, nrm) -> np.ndarray:
+    """The area centroid of a cut ``loop`` of ``nodes``, as a (1, 3) row:
+    the centre of its cap's fan, whose triangles have the rims
+    ``ring_ids`` (each loop node and the next).  Raises :class:`NonStarShapedCutLoop` if the loop encloses no
+    usable area, or if a fan triangle fails the shape test with the cap's
+    orientation about the upward normal ``nrm``."""
+    k = len(loop)
+    coords = nodes[loop]
+    # area centroid of the loop polygon: the node mean can land exactly
+    # on a chord line (collinear chord subdivisions shift it), which
+    # would degenerate the fan.  The doubled areas multiply an (m, 3)
+    # C-ordered array by the normal: another layout can round the sums
+    # differently, and exported bodies are fixed to the bit.
+    ref = coords[0]
+    spans = (coords[1:] - ref).T
+    doubled = np.ascontiguousarray(_cross(spans[:, :-1], spans[:, 1:]).T) @ nrm
+    total = doubled.sum()
+    if total <= DEGENERATE_AREA_FRACTION * ((coords.max(0) - coords.min(0)) ** 2).sum():
+        raise NonStarShapedCutLoop(
+            f"cut loop of {k} nodes encloses no usable area"
+        )
+    piece_centers = (ref + coords[1:-1] + coords[2:]) / 3.0
+    centroid = (doubled[:, None] * piece_centers).sum(axis=0) / total
+    # every fan triangle must pass the TriMesh shape test with the
+    # cap's orientation: spokes to each node and to the next
+    ring = (nodes[ring_ids] - centroid).T
+    spokes, rims = ring[:, 0], ring[:, 1] - ring[:, 0]
+    if (nrm @ _cross(spokes, rims) <= _sliver_floor(spokes, rims)).any():
+        raise NonStarShapedCutLoop(
+            f"cut loop of {k} nodes is not star-shaped around its centroid"
+        )
+    return centroid[None]
 
 
 def _chain_loops(chords) -> list:
@@ -1162,10 +1232,29 @@ def save_mesh(mesh: TriMesh, path) -> None:
     """Write the ASCII interchange format with shortest round-trip decimals
     (``repr`` of each coordinate), vertex lines first, in one write.
 
-    The vertex rows come from the mesh's cache (see ``TriMesh``), so a
-    container's rows are formatted once however many of its liquid bodies
-    are saved; the face rows are one ``%`` format over the flattened
-    1-based indices.  The bytes are those of formatting every row afresh."""
-    faces = ("f %d %d %d\n" * len(mesh)) % tuple((mesh.triangles + 1).ravel().tolist())
+    The bytes are those of formatting every row afresh.  The vertex rows
+    of a mesh come from its row cache (see :meth:`TriMesh._rows`).  A
+    liquid body takes the rows of the container vertices it keeps from the
+    container's cache, so each is formatted once however many bodies keep
+    it, and formats only its crossing nodes and cap centroids; its face
+    rows are its cut's (:class:`_Body`), formatted once per topology.  The
+    face rows of any other mesh are one ``%`` format over the flattened
+    1-based indices."""
+    if mesh._source is None:
+        rows, faces = mesh._rows(np.arange(len(mesh.vertices))), _face_lines(mesh.triangles)
+    else:
+        container, body = mesh._source
+        rows, faces = container._rows(body.kept), body.faces
+        rows += _vertex_lines(mesh.vertices[len(body.kept):])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(mesh._vertex_rows) + faces)
+        fh.write("".join(rows) + faces)
+
+
+def _vertex_lines(vertices) -> list:
+    """The ``v x y z`` row of each of the (n, 3) ``vertices``."""
+    return [f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices.tolist()]
+
+
+def _face_lines(triangles) -> str:
+    """The ``f i j k`` rows of the (t, 3) ``triangles``, 1-based."""
+    return ("f %d %d %d\n" * len(triangles)) % tuple((triangles + 1).ravel().tolist())

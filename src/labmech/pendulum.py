@@ -47,6 +47,8 @@ from .errors import NonFiniteState, ZeroGravity, _count, _fields, _finite, _nonn
 from .mesh import _SMALLEST_NORMAL, unit_vector
 
 _PI = math.pi
+#: Below this size no square of a component, nor a sum of three, overflows.
+_SQUARE_SAFE = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,10 @@ def init_state(accel) -> PendulumState:
     :class:`ZeroGravity` for a zero vector, ValueError for a non-finite one.
     """
     g = np.asarray(accel, dtype=float)
-    squared = g.dot(g)
+    # a square that overflows would make numpy warn: leave such a vector
+    # (or a NaN first component) to unit_vector, which gives the same bits
+    # wherever the square is a normal float
+    squared = g.dot(g) if max(map(abs, g.tolist())) < _SQUARE_SAFE else math.inf
     if _SMALLEST_NORMAL <= squared < math.inf:
         d = g / math.sqrt(squared)  # np.linalg.norm of a vector
     elif not g.any():

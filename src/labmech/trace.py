@@ -150,6 +150,5 @@ def trace_table(trace: ReplayTrace) -> str:
     row per record, values as shortest round-trip decimals."""
     lines = [f"# kind={trace.kind} records={len(trace)}"]
     lines.append("\t".join(trace.columns))
-    for row in trace.data:
-        lines.append("\t".join(repr(float(v)) for v in row))
+    lines += ["\t".join(map(repr, row)) for row in trace.data.tolist()]
     return "\n".join(lines) + "\n"

@@ -275,12 +275,9 @@ def test_support_ends_clip_empty_full_and_chordless(name):
     assert above.full and not above.pieces.size
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_rollout_clips_match_reference(name):
-    # the planes of a seeded liquid rollout, clipped in order, mostly reuse
-    # the cut of the clip before; each gives the reference's bytes
-    mesh = FIXTURES[name]
-    rng = np.random.default_rng(18)
+def lateral_rollout(mesh, rng):
+    """The (normal, height) records, in order, of a 40-step liquid rollout
+    of ``mesh`` at fill 0.4 under a lateral sinusoid drawn from ``rng``."""
     times = 1e-3 * np.arange(41)
     heading = rng.uniform(0.0, 2.0 * np.pi)
     wave = rng.uniform(2.0, 4.0) * np.sin(2.0 * np.pi * rng.uniform(3.0, 6.0) * times)
@@ -292,15 +289,94 @@ def test_rollout_clips_match_reference(name):
         liquid_volume=0.4 * mesh_volume(mesh), duration=40e-3,
     )
     trace = run_liquid_scene(config, FrameTrajectory(times, accels))
+    return [(np.array(normal), height)
+            for *normal, height in zip(*(trace.column(c) for c in ("nx", "ny", "nz", "height")))]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_rollout_clips_match_reference(name):
+    # the planes of a seeded liquid rollout, clipped in order, mostly reuse
+    # the cut of the clip before; each gives the reference's bytes
+    mesh = FIXTURES[name]
     warm, reference = (TriMesh(mesh.vertices, mesh.triangles) for _ in range(2))
     hits, before = 0, None
-    for *normal, height in zip(*(trace.column(c) for c in ("nx", "ny", "nz", "height"))):
-        plane = LiquidPlane(np.array(normal), height)
+    for normal, height in lateral_rollout(mesh, np.random.default_rng(18)):
+        plane = LiquidPlane(normal, height)
         assert_same_clip(clip_volume(warm, plane), oracles.clip_sums_reference(reference, plane))
         cut = warm.__dict__["_last_cut"][1]
         hits += cut is before
         before = cut
     assert hits
+
+
+def assert_same_export(body, expected, paths):
+    """``body`` has the arrays of ``expected`` bit for bit, and both save
+    the bytes of the row-by-row writer."""
+    for field in ("vertices", "triangles"):
+        assert_bitwise(getattr(body, field), getattr(expected, field), field)
+    ours, cold, rows = paths
+    save_mesh(body, ours)
+    save_mesh(expected, cold)
+    oracles.write_mesh_rows(expected, rows)
+    assert ours.read_bytes() == cold.read_bytes() == rows.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["cylinder-48", "icosphere-3", "l-prism"])
+def test_rollout_bodies_match_cold_cuts(name, tmp_path):
+    # the records of a seeded rollout exported in order from one container
+    # mostly reuse its cut and the body parts cached on that cut, and take
+    # the container's rows from its row cache; each body is the one that a
+    # fresh TriMesh of the same arrays (a cold cut) gives, bit for bit
+    mesh = FIXTURES[name]
+    warm = TriMesh(mesh.vertices, mesh.triangles)
+    paths = [tmp_path / f"{side}.mesh" for side in ("ours", "cold", "rows")]
+    reused, before = 0, None
+    for normal, height in lateral_rollout(mesh, np.random.default_rng(21)):
+        body = liquid_geometry(warm, normal, height)
+        assert len(body) and body is not warm
+        assert_same_export(body, liquid_geometry(TriMesh(mesh.vertices, mesh.triangles), normal,
+                                                 height), paths)
+        parts = warm.__dict__["_last_cut"][1].body
+        reused += parts is before
+        before = parts
+    assert reused
+
+
+# an L-prism plane through the top vertex of the reflex edge, where the cut
+# pinches; and one whose loop is not star-shaped around its centroid, with a
+# plane of the same cut topology whose loop is
+PINCHED = (unit_vector([0.4732900852896917, 0.04573437199029376, 0.879718626826288]),
+           0.439859313413144)
+NOT_STAR = (unit_vector([-0.36806344459523743, 0.24845534974903277, 0.8959906472356587]),
+            0.39088372670594596)
+STAR = (unit_vector([-0.29999051069612276, 0.2053257189447641, 0.9315830841272802]),
+        0.3248621782052813)
+
+
+@pytest.mark.parametrize("fails, error, message", [
+    (PINCHED, OpenCutLoop, "cut boundary branches at node 10"),
+    (NOT_STAR, NonStarShapedCutLoop, "cut loop of 13 nodes is not star-shaped around its centroid"),
+], ids=["pinched", "not-star-shaped"])
+def test_a_cap_that_raises_leaves_no_half_built_body(fails, error, message, tmp_path):
+    # a plane whose cap raises raises the same on a second call, and the
+    # planes after it export the bodies of cold cuts: one of the failed
+    # plane's topology where there is one, then a horizontal plane twice
+    mesh = TriMesh(FIXTURES["l-prism"].vertices, FIXTURES["l-prism"].triangles)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{message}$"):
+            liquid_geometry(mesh, *fails)
+    cut = mesh.__dict__["_last_cut"][1]
+    after = [(unit_vector([0.0, 0.0, 1.0]), -0.1)] * 2
+    if error is OpenCutLoop:
+        assert cut.body is None  # the chords never chained
+    else:
+        assert _clip_table(mesh, LiquidPlane(*STAR))[0] is cut
+        after.insert(0, STAR)
+    paths = [tmp_path / f"{side}.mesh" for side in ("ours", "cold", "rows")]
+    for normal, height in after:
+        assert_same_export(liquid_geometry(mesh, normal, height),
+                           liquid_geometry(TriMesh(mesh.vertices, mesh.triangles), normal, height),
+                           paths)
 
 
 @st.composite
@@ -390,11 +466,13 @@ def test_body_volume_matches_clip(case, tmp_path_factory):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_saved_bodies_match_row_writer(name, data, tmp_path_factory):
-    # two bodies of one container back to back, so the second takes its
-    # rows from the container cache that the first (or an earlier example)
-    # filled; each also rebuilt as a fresh TriMesh, which formats every row
-    # itself.  A plane moved a diagonal down or up gives an empty or a full
-    # body, the full one being the container itself.
+    # two bodies of one container back to back: each takes the rows of the
+    # container vertices it keeps from the container's row cache, which
+    # formats a row on its first request only, so the second finds there
+    # the rows the first (or an earlier example) kept; each also rebuilt as
+    # a fresh TriMesh, which formats every row itself.  A plane moved a
+    # diagonal down or up gives an empty or a full body, the full one being
+    # the container itself.
     mesh = FIXTURES[name]
     ours, rows = (tmp_path_factory.getbasetemp() / f"{name}-{side}.mesh" for side in "ab")
     for _ in range(2):

@@ -64,3 +64,11 @@ def test_every_layer_builds_and_runs_its_inputs_once(layer, tmp_path):
     assert cases and all(count >= 1 for _, _, count in cases.values())
     times = layer_ab.time_round(cases)
     assert list(times) == list(cases) and all(us > 0.0 for us in times.values())
+
+
+@pytest.mark.parametrize("layer", ["save_mesh", "liquid_geometry"])
+def test_body_layers_time_rollouts_after_the_random_planes(layer, tmp_path):
+    # the rollout inputs come after the random planes, so that adding them
+    # left the random planes' inputs and names as they were
+    assert list(layer_ab.inputs(layer, tmp_path)) == [
+        "icosphere-3", "cylinder-48", "l-prism", "cylinder-48 rollout", "icosphere-3 rollout"]

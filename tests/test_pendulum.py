@@ -239,8 +239,8 @@ class TestInitAndDirection:
         with pytest.raises(ZeroGravity):
             init_state((0.0, 0.0, 0.0))
 
-    # accel . accel overflows (numpy warns) or underflows to zero there
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    # accel . accel overflows or underflows to zero there; numpy must not warn
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "accel, direction",
         [

@@ -188,3 +188,18 @@ class TestTable:
         )
         # shortest round-trip decimals reconstruct the exact doubles
         assert parsed.tobytes() == trace.data.tobytes()
+
+    def test_text_is_the_per_value_formula(self):
+        # the rows are formatted from Python floats; the bytes are those of
+        # converting and formatting each numpy value on its own
+        values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1e300,
+                  0.1, 1.0 / 3.0, 2.0 / 3.0, 123456.78901234567, -9.876543210987654e-5, 0.1 + 0.2]
+        trace = ReplayTrace(kind="generic", columns=("a", "b", "c"), data=values)
+        assert trace.data[0, 0] == 0.0 and np.signbit(trace.data[0, 0])
+        lines = [f"# kind={trace.kind} records={len(trace)}", "\t".join(trace.columns)]
+        for row in trace.data:
+            lines.append("\t".join(repr(float(v)) for v in row))
+        expected = "\n".join(lines) + "\n"
+        assert trace_table(trace).encode() == expected.encode()
+        for text in ("-0.0\t", "5e-324", "1e+300", "0.30000000000000004", "123456.78901234567"):
+            assert text in expected

@@ -21,8 +21,14 @@ Layers and inputs (times in microseconds):
 
 * ``save_mesh``: per body, ten liquid bodies of a freshly built container
   (icosphere-3, cylinder-48, L-prism) at fills 0.3-0.7 and tilts up to 0.2
-  rad.  The container's rows are formatted on its first save, once per ten
-  bodies, as in ``labmech replay`` of a ten-record trace.
+  rad; and, as ``rollout``, the bodies of the 40 records of a seeded
+  ``run_liquid_scene`` under lateral forcing, in order, on perfbench's
+  cylinder-48 and icosphere-3 at fill 0.5.  A container row is formatted
+  on the first save of a body that keeps it, as in ``labmech replay``.
+  No two of the ten icosphere-3 planes share a cut topology, so each of
+  their bodies builds the fixed parts of its body and formats its face
+  rows; the ten cylinder-48 planes share one, and so do the ten L-prism
+  planes and most rollout records with the record before.
 * ``liquid_geometry``: per body, the same bodies built from a freshly
   built container.
 * ``clip_volume``: per call, ten such planes on cylinder-48 and
@@ -139,28 +145,38 @@ def inputs(layer, workdir):
 
     rng = np.random.default_rng(SEED)
     if layer in ("save_mesh", "liquid_geometry"):
+        def bodies_of(name, mesh, planes):
+            """The layer's ``(prepare, run, count)`` on the bodies of
+            ``planes``, in order, each round from a freshly built container."""
+            def fresh():
+                return TriMesh(mesh.vertices, mesh.triangles)
+
+            def bodies(container):
+                return [liquid_geometry(container, n, h) for n, h in planes]
+
+            if layer == "liquid_geometry":
+                return fresh, bodies, len(planes)
+            paths = [workdir / f"{name}-{k}.mesh" for k in range(len(planes))]
+
+            def save(built):
+                for body, path in zip(built, paths):
+                    save_mesh(body, path)
+
+            return lambda: bodies(fresh()), save, len(planes)
+
         out = {}
         for name, mesh in (("icosphere-3", icosphere_mesh(subdivisions=3)),
                            ("cylinder-48", cylinder_mesh(segments=48)),
                            ("l-prism", l_prism_mesh())):
-            planes = _planes(mesh, 10, rng)
-
-            def fresh(mesh=mesh):
-                return TriMesh(mesh.vertices, mesh.triangles)
-
-            def bodies(container, planes=planes):
-                return [liquid_geometry(container, n, h) for n, h in planes]
-
-            if layer == "liquid_geometry":
-                out[name] = (fresh, bodies, len(planes))
-            else:
-                paths = [workdir / f"{name}-{k}.mesh" for k in range(len(planes))]
-
-                def save(built, paths=paths):
-                    for body, path in zip(built, paths):
-                        save_mesh(body, path)
-
-                out[name] = (lambda bodies=bodies, fresh=fresh: bodies(fresh()), save, len(planes))
+            out[name] = bodies_of(name, mesh, _planes(mesh, 10, rng))
+        # perfbench's replay containers at fill 0.5; a generator of their
+        # own, so that the planes above stay the draws they were before
+        rollout = np.random.default_rng([SEED, 1])
+        for name, mesh in (("cylinder-48", workloads.cylinder48()),
+                           ("icosphere-3", workloads.icosphere(3)())):
+            config = workloads.scene_config(mesh, 0.5 * mesh_volume(mesh), 40)
+            out[f"{name} rollout"] = bodies_of(f"{name}-rollout", mesh,
+                                               _rollout_planes(config, rollout))
         return out
     if layer == "clip_volume":
         def clips(mesh, planes):
