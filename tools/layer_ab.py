@@ -26,7 +26,7 @@ Layers and inputs (times in microseconds):
   cylinder-48 and icosphere-3 at fill 0.5.  A container row is formatted
   on the first save of a body that keeps it, as in ``labmech replay``.
   No two of the ten icosphere-3 planes share a cut topology, so each of
-  their bodies builds the fixed parts of its body and formats its face
+  their bodies builds its topology's body record and formats its face
   rows; the ten cylinder-48 planes share one, and so do the ten L-prism
   planes and most rollout records with the record before.
 * ``liquid_geometry``: per body, the same bodies built from a freshly
