@@ -41,18 +41,26 @@ interior with the halfspace below a plane.  Conventions used throughout:
   are the container's and the body is closed by construction (see
   :class:`TriMesh`).
 
-The cost of a clip that reuses the topology (a hit) is the projection of
-every vertex, the one pass over the mesh, plus the arithmetic of the
-band.  On its first use by :func:`clip_volume` a topology gets a gather
-(``_Gather``): the band's vertex rows under compact node ids and flat
-indices of the components each sum reads.  A hit then interpolates the
-crossing nodes, stacks them under the band's vertex rows, and reads each
-sum's operands with one gather: a few dozen numpy calls on arrays of the
-band's size, whatever the size of the mesh.  The sums are the same IEEE
-operations on the same operands in the same order as over the full node
-array, so the result is the same to the bit (``clip_sums_reference`` in
-the tests).  A clip that changes a side (a miss) builds the topology and
-its gather, one pass over the triangles and a few over the band.
+The cost of a clip that reuses the topology (a hit) is the vertex sides,
+the one pass over the mesh, plus the arithmetic of the band.  A small
+mesh projects every vertex for its sides.  A mesh of at least
+``_SUPPORT_SIDES_VERTICES`` vertices reads them from its support
+projection along the normal, which the height solve derives once per
+normal for its bracket, and projects exactly only the vertices within a
+proven rounding margin of the snap band's edges and the ends of the
+cut's crossing edges, the only heights the crossings read.  On its first
+use by :func:`clip_volume` a topology gets a gather (``_Gather``): the
+band's vertex rows under compact node ids and flat indices of the
+components each sum reads.  A hit then interpolates the crossing nodes,
+stacks them under the band's vertex rows, and reads each sum's operands
+with one gather: a few dozen numpy calls on arrays of the band's size,
+whatever the size of the mesh.  The sums are the same IEEE operations on
+the same operands in the same order as over the full node array, so the
+result is the same to the bit (``clip_sums_reference`` in the tests).  A
+clip that changes a side (a miss) builds the topology in one pass over
+the triangles, which classifies them, and a few over the band, whose
+node numbering one mark over the vertex and edge ids gives; its gather
+reuses that numbering.
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -97,6 +105,28 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 #: Four float ulps at 1: times the bbox diagonal, the height resolution at
 #: which a Newton step ends the height solve.
 _STEP_FLOOR_EPS = 4.0 * float(np.finfo(float).eps)
+
+#: :class:`LiquidPlane` accepts a normal whose length is 1 within this.
+_UNIT_NORMAL_TOLERANCE = 1e-12
+
+#: The unit roundoff of a float operation, 2**-53.
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
+
+#: The part of :func:`_support_sides`'s rounding margin per unit of |height|:
+#: 32 u for the rounding, and a bound on |n . n - 1| for a normal that
+#: :class:`LiquidPlane` accepts, its length checked in floats.
+_SIDE_SLOPE = 2.0 * _UNIT_NORMAL_TOLERANCE + 32.0 * _UNIT_ROUNDOFF
+
+#: A mesh with at least this many vertices takes :func:`clip_volume`'s vertex
+#: sides from the support projection (:func:`_support_sides`), a smaller one
+#: projects every vertex (:func:`_plane_cut`).  It is the crossover measured
+#: on UV spheres, whose band grows as the square root of the vertex count,
+#: in 60 rounds of tilted hit clips at fills 0.2-0.8 on a 2-core VM: the
+#: upper quartile of the per-round time ratio, support to full projection,
+#: was 1.004 at 762 vertices and 0.999 at 842 (0.80 at icosphere-4's 2562).
+#: A cylinder's band holds every vertex, and its support path was 8-11%
+#: slower at 800 and 2048 vertices.
+_SUPPORT_SIDES_VERTICES = 800
 
 
 def _cross(a, b) -> np.ndarray:
@@ -156,9 +186,11 @@ class TriMesh:
     the inputs, so the bounding box, the centered vertices, the edge tables,
     the flux terms and the ``v x y z`` rows that :func:`save_mesh` writes
     (each formatted on its first write, see :meth:`_rows`), all cached from
-    them, cannot go stale.  Nor can the cut topology of the
-    last clip (see :func:`_plane_cut`): it is a function of these arrays and
-    of the vertex side codes, and it is reused only for the exact same codes.
+    them, cannot go stale.  Nor can the support projection of the last
+    normal (:meth:`_support`), reused only for the same normal bytes, or
+    the cut topology of the last clip (see :func:`_topology`): it is a
+    function of these arrays and of the vertex side codes, and it is
+    reused only for the exact same codes.
 
     Every public construction runs all of these checks, the last two by
     deriving the edge tables (the cached ``_edge_tables``).  A
@@ -221,10 +253,11 @@ class TriMesh:
     @cached_property
     def _edge_tables(self) -> tuple:
         """The undirected edge table, (2, E) rows of lower and higher vertex
-        ids, and ``tri_edges[t, k]``, the edge from corner k to corner k + 1
-        of triangle t.  Closed and consistently oriented means every
-        directed edge is unique and every undirected edge is used exactly
-        twice; :class:`NotWatertight` otherwise."""
+        ids, and the (6, T) slot table that :func:`_cut` reads: row k < 3
+        is corner k of each triangle, row 3 + k is ``V + e`` for the edge e
+        from corner k to corner k + 1.  Closed and consistently oriented
+        means every directed edge is unique and every undirected edge is
+        used exactly twice; :class:`NotWatertight` otherwise."""
         tris, nverts = self.triangles, len(self.vertices)
         start, end = tris.ravel(), tris[:, [1, 2, 0]].ravel()
         directed = np.sort(start * nverts + end)
@@ -242,9 +275,12 @@ class TriMesh:
         if key.size % 2 or (key[0::2] != key[1::2]).any():
             raise NotWatertight("mesh has boundary edges (not closed)")
         tri_edges = np.empty_like(order)
-        tri_edges[order] = np.arange(order.size) // 2
+        tri_edges[order] = nverts + np.arange(order.size) // 2
         first = order[0::2]
-        return np.stack([lo[first], hi[first]]), tri_edges.reshape(-1, 3)
+        slots = np.empty((6, len(tris)), dtype=np.int64)
+        slots[:3], slots[3:] = tris.T, tri_edges.reshape(-1, 3).T
+        slots.setflags(write=False)
+        return np.stack([lo[first], hi[first]]), slots
 
     @cached_property
     def bbox_min(self) -> np.ndarray:
@@ -312,6 +348,29 @@ class TriMesh:
         flux.flags.writeable = False
         return flux
 
+    def _support(self, normal: np.ndarray) -> np.ndarray:
+        """``_centered @ normal``: each vertex's height above the bbox center
+        along a unit ``normal``.  A mesh whose clips read their vertex sides
+        from it (see :func:`_support_sides`) keeps the last normal's,
+        read-only and keyed by its bytes, so a height solve derives it once,
+        for its bracket and for every clip it makes; a smaller mesh keeps
+        none."""
+        if len(self.vertices) < _SUPPORT_SIDES_VERTICES:
+            return self._centered @ normal
+        key = normal.tobytes()
+        last = self.__dict__.get("_last_support")
+        if last is None or last[0] != key:
+            support = self._centered @ normal
+            support.setflags(write=False)
+            last = self.__dict__["_last_support"] = (key, support)
+        return last[1]
+
+    @cached_property
+    def _side_slack(self) -> float:
+        """The part of :func:`_support_sides`'s rounding margin that does not
+        grow with the height: ``32 u (diag + |bbox_center|)``."""
+        return 32.0 * _UNIT_ROUNDOFF * (self.bbox_diag + float(np.linalg.norm(self.bbox_center)))
+
     def __len__(self) -> int:
         return len(self.triangles)
 
@@ -327,7 +386,8 @@ class LiquidPlane:
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
         object.__setattr__(self, "normal", n)
-        if not abs(math.sqrt(n.dot(n)) - 1.0) <= 1e-12:  # np.linalg.norm's sum; rejects NaN
+        # np.linalg.norm's sum; rejects NaN
+        if not abs(math.sqrt(n.dot(n)) - 1.0) <= _UNIT_NORMAL_TOLERANCE:
             raise ValueError("plane normal must be a unit vector (within 1e-12)")
         object.__setattr__(self, "height", _finite("height", self.height))
 
@@ -418,7 +478,9 @@ class _Cut:
     lie strictly on opposite sides, interpolated from the edge's lower
     vertex index so that both triangles on the edge get the identical
     point.  Band pieces and chords are listed by triangle index, one per
-    column.  The index arrays are C-contiguous.
+    column.  The band's nodes, its vertices by index and then the crossing
+    nodes, are listed in id order in ``nodes``, whose positions are the
+    compact ids of the gather.  The arrays are C-contiguous.
 
     Two fields are set after construction, each on the cut's first use by
     one path, so that a cut builds only what its users read: ``gather``,
@@ -433,8 +495,10 @@ class _Cut:
     chords: np.ndarray  # (2, c) polygon steps with both nodes on the plane
     lo: np.ndarray  # (k,) lower vertex id of each crossing edge
     hi: np.ndarray  # (k,) its higher vertex id
-    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``
+    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``, the first rows of ``ends``
     span: np.ndarray  # (k, 3) V[hi] - v_lo
+    ends: np.ndarray  # (2k, 3) coordinates of ``lo``, then of ``hi``
+    nodes: np.ndarray  # (b + k,) node ids of the band: its vertices, then V .. V + k - 1
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
     gather: _Gather | None = None
@@ -513,38 +577,44 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     1 on, 2 above the plane), its arrays read-only.
 
     Each triangle's sign case (see :func:`_case_table`) is computed once
-    over the mesh.  A whole triangle (case 0) lies strictly below and is
-    kept as it is; it has no node on the plane, so it yields no chord.  A
-    band triangle's 3- or 4-node piece and its chord, if any, are read
-    from the static table with one gather of its six slots.  Faces lying
-    in the plane hold no volume below and are dropped.  An edge that
-    crosses the plane does so in both of its triangles, and both are band
-    triangles, so the sorted ids of the band's cut edges pair up: every
-    other one is the crossing edges in edge-table order.
+    over the mesh, from its corners' codes.  A whole triangle (case 0)
+    lies strictly below and is kept as it is; it has no node on the plane,
+    so it yields no chord.  Faces lying in the plane hold no volume below
+    and are dropped.  The rest is the band's: its 3- or 4-node pieces and
+    their chords are read with one take of the slots that the static case
+    table names from the mesh's slot table (see
+    :meth:`TriMesh._edge_tables`), where edge e's node is ``V + e``.  An
+    edge that crosses the plane lies on the walk of both its triangles and
+    any other edge on none, so the ids the pieces use, marked in one array
+    over vertex and edge ids, are in id order the band's vertices by index
+    and then the crossing edges in edge-table order.  That list numbers
+    the nodes twice: crossing edge k of it is node ``V + k``, and its
+    positions are the compact ids that :func:`_gather` reads (``nodes``).
     """
-    edges, tri_edges = mesh._edge_tables
-    c0, c1, c2 = side[mesh.triangles.T]
-    case = (9 * c0 + 3 * c1 + c2).astype(np.intp)  # an int8 index is converted per lookup
+    edges, slots = mesh._edge_tables
+    nverts, ntris = len(side), slots.shape[1]
+    c0, c1, c2 = side.take(slots[:3])
+    case = 9 * c0 + 3 * c1 + c2
     whole = case == 0
-    rows = np.flatnonzero(_BAND[case])
-    case = case[rows]
-
-    cut = _CUT[case]
-    cut_edges = tri_edges[rows][cut]
-    order = np.argsort(cut_edges)
-    lo, hi = edges.take(cut_edges[order[0::2]], axis=1)
-    v_lo = mesh.vertices[lo]
-    node = np.empty_like(order)
-    node[order] = len(side) + np.arange(len(order)) // 2
-
-    six = np.empty((len(rows), 6), dtype=np.int64)
-    six[:, :3] = mesh.triangles[rows]
-    six[:, 3:][cut] = node  # no table entry reads the slot of an uncut edge
-    # (6, m): the result takes the layout of the C-contiguous slot index
-    picked = six[np.arange(len(rows)), _SLOTS.T.take(case, axis=1)]
+    rows = np.flatnonzero(_BAND.take(case))
+    case = case.take(rows)
+    # (6, m): piece and chord slots, vertex ids and V + edge ids
+    picked = slots.take(_SLOTS.T.take(case, axis=1) * ntris + rows)
+    used = np.zeros(nverts + edges.shape[1], dtype=bool)
+    used[picked[:4]] = True
+    ids = np.flatnonzero(used)
+    b = ids.searchsorted(nverts)
+    k = len(ids) - b
+    nodes = ids.copy()
+    nodes[b:] = np.arange(nverts, nverts + k)
+    node_of = np.empty(len(used), dtype=np.int64)  # read at used ids only
+    node_of[ids] = nodes
+    picked = node_of.take(picked)
+    lo_hi = edges.take(ids[b:] - nverts, axis=1)
+    ends = mesh.vertices.take(lo_hi.ravel(), axis=0)
     pieces = picked[:4]
-    arrays = (whole, pieces, picked[4:].compress(_CHORD[case], axis=1), lo, hi, v_lo,
-              mesh.vertices[hi] - v_lo)
+    arrays = (whole, pieces, picked[4:].compress(_CHORD.take(case), axis=1), *lo_hi, ends[:k],
+              ends[k:] - ends[:k], ends, nodes)
     for array in arrays:
         array.setflags(write=False)  # half the cost of assigning flags.writeable
     return _Cut(*arrays, np.bool_(pieces.size == 0 and not whole.any()), (side <= 1).all())
@@ -555,24 +625,21 @@ def _gather(mesh: TriMesh, cut: _Cut) -> _Gather:
     :class:`_Gather`), and return it.
 
     Every node that the sums read is a node of a band piece: a chord is a
-    step of a piece's walk, and each crossing edge's node is on the walk
-    of both its triangles.  Numbering the nodes the pieces use in id order
-    therefore gives the band's vertices first, in index order, and
-    crossing node k the id b + k.  Each index is the flat position of
-    every component of every piece (or chord) node, (3, 4, m) or (3, 2,
-    c), from which a static table takes the rows each sum reads; the whole
-    triangles' flux is summed here, once per topology, as the same product
-    of the same operands it always was.
+    step of a piece's walk.  The cut's ``nodes`` lists those in id order,
+    the band's vertices first, in index order, and then crossing node k,
+    so position in that list is the compact id.  Each index is the flat
+    position of every component of every piece (or chord) node, (3, 4, m)
+    or (3, 2, c), from which a static table takes the rows each sum reads;
+    the whole triangles' flux is summed here, once per topology, as the
+    same product of the same operands it always was.
     """
-    used = np.zeros(len(mesh.vertices) + len(cut.lo), dtype=bool)
-    used[cut.pieces] = True
-    ids = used.nonzero()[0]
-    flat = np.empty(len(used), dtype=np.int64)  # read at used ids only
-    flat[ids] = np.arange(0, 3 * len(ids), 3)
+    nodes = cut.nodes
+    flat = np.empty(len(mesh.vertices) + len(cut.lo), dtype=np.int64)  # read at nodes only
+    flat[nodes] = np.arange(0, 3 * len(nodes), 3)
     pieces, chords = ((flat[index] + _COMPONENTS).reshape(3 * len(index), index.shape[1])
                       for index in (cut.pieces, cut.chords))
     gather = cut.gather = _Gather(
-        mesh.vertices[ids[: len(ids) - len(cut.lo)]],
+        mesh.vertices.take(nodes[: len(nodes) - len(cut.lo)], axis=0),
         pieces.take(_PIECE_TABLE, axis=0),
         chords.take(_CHORD_TABLE, axis=0),
         mesh._whole_flux @ cut.whole.astype(float),
@@ -617,35 +684,75 @@ def _body(mesh: TriMesh, cut: _Cut) -> _Body:
     return body
 
 
+def _topology(mesh: TriMesh, side: np.ndarray) -> _Cut:
+    """The cut topology of ``mesh`` for the vertex ``side`` codes.  The mesh
+    keeps the last one it built, keyed by the bytes of the codes, and a
+    clip whose sides equal that key returns it.  That is what building it
+    again would give, bit for bit: its integer arrays are computed from the
+    sides and the mesh's fixed arrays only, and its gather and flux sum are
+    the same functions of those."""
+    key = side.tobytes()
+    last = mesh.__dict__.get("_last_cut")
+    if last is None or last[0] != key:
+        last = mesh.__dict__["_last_cut"] = (key, _cut(mesh, side))
+    return last[1]
+
+
 def _plane_cut(mesh: TriMesh, plane: LiquidPlane) -> tuple:
     """``(cut, origin, heights)``: the cut topology of ``mesh`` under
     ``plane`` (:class:`_Cut`), the plane point at ``height`` above the bbox
     center, and the signed vertex heights, zero inside the snap band.
 
     The heights are projected from the whole C-contiguous vertex array for
-    every plane (a row projected alone can round differently).  The mesh
-    keeps the last topology it built, keyed by the bytes of the vertex
-    side codes, and a clip whose sides equal that key returns it.  That is
-    what building it again would give, bit for bit: its integer arrays are
-    computed from the sides and the mesh's fixed arrays only, and its
-    gather and flux sum are the same functions of those.
+    every plane (a row projected alone can round differently).
     """
     o = mesh.bbox_center + plane.height * plane.normal
     s = (mesh.vertices - o) @ plane.normal
     s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
     side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)  # 0 below, 1 on, 2 above
-    key = side.tobytes()
-    last = mesh.__dict__.get("_last_cut")
-    if last is None or last[0] != key:
-        last = mesh.__dict__["_last_cut"] = (key, _cut(mesh, side))
-    return last[1], o, s
+    return _topology(mesh, side), o, s
 
 
-def _crossings(cut: _Cut, heights: np.ndarray) -> np.ndarray:
-    """(k, 3) crossing nodes of ``cut`` at these vertex ``heights``, each
-    interpolated from its edge's lower vertex."""
-    s_lo = heights[cut.lo]
-    return cut.v_lo + (s_lo / (s_lo - heights[cut.hi]))[:, None] * cut.span
+def _support_sides(mesh: TriMesh, plane: LiquidPlane, origin: np.ndarray) -> np.ndarray:
+    """The vertex side codes of :func:`_plane_cut` for ``plane``, whose
+    point is ``origin``, read from the mesh's support projection
+    (:meth:`TriMesh._support`) instead of a projection of every vertex.
+
+    A vertex's ``support - h`` differs from its projection ``s`` only by
+    rounding, and by ``h (n . n - 1)`` for a normal that is unit within
+    :class:`LiquidPlane`'s tolerance.  The rounding of ``o = bc + h n``,
+    of ``v - o``, of both 3-term dots (with or without fused multiply-adds)
+    and of ``support - h`` bounds the difference by
+    ``u (8 diag + 6 |h| + sum_j |n_j bc_j| + |s|)`` to first order, where u
+    is the unit roundoff.  The margin ``32 u (diag + |bc|) + 32 u |h|`` is
+    at least twice that near the snap band, and ``2e-12 |h|`` more covers
+    ``|h| |n . n - 1|``.  A vertex whose ``support - h`` lies outside the
+    margin around ``-snap`` and ``+snap`` is therefore on the side the
+    projection gives it.  The others are projected exactly, as one block
+    of at least two rows, which rounds each row as the whole array does (a
+    row projected alone can round differently).  A loose margin costs
+    time, never bits.
+    """
+    n, h = plane.normal, plane.height
+    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+    d = mesh._support(n) - h
+    side = (d >= -snap).view(np.int8) + (d > snap).view(np.int8)
+    gap = np.abs(d)
+    gap -= snap
+    np.abs(gap, out=gap)  # to the nearer edge of the snap band
+    margin = mesh._side_slack + _SIDE_SLOPE * abs(h)
+    if gap.min() <= margin:
+        rows = np.flatnonzero(gap <= margin)
+        rows = rows.repeat(2) if len(rows) == 1 else rows
+        s = (mesh.vertices.take(rows, axis=0) - origin) @ n
+        side[rows] = (s >= -snap).view(np.int8) + (s > snap).view(np.int8)
+    return side
+
+
+def _crossings(cut: _Cut, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+    """(k, 3) crossing nodes of ``cut`` at the heights ``s_lo`` and ``s_hi``
+    of its edges' ends, each interpolated from its edge's lower vertex."""
+    return cut.v_lo + (s_lo / (s_lo - s_hi))[:, None] * cut.span
 
 
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
@@ -658,7 +765,7 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
     reads the band-local table of the cut's gather instead.
     """
     cut, o, s = _plane_cut(mesh, plane)
-    return cut, o, s, np.concatenate([mesh.vertices, _crossings(cut, s)])
+    return cut, o, s, np.concatenate([mesh.vertices, _crossings(cut, s[cut.lo], s[cut.hi])])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
@@ -671,8 +778,13 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     topology; only the band triangles that the plane cuts are clipped into
     pieces.  A clip that leaves every vertex on the side it was on at the
     mesh's previous clip reuses that clip's topology and its band-local
-    gather, and then costs the vertex projection, the crossing nodes and
-    the band and chord sums over the band's own nodes.
+    gather, and then costs the vertex sides, the crossing nodes and the
+    band and chord sums over the band's own nodes.  A mesh of fewer than
+    ``_SUPPORT_SIDES_VERTICES`` vertices takes the sides and the crossing
+    heights from a projection of every vertex (:func:`_plane_cut`); a
+    larger one reads the sides from its support along the normal
+    (:func:`_support_sides`) and projects the cut's crossing-edge ends as
+    one block, which gives the same sides and heights to the bit.
     The cut area is Green's sum over the cut chords, referenced to a chord
     node so that a small cut far from the bbox center keeps its accuracy:
     every step of a band piece's boundary walk whose two nodes both lie on
@@ -693,13 +805,23 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         below/above the whole mesh.  A plane past every vertex holds
         exactly :func:`mesh_volume`, whatever its height.
     """
-    cut, origin, heights = _plane_cut(mesh, plane)
+    small = len(mesh.vertices) < _SUPPORT_SIDES_VERTICES
+    if small:
+        cut, origin, heights = _plane_cut(mesh, plane)
+    else:
+        origin = mesh.bbox_center + plane.height * plane.normal
+        cut = _topology(mesh, _support_sides(mesh, plane, origin))
     if cut.full and not cut.empty and not cut.pieces.size:
         # every triangle is whole: the container itself, whose flux sum
         # would only scale its rounding dust by the plane's height
         return ClipResult(mesh._capacity, 0.0, False, True)
     gather = cut.gather or _gather(mesh, cut)
-    nodes = np.concatenate([gather.vertices, _crossings(cut, heights)])
+    if small:
+        s_lo, s_hi = heights[cut.lo], heights[cut.hi]
+    else:
+        # the crossings read no other height: the edge ends, as one block
+        s_lo, s_hi = ((cut.ends - origin) @ plane.normal).reshape(2, -1)
+    nodes = np.concatenate([gather.vertices, _crossings(cut, s_lo, s_hi)])
     # whole triangles: the plane point is height * normal off the bbox center
     whole = gather.whole_flux
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
@@ -755,10 +877,12 @@ def height_search(
     on it, so a solve clips and does not re-integrate the mesh.
 
     The arguments are checked once, here; the solve itself runs on the
-    checked floats.  It takes the support interval from the mesh's cached
-    centered vertices and calls the module's :func:`clip_volume` with a
-    plane per iteration that it builds without checking again, since the
-    normal and every height it tries are checked already.
+    checked floats.  It takes the support interval from the mesh's support
+    projection along the normal, derived once per normal and cached on the
+    mesh, where the clips of a large mesh read their vertex sides too.  It
+    calls the module's :func:`clip_volume` with a plane per iteration that
+    it builds without checking again, since the normal and every height it
+    tries are checked already.
 
     However the solve ends (an exact hit included), one rule decides: the
     last clipped height is returned, with its own residual and the number
@@ -809,9 +933,11 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     """:func:`height_search` on the arguments it has checked: a mesh with
     triangles, a unit normal array, a float target within the capacity, a
     finite float ``h_prev`` or None, a nonnegative float ``tol_rel`` and an
-    integer ``max_iter`` of at least 1."""
+    integer ``max_iter`` of at least 1.  The bracket is the range of
+    ``mesh._support(n)``, from which the clips of a large mesh read their
+    vertex sides: one projection per normal serves both."""
     total = mesh._capacity
-    support = mesh._centered @ n
+    support = mesh._support(n)
     h_lo, h_hi = float(support.min()), float(support.max())
     if target == 0.0:
         return HeightSearch(h_lo, 0.0, 0)

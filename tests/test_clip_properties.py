@@ -48,10 +48,13 @@ from labmech.mesh import (
     _CHORD,
     _CUT,
     _SLOTS,
+    _SUPPORT_SIDES_VERTICES,
     ONPLANE_SNAP_FRACTION,
     _chain_loops,
     _clip_table,
     _gather,
+    _plane_cut,
+    _support_sides,
     height_search,
 )
 
@@ -256,6 +259,61 @@ def test_clip_sums_match_reference(name, data):
         cold.__dict__.pop("_last_cut", None)
         for got in (clip_volume(cold, plane), clip_volume(warm, plane), clip_volume(warm, plane)):
             assert_same_clip(got, expected)
+
+
+# icosphere-4 far from the origin, where the rounding of the plane point
+# exceeds the snap band; it has enough vertices to clip by its support
+FAR = TriMesh(FIXTURES["icosphere-4"].vertices + [3e6, -5e6, 2e6],
+              FIXTURES["icosphere-4"].triangles)
+SIDE_MESHES = {**FIXTURES, "icosphere-4-far": FAR}
+
+
+@st.composite
+def snap_edge_planes(draw, name):
+    """A plane of ``SIDE_MESHES[name]``: its normal's length is 1, or 1 off
+    by 0.999e-12, at the edge of LiquidPlane's tolerance; its height puts a
+    drawn vertex from 0 to 4 ulps of the height, times a power of two up to
+    2**28, from -snap or +snap, or is free."""
+    mesh = SIDE_MESHES[name]
+    scale = 1.0 + draw(st.sampled_from([0.0, -0.999e-12, 0.999e-12]))
+    normal = unit_vector(draw(directions)) * scale
+    support = (mesh.vertices - mesh.bbox_center) @ normal
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from([-1.0, 1.0])) * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+        height = float(support[draw(st.integers(0, len(mesh.vertices) - 1))] - edge)
+        height += (draw(st.integers(-4, 4)) << draw(st.integers(0, 28))) * np.spacing(height)
+    else:
+        height = float(support.min() + draw(st.floats(0.0, 1.0)) * np.ptp(support))
+    return mesh, LiquidPlane(normal, height)
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_MESHES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_support_sides_are_the_projection_sides(name, data):
+    # the vertex sides read from the support projection, with the vertices
+    # inside its rounding margin around either snap band edge projected
+    # exactly, are the sides of the full projection; and a clip of a mesh
+    # large enough to take them gives the reference's bytes
+    mesh, plane = data.draw(snap_edge_planes(name))
+    _, origin, heights = _plane_cut(mesh, plane)
+    sides = (heights >= 0.0).view(np.int8) + (heights > 0.0).view(np.int8)
+    assert_bitwise(_support_sides(mesh, plane, origin), sides, "sides")
+    if len(mesh.vertices) >= _SUPPORT_SIDES_VERTICES:
+        cold = TriMesh(mesh.vertices, mesh.triangles)
+        assert_same_clip(clip_volume(cold, plane), oracles.clip_sums_reference(mesh, plane))
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_MESHES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_edge_ends_projected_as_a_block_are_the_full_projection(name, data):
+    # the crossings read only the heights of the cut's crossing-edge ends,
+    # projected as one block of 2k rows; each is the full projection's row
+    mesh, plane = data.draw(snap_edge_planes(name))
+    cut, origin, heights = _plane_cut(mesh, plane)
+    assert_bitwise((cut.ends - origin) @ plane.normal,
+                   np.concatenate([heights[cut.lo], heights[cut.hi]]), "edge ends")
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -530,6 +588,35 @@ def test_body_of_a_body_matches_public_rebuild(name, data):
         assert_bitwise(getattr(again[0], field), getattr(again[1], field), field)
     expected = clip_volume(public, plane).volume
     assert abs(mesh_volume(again[0]) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
+
+
+# Draws of test_body_of_a_body_matches_public_rebuild[cube] that hit known
+# defects.  The draws depend on the literals of the loaded modules, which
+# Hypothesis adds to its pool, so a change to the source can bring either
+# one back into the property; each is pinned here on its own.
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 11: a body thinner than the on-plane snap band, clipped at "
+    "its top, holds 1.000000064e-09 while its clip reads 9.166667058e-10"
+))
+def test_thin_body_clipped_at_its_top_matches_the_clip():
+    mesh = FIXTURES["cube"]
+    body = liquid_geometry(mesh, [0.0, 2e-9, -1.0], -0.499999999)
+    normal = unit_vector([0.0, 0.0, 1.0])
+    support = (body.vertices - body.bbox_center) @ normal
+    plane = LiquidPlane(normal, support.min() + np.ptp(support))
+    again = liquid_geometry(body, plane.normal, plane.height)
+    expected = clip_volume(TriMesh(body.vertices, body.triangles), plane).volume
+    assert abs(mesh_volume(again) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
+
+
+@pytest.mark.xfail(raises=NonStarShapedCutLoop, strict=True, reason=(
+    "ROADMAP item 4: a cube plane 8.4e-8 above an edge cuts a thin 7-node loop "
+    "whose centroid fan fails the shape test"
+))
+def test_thin_cube_cap_along_an_edge_is_star_shaped():
+    liquid_geometry(FIXTURES["cube"], [0.0, np.sqrt(0.5), np.sqrt(0.5)], -0.7071066968928504)
 
 
 @PROPERTY_SETTINGS

@@ -206,7 +206,7 @@ class TestClipVolume:
         mesh = cylinder_mesh(segments=48)
         plane = LiquidPlane(unit_vector([0.1, -0.2, 1.0]), 0.1)
         cut = _clip_table(mesh, plane)[0]
-        for field in ("whole", "pieces", "chords", "lo", "hi"):
+        for field in ("whole", "pieces", "chords", "lo", "hi", "ends", "nodes"):
             array = getattr(cut, field)
             assert array.size and array.flags.c_contiguous, field
             with pytest.raises(ValueError, match="read-only"):
