@@ -4,12 +4,14 @@ the 27 sign cases of a triangle too, and on planes clipped in turn, whose
 cut topology is reused exactly while no vertex changes side; clip_volume's
 sums from the band-local gather equal the full-node-array reference bit
 for bit on cold, repeated and walked clips, at the ends of the support and
-along a rollout; the cut chords chain into the loops of a dict walk; the
-liquid body agrees with clip_volume, is watertight, saves the bytes of a
-row-by-row writer, has the edge table of a public TriMesh, clips and caps
-again as one and caps with the centroids of an np.cross fan; the cut area
-is the volume derivative; the height solve meets its budget and agrees
-with bisection.
+along a rollout; the vertex sides read from the support projection and
+the crossing-edge ends projected as a block are the full projection's,
+on a mesh far from the origin too; the cut chords chain into the loops of
+a dict walk; the liquid body agrees with clip_volume, is watertight, saves
+the bytes of a row-by-row writer, has the edge table of a public TriMesh,
+clips and caps again as one and caps with the centroids of an np.cross
+fan; the cut area is the volume derivative; the height solve meets its
+budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
 mesh vertex or a mesh edge, the places where classification is exact.
