@@ -143,8 +143,7 @@ class HelixSpec:
         return TWO_PI * self.h
 
 
-@dataclass(frozen=True, eq=False)
-class SdfResult:
+class SdfResult(NamedTuple):
     """Field evaluation: distance, unit direction of steepest increase,
     parameter of the chosen candidate point, and a degeneracy flag for
     queries landing exactly on the centerline (where no direction exists).

@@ -12,8 +12,8 @@ interior with the halfspace below a plane.  Conventions used throughout:
 * Meshes are closed, consistently outward-oriented triangle soups; every
   directed edge must appear exactly once together with its reverse.
 * One clipping core, after Mirtich (1996): for a mesh and a plane,
-  ``_clip_table`` classifies each triangle once by the signs of its
-  corners (below, on or above the plane: 27 cases) and splits the below
+  ``_cut`` classifies each triangle once by the sides of its corners
+  (below, on or above the plane: 27 cases) and splits the below
   side into *whole* triangles (every vertex strictly below) and the
   *band* (some, but not all, vertices below).  Only the band is clipped:
   as in marching cubes (Lorensen & Cline 1987), each band triangle reads
@@ -23,13 +23,20 @@ interior with the halfspace below a plane.  Conventions used throughout:
   import from the boundary walk.  All of that is a function of the side
   of the plane each vertex lies on: it is the cut topology, one
   read-only record (``_Cut``) that each mesh keeps for its last clip,
-  keyed by the bytes of the vertex side codes.  A clip with the same
-  sides, as most clips of a rollout are, returns that record with the
-  projected vertices, and nothing else.  :func:`clip_volume` sums the
-  divergence flux with the reference point on the plane, so the cap
-  contributes zero flux and is never built in the height-solving hot
-  path: the band pieces directly, the whole triangles from per-container
-  terms that :class:`TriMesh` computes once, summed once per topology.
+  keyed by the bytes of the vertex side codes.  Two rules give the
+  sides.  :func:`clip_volume` takes the strict sign of each vertex's
+  height, so the volume is an exact cubic in the height between vertex
+  heights; a liquid body (``_clip_table``) snaps vertices within
+  ``ONPLANE_SNAP_FRACTION * bbox_diag`` onto the plane, so that it has no
+  sliver triangles.  The two share a topology exactly when their codes
+  agree, as they do unless a vertex lies inside the snap band.  A clip
+  with the same sides, as most clips of a rollout are, returns that
+  record with the projected vertices, and nothing else.
+  :func:`clip_volume` sums the divergence flux with the reference point
+  on the plane, so the cap contributes zero flux and is never built in
+  the height-solving hot path: the band pieces directly, the whole
+  triangles from per-container terms that :class:`TriMesh` computes
+  once, summed once per topology.
   The cut cross-section area (the exact derivative of clipped volume with
   respect to height) comes from Green's theorem on the chords.
   :func:`liquid_geometry` emits the whole triangles and the same band
@@ -47,7 +54,7 @@ mesh projects every vertex for its sides.  A mesh of at least
 ``_SUPPORT_SIDES_VERTICES`` vertices reads them from its support
 projection along the normal, which the height solve derives once per
 normal for its bracket, and projects exactly only the vertices within a
-proven rounding margin of the snap band's edges and the ends of the
+proven rounding margin of the plane and the ends of the
 cut's crossing edges, the only heights the crossings read.  On its first
 use by :func:`clip_volume` a topology gets a gather (``_Gather``): the
 band's vertex rows under compact node ids and flat indices of the
@@ -88,8 +95,10 @@ from .errors import (
     _positive,
 )
 
-#: Vertices closer to the plane than this fraction of the bbox diagonal are
-#: classified as on-plane, avoiding sliver geometry at vertex crossings.
+#: A liquid body's cut (:func:`_clip_table`) classifies vertices closer to
+#: the plane than this fraction of the bbox diagonal as on-plane, avoiding
+#: sliver geometry at vertex crossings.  Volumes are clipped by the strict
+#: signs instead (:func:`clip_volume`).
 ONPLANE_SNAP_FRACTION = 1e-9
 
 #: Triangles whose doubled area is at most this fraction of their longest
@@ -119,11 +128,11 @@ _SIDE_SLOPE = 2.0 * _UNIT_NORMAL_TOLERANCE + 32.0 * _UNIT_ROUNDOFF
 
 #: A mesh with at least this many vertices takes :func:`clip_volume`'s vertex
 #: sides from the support projection (:func:`_support_sides`), a smaller one
-#: projects every vertex (:func:`_plane_cut`).  It is the crossover measured
-#: on UV spheres, whose band grows as the square root of the vertex count,
-#: in 60 rounds of tilted hit clips at fills 0.2-0.8 on a 2-core VM: the
-#: upper quartile of the per-round time ratio, support to full projection,
-#: was 1.004 at 762 vertices and 0.999 at 842 (0.80 at icosphere-4's 2562).
+#: projects every vertex.  It is the crossover measured on UV spheres, whose
+#: band grows as the square root of the vertex count, in 60 rounds of tilted
+#: hit clips at fills 0.2-0.8 on a 2-core VM: the upper quartile of the
+#: per-round time ratio, support to full projection, was 1.004 at 762
+#: vertices and 0.999 at 842 (0.80 at icosphere-4's 2562).
 #: A cylinder's band holds every vertex, and its support path was 8-11%
 #: slower at 800 and 2048 vertices.
 _SUPPORT_SIDES_VERTICES = 800
@@ -687,10 +696,10 @@ def _body(mesh: TriMesh, cut: _Cut) -> _Body:
 def _topology(mesh: TriMesh, side: np.ndarray) -> _Cut:
     """The cut topology of ``mesh`` for the vertex ``side`` codes.  The mesh
     keeps the last one it built, keyed by the bytes of the codes, and a
-    clip whose sides equal that key returns it.  That is what building it
-    again would give, bit for bit: its integer arrays are computed from the
-    sides and the mesh's fixed arrays only, and its gather and flux sum are
-    the same functions of those."""
+    clip whose sides equal that key returns it, whichever side rule gave
+    them.  That is what building it again would give, bit for bit: its
+    integer arrays are computed from the sides and the mesh's fixed arrays
+    only, and its gather and flux sum are the same functions of those."""
     key = side.tobytes()
     last = mesh.__dict__.get("_last_cut")
     if last is None or last[0] != key:
@@ -698,54 +707,40 @@ def _topology(mesh: TriMesh, side: np.ndarray) -> _Cut:
     return last[1]
 
 
-def _plane_cut(mesh: TriMesh, plane: LiquidPlane) -> tuple:
-    """``(cut, origin, heights)``: the cut topology of ``mesh`` under
-    ``plane`` (:class:`_Cut`), the plane point at ``height`` above the bbox
-    center, and the signed vertex heights, zero inside the snap band.
-
-    The heights are projected from the whole C-contiguous vertex array for
-    every plane (a row projected alone can round differently).
-    """
-    o = mesh.bbox_center + plane.height * plane.normal
-    s = (mesh.vertices - o) @ plane.normal
-    s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
-    side = (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)  # 0 below, 1 on, 2 above
-    return _topology(mesh, side), o, s
+def _sides(s: np.ndarray) -> np.ndarray:
+    """The int8 side codes of the signed heights ``s``: 0 below, 1 on (zero,
+    of either sign) and 2 above the plane."""
+    return (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)
 
 
 def _support_sides(mesh: TriMesh, plane: LiquidPlane, origin: np.ndarray) -> np.ndarray:
-    """The vertex side codes of :func:`_plane_cut` for ``plane``, whose
-    point is ``origin``, read from the mesh's support projection
-    (:meth:`TriMesh._support`) instead of a projection of every vertex.
+    """The strict vertex side codes of ``plane``, whose point is ``origin``,
+    that a projection of every vertex gives (see :func:`clip_volume`), read
+    from the mesh's support projection (:meth:`TriMesh._support`) instead.
 
     A vertex's ``support - h`` differs from its projection ``s`` only by
     rounding, and by ``h (n . n - 1)`` for a normal that is unit within
     :class:`LiquidPlane`'s tolerance.  The rounding of ``o = bc + h n``,
     of ``v - o``, of both 3-term dots (with or without fused multiply-adds)
-    and of ``support - h`` bounds the difference by
-    ``u (8 diag + 6 |h| + sum_j |n_j bc_j| + |s|)`` to first order, where u
-    is the unit roundoff.  The margin ``32 u (diag + |bc|) + 32 u |h|`` is
-    at least twice that near the snap band, and ``2e-12 |h|`` more covers
-    ``|h| |n . n - 1|``.  A vertex whose ``support - h`` lies outside the
-    margin around ``-snap`` and ``+snap`` is therefore on the side the
-    projection gives it.  The others are projected exactly, as one block
-    of at least two rows, which rounds each row as the whole array does (a
-    row projected alone can round differently).  A loose margin costs
-    time, never bits.
+    and of ``support - h`` bounds the difference near the plane by
+    ``u (8 diag + 6 |h| + sum_j |n_j bc_j|)`` to first order, where u is
+    the unit roundoff.  The margin ``32 u (diag + |bc|) + 32 u |h|`` is at
+    least twice that, and ``2e-12 |h|`` more covers ``|h| |n . n - 1|``.
+    A vertex whose ``|support - h|`` exceeds the margin is therefore on the
+    side the projection gives it.  The others are projected exactly, as one
+    block of at least two rows, which rounds each row as the whole array
+    does (a row projected alone can round differently).  A loose margin
+    costs time, never bits.
     """
     n, h = plane.normal, plane.height
-    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
     d = mesh._support(n) - h
-    side = (d >= -snap).view(np.int8) + (d > snap).view(np.int8)
-    gap = np.abs(d)
-    gap -= snap
-    np.abs(gap, out=gap)  # to the nearer edge of the snap band
+    side = _sides(d)
+    np.abs(d, out=d)  # each vertex's distance to the plane, to rounding
     margin = mesh._side_slack + _SIDE_SLOPE * abs(h)
-    if gap.min() <= margin:
-        rows = np.flatnonzero(gap <= margin)
+    if d.min() <= margin:
+        rows = np.flatnonzero(d <= margin)
         rows = rows.repeat(2) if len(rows) == 1 else rows
-        s = (mesh.vertices.take(rows, axis=0) - origin) @ n
-        side[rows] = (s >= -snap).view(np.int8) + (s > snap).view(np.int8)
+        side[rows] = _sides((mesh.vertices.take(rows, axis=0) - origin) @ n)
     return side
 
 
@@ -756,20 +751,38 @@ def _crossings(cut: _Cut, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
 
 
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
-    """``(cut, origin, heights, nodes)``: :func:`_plane_cut`, plus the
-    coordinates of every node that the topology numbers, the mesh vertices
-    and then the crossing nodes.
+    """``(cut, origin, heights, nodes)`` of ``mesh`` under ``plane`` by the
+    body path's side rule: the cut topology (:class:`_Cut`), the plane
+    point at ``height`` above the bbox center, the signed vertex heights,
+    and the coordinates of every node that the topology numbers, the mesh
+    vertices and then the crossing nodes.
 
-    This full node order is the body path's: :func:`liquid_geometry` lists
-    a body's vertices in it.  :func:`clip_volume` does not build it; it
-    reads the band-local table of the cut's gather instead.
+    The heights are projected from the whole C-contiguous vertex array for
+    every plane (a row projected alone can round differently), and those
+    within ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are snapped
+    to zero: such a vertex lies on the plane, so a body has no sliver
+    triangle where the plane passes next to a vertex.  The full node order
+    is the body path's: :func:`liquid_geometry` lists a body's vertices in
+    it.  :func:`clip_volume` classifies by the strict signs instead, so a
+    body's volume may differ from the clip by the container's volume within
+    the snap band around the plane: about the band's width, twice the snap,
+    times the cut area.
     """
-    cut, o, s = _plane_cut(mesh, plane)
+    o = mesh.bbox_center + plane.height * plane.normal
+    s = (mesh.vertices - o) @ plane.normal
+    s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
+    cut = _topology(mesh, _sides(s))
     return cut, o, s, np.concatenate([mesh.vertices, _crossings(cut, s[cut.lo], s[cut.hi])])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     """Volume of the container interior below the plane, plus the cut area.
+
+    Each vertex lies below, on or above the plane by the strict sign of its
+    height, with no snap, so the volume is an exact cubic in the height
+    between consecutive vertex heights.  A liquid body classifies by a snap
+    band instead (see :func:`_clip_table`), and its volume may differ from
+    the clip by about twice the snap times the cut area.
 
     The volume is the divergence flux of the below-side surface with the
     reference point on the plane, so the cap needs no explicit
@@ -781,16 +794,18 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     gather, and then costs the vertex sides, the crossing nodes and the
     band and chord sums over the band's own nodes.  A mesh of fewer than
     ``_SUPPORT_SIDES_VERTICES`` vertices takes the sides and the crossing
-    heights from a projection of every vertex (:func:`_plane_cut`); a
-    larger one reads the sides from its support along the normal
-    (:func:`_support_sides`) and projects the cut's crossing-edge ends as
-    one block, which gives the same sides and heights to the bit.
+    heights from a projection of every vertex; a larger one reads the sides
+    from its support along the normal (:func:`_support_sides`) and projects
+    the cut's crossing-edge ends as one block, which gives the same sides
+    and heights to the bit.  A plane with no vertex below it holds nothing
+    and builds no gather.
     The cut area is Green's sum over the cut chords, referenced to a chord
     node so that a small cut far from the bbox center keeps its accuracy:
     every step of a band piece's boundary walk whose two nodes both lie on
     the plane, including in-plane edges of kept triangles (an edge shared
-    by two kept triangles cancels).  It equals the area of the cap that
-    :func:`liquid_geometry` builds.
+    by two kept triangles cancels).  Where both paths give every vertex the
+    same side, it equals the area of the cap that :func:`liquid_geometry`
+    builds.
 
     Parameters
     ----------
@@ -805,13 +820,17 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         below/above the whole mesh.  A plane past every vertex holds
         exactly :func:`mesh_volume`, whatever its height.
     """
+    n, h = plane.normal, plane.height
+    origin = mesh.bbox_center + h * n
     small = len(mesh.vertices) < _SUPPORT_SIDES_VERTICES
     if small:
-        cut, origin, heights = _plane_cut(mesh, plane)
+        heights = (mesh.vertices - origin) @ n
+        cut = _topology(mesh, _sides(heights))
     else:
-        origin = mesh.bbox_center + plane.height * plane.normal
         cut = _topology(mesh, _support_sides(mesh, plane, origin))
-    if cut.full and not cut.empty and not cut.pieces.size:
+    if cut.empty:
+        return ClipResult(0.0, 0.0, True, bool(cut.full))
+    if cut.full and not cut.pieces.size:
         # every triangle is whole: the container itself, whose flux sum
         # would only scale its rounding dust by the plane's height
         return ClipResult(mesh._capacity, 0.0, False, True)
@@ -820,11 +839,11 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         s_lo, s_hi = heights[cut.lo], heights[cut.hi]
     else:
         # the crossings read no other height: the edge ends, as one block
-        s_lo, s_hi = ((cut.ends - origin) @ plane.normal).reshape(2, -1)
+        s_lo, s_hi = ((cut.ends - origin) @ n).reshape(2, -1)
     nodes = np.concatenate([gather.vertices, _crossings(cut, s_lo, s_hi)])
     # whole triangles: the plane point is height * normal off the bbox center
     whole = gather.whole_flux
-    six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
+    six_volume = whole[0] - h * (n @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
     p = (nodes - origin).ravel()[gather.pieces]  # rows a, c1, c2, b1, b2, d1, d2
@@ -833,12 +852,10 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     # taken from the first chord's first node (none when there are no chords)
     ends = nodes.ravel()[gather.chords]
     e = ends - ends[0, :, :, :1]  # rows (u1, u2), (w1, w2)
-    area = 0.5 * (plane.normal @ (e[1, 0] * e[0, 1] - e[1, 1] * e[0, 0])).sum()
-    # snapped faces sit a snap-band off the plane geometrically, leaving
-    # flux dust; an empty clip holds no volume by definition
-    empty = bool(cut.empty)
-    return ClipResult(0.0 if empty else max(float(six_volume) / 6.0, 0.0), max(float(area), 0.0),
-                      empty, bool(cut.full))
+    area = 0.5 * (n @ (e[1, 0] * e[0, 1] - e[1, 1] * e[0, 0])).sum()
+    # the flux sum of a near-empty cut rounds to dust on either side of zero
+    return ClipResult(max(float(six_volume) / 6.0, 0.0), max(float(area), 0.0), False,
+                      bool(cut.full))
 
 
 class HeightSearch(NamedTuple):
@@ -870,11 +887,8 @@ def height_search(
     the height is then converged whatever its magnitude (a root at h = 0,
     the half-full symmetric container, included).  A bisection step that no
     longer moves the height ends the solve too, and so does the budget.
-    Where a plane snaps mesh vertices onto itself, the volume grows slower
-    than the cut area says; when the cut area stays put while the residual
-    keeps its sign and falls by less than 10x, the step uses the secant
-    slope of the last two iterates instead.  The mesh's capacity is cached
-    on it, so a solve clips and does not re-integrate the mesh.
+    The mesh's capacity is cached on it, so a solve clips and does not
+    re-integrate the mesh.
 
     The arguments are checked once, here; the solve itself runs on the
     checked floats.  It takes the support interval from the mesh's support
@@ -949,7 +963,6 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     step_floor = _STEP_FLOOR_EPS * mesh.bbox_diag
     lo, hi = h_lo, h_hi
     h_next = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
-    prev = None  # (height, residual, cut area) of the previous iteration
     for iteration in range(1, max_iter + 1):
         h = h_next
         res = clip_volume(mesh, LiquidPlane._of(n, h))
@@ -960,25 +973,8 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
             lo = h
         else:
             hi = h
-        slope = res.cut_area
-        if prev is not None:
-            h_old, f_old, area_old = prev
-            # within the snap band of a vertex the volume grows slower than
-            # the cut area says, so Newton converges only linearly: the area
-            # stays put while the residual keeps its sign and shrinks by less
-            # than 10x.  The secant through the last two iterates measures
-            # the actual slope there.
-            if (
-                f * f_old > 0.0
-                and abs(f) > 0.1 * abs(f_old)
-                and abs(res.cut_area - area_old) <= 0.01 * res.cut_area
-            ):
-                secant = (f - f_old) / (h - h_old)
-                if secant > area_floor:
-                    slope = secant
-        prev = (h, f, res.cut_area)
         if res.cut_area > area_floor:
-            h_next = h - f / slope
+            h_next = h - f / res.cut_area
             if abs(h_next - h) <= step_floor:
                 # the Newton correction estimates the remaining height error;
                 # once it falls below the mesh's fp resolution, h is done
@@ -999,8 +995,10 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
 def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     """Closed mesh of the liquid body below the plane.
 
-    The wall is the whole triangles of the cut that :func:`clip_volume`
-    sums, as they are, and its band pieces, each fanned into triangles;
+    The cut classifies by the snap band of :func:`_clip_table`, and the
+    body's volume may differ from :func:`clip_volume`'s by about twice the
+    snap times the cut area.  The wall is the cut's whole triangles, as
+    they are, and its band pieces, each fanned into triangles;
     the cut chords are chained into closed loops and each loop is
     fan-triangulated from its area centroid to cap the body.  The
     centroid fan is valid for the star-shaped (in practice convex) cut

@@ -15,7 +15,7 @@ from labmech import (
     ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, mesh_volume,
     ode_rhs,
 )
-from labmech.mesh import ONPLANE_SNAP_FRACTION, _clip_table
+from labmech.mesh import ONPLANE_SNAP_FRACTION
 from labmech.pendulum import _renormalize
 
 TWO_PI = 2.0 * np.pi
@@ -353,37 +353,39 @@ def exact_chord_area(starts, ends, normal):
 
 
 def clip_sums_reference(mesh, plane):
-    """The :class:`ClipResult` of ``mesh`` under ``plane`` summed over
-    ``_clip_table``'s full node array, without the band-local gather: each
-    band piece gathered as a (4, m, 3) row block and transposed to (4, 3,
-    m) components, the row-wise cross product stacked by ``np.array``, and
-    the chords gathered and referenced to the first chord's first node the
-    same way.  ``clip_volume`` promises these bytes: the same IEEE
-    operations on the same operands in the same order.  A plane past every
-    vertex, whose every triangle is whole, holds the container's
-    ``mesh_volume`` exactly."""
+    """The :class:`ClipResult` of ``mesh`` under ``plane`` summed over the
+    full node array of :func:`clip_walk` by the strict side rule, without
+    the band-local gather: each band piece gathered as a (4, m, 3) row
+    block and transposed to (4, 3, m) components, the row-wise cross
+    product stacked by ``np.array``, and the chords gathered and referenced
+    to the first chord's first node the same way; the whole triangles' flux
+    is the mesh's per-triangle terms summed over the walk's whole flags.
+    ``clip_volume`` promises these bytes: the same IEEE operations on the
+    same operands in the same order.  A plane with no vertex strictly below
+    it holds nothing, and a plane past every vertex, whose every triangle
+    is whole, holds the container's ``mesh_volume`` exactly."""
 
     def cross(a, b):
         return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                          a[0] * b[1] - a[1] * b[0]])
 
-    cut, origin, _, nodes = _clip_table(mesh, plane)
-    whole = mesh._whole_flux @ cut.whole.astype(float)
+    table = clip_walk(mesh, plane, snap=False)
+    empty, full = not (table["heights"] < 0.0).any(), not (table["heights"] > 0.0).any()
+    if empty:
+        return ClipResult(volume=0.0, cut_area=0.0, empty=True, full=full)
+    nodes, pieces = table["nodes"], table["pieces"].T
+    if full and not pieces.size:
+        return ClipResult(volume=mesh_volume(mesh), cut_area=0.0, empty=False, full=True)
+    origin = mesh.bbox_center + plane.height * plane.normal
+    whole = mesh._whole_flux @ table["whole"].astype(float)
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
-    a, b, c, d = (nodes.take(cut.pieces, axis=0) - origin).transpose(0, 2, 1)
+    a, b, c, d = (nodes.take(pieces, axis=0) - origin).transpose(0, 2, 1)
     six_volume += (a * cross(c, d - b)).sum()
-    ends = nodes.take(cut.chords, axis=0)
+    ends = nodes.take(table["chords"].T, axis=0)
     u, w = (ends - ends[0, :1]).transpose(0, 2, 1)
     area = 0.5 * (plane.normal @ cross(w, u)).sum()
-    empty = bool(cut.empty)
-    if cut.full and not empty and not cut.pieces.size:
-        return ClipResult(volume=mesh_volume(mesh), cut_area=0.0, empty=False, full=True)
-    return ClipResult(
-        volume=0.0 if empty else max(float(six_volume) / 6.0, 0.0),
-        cut_area=max(float(area), 0.0),
-        empty=empty,
-        full=bool(cut.full),
-    )
+    return ClipResult(volume=max(float(six_volume) / 6.0, 0.0), cut_area=max(float(area), 0.0),
+                      empty=False, full=full)
 
 
 def walk_triangle(signs, corners, crossings):
@@ -453,24 +455,28 @@ def chain_loops_walk(chords):
     return loops
 
 
-def clip_walk(mesh, plane):
+def clip_walk(mesh, plane, snap=True):
     """The clip table of ``mesh`` under ``plane``, one triangle at a time in
-    plain Python: snapped vertex heights, node coordinates, whole-triangle
-    flags, band pieces and cut chords, numbered as ``mesh._Cut`` documents.
+    plain Python: vertex heights, node coordinates, whole-triangle flags,
+    band pieces and cut chords, numbered as ``mesh._Cut`` documents.
     Pieces and chords are listed one per row, (m, 4) and (c, 2).
 
-    The heights are the one numpy projection ``(vertices - origin) @
-    normal`` that the code under test computes too (a plain-Python sum
-    rounds differently from the BLAS kernel); the snap, the crossing-edge
+    The side rule is a liquid body's with ``snap`` (heights within
+    ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are zero), and the
+    strict sign of each height, as ``clip_volume`` takes it, without.  The
+    heights are the one numpy projection ``(vertices - origin) @ normal``
+    that the code under test computes too (a plain-Python sum rounds
+    differently from the BLAS kernel); the snap, the crossing-edge
     numbering (edges ordered by their (lower, higher) vertex ids), the
     node interpolation from the lower vertex id and the walks are
     recomputed here.
     """
     normal = [float(x) for x in plane.normal]
     origin = [c + plane.height * n for c, n in zip(mesh.bbox_center.tolist(), normal)]
-    raw = ((mesh.vertices - np.array(origin)) @ plane.normal).tolist()
-    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
-    heights = [0.0 if abs(s) <= snap else s for s in raw]
+    heights = ((mesh.vertices - np.array(origin)) @ plane.normal).tolist()
+    if snap:
+        band = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+        heights = [0.0 if abs(s) <= band else s for s in heights]
     signs = [(s > 0.0) - (s < 0.0) for s in heights]
     triangles = mesh.triangles.tolist()
 

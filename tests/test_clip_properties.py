@@ -4,7 +4,9 @@ the 27 sign cases of a triangle too, and on planes clipped in turn, whose
 cut topology is reused exactly while no vertex changes side; clip_volume's
 sums from the band-local gather equal the full-node-array reference bit
 for bit on cold, repeated and walked clips, at the ends of the support and
-along a rollout; the vertex sides read from the support projection and
+along a rollout; the volume path classifies vertices by their strict sign
+and a liquid body's cut by the snap band; the vertex sides read from the
+support projection and
 the crossing-edge ends projected as a block are the full projection's,
 on a mesh far from the origin too; the cut chords chain into the loops of
 a dict walk; the liquid body agrees with clip_volume, is watertight, saves
@@ -54,8 +56,8 @@ from labmech.mesh import (
     ONPLANE_SNAP_FRACTION,
     _chain_loops,
     _clip_table,
+    _cut,
     _gather,
-    _plane_cut,
     _support_sides,
     height_search,
 )
@@ -128,6 +130,17 @@ def assert_table_is_walk(mesh, clip, walk):
     got = table_fields(mesh, clip)
     for field, expected in walk.items():
         assert_bitwise(got[field], expected, field)
+
+
+def strict_heights(mesh, plane):
+    """The plane point and the vertex heights, unsnapped, whose strict signs
+    give clip_volume's vertex sides."""
+    origin = mesh.bbox_center + plane.height * plane.normal
+    return origin, (mesh.vertices - origin) @ plane.normal
+
+
+def strict_sides(heights):
+    return (heights >= 0.0).view(np.int8) + (heights > 0.0).view(np.int8)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -209,28 +222,31 @@ def plane_walks(draw, name):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, data):
-    # each mesh keeps the topology of its last clip: a walk of clips on a
-    # warm copy gives the tables of the walk oracle and the results of a
-    # copy whose cache is emptied before every clip, bit for bit, and
-    # shares the topology with the clip before exactly when every vertex
-    # lies on the side it did
+    # each mesh keeps the topology of its last clip.  A walk of body cuts
+    # on one warm copy gives the tables of the snapped walk oracle, and the
+    # same walk of volume clips on another gives the results of a copy
+    # whose cache is emptied before every clip, bit for bit.  Each path
+    # shares the topology with its clip before exactly when every vertex
+    # lies on the side it did by that path's rule: the snap band for
+    # bodies, the strict sign for volumes
     moves, walk = data.draw(plane_walks(name))
-    warm, cold = (TriMesh(FIXTURES[name].vertices, FIXTURES[name].triangles) for _ in range(2))
+    body, volume, cold = (TriMesh(FIXTURES[name].vertices, FIXTURES[name].triangles)
+                          for _ in range(3))
     before, shared_by_a_nudge = None, False
     for move, (normal, height) in zip([None] + moves, walk):
         plane = LiquidPlane(normal, height)
-        table = _clip_table(warm, plane)
-        cut, _, heights, _ = table
-        assert_table_is_walk(warm, table, oracles.clip_walk(warm, plane))
-        got = clip_volume(warm, plane)
+        table = _clip_table(body, plane)
+        assert_table_is_walk(body, table, oracles.clip_walk(body, plane))
+        got = clip_volume(volume, plane)
         cold.__dict__.pop("_last_cut", None)
         assert_same_clip(got, clip_volume(cold, plane))
+        cuts = table[0], volume.__dict__["_last_cut"][1]
+        signs = np.sign(table[2]), np.sign(strict_heights(volume, plane)[1])
         if before is not None:
-            cut_before, heights_before = before
-            same_sides = (np.sign(heights) == np.sign(heights_before)).all()
-            assert (cut.pieces is cut_before.pieces) == same_sides
-            shared_by_a_nudge |= move == "nudge" and same_sides
-        before = cut, heights
+            same = [(now == then).all() for now, then in zip(signs, before[1])]
+            assert [now is then for now, then in zip(cuts, before[0])] == same
+            shared_by_a_nudge |= move == "nudge" and same[0]
+        before = cuts, signs
     assert shared_by_a_nudge
 
 
@@ -271,17 +287,18 @@ SIDE_MESHES = {**FIXTURES, "icosphere-4-far": FAR}
 
 
 @st.composite
-def snap_edge_planes(draw, name):
+def side_edge_planes(draw, name):
     """A plane of ``SIDE_MESHES[name]``: its normal's length is 1, or 1 off
     by 0.999e-12, at the edge of LiquidPlane's tolerance; its height puts a
     drawn vertex from 0 to 4 ulps of the height, times a power of two up to
-    2**28, from -snap or +snap, or is free."""
+    2**28, from the plane (where the strict side changes), from -snap or
+    from +snap, or is free."""
     mesh = SIDE_MESHES[name]
     scale = 1.0 + draw(st.sampled_from([0.0, -0.999e-12, 0.999e-12]))
     normal = unit_vector(draw(directions)) * scale
     support = (mesh.vertices - mesh.bbox_center) @ normal
     if draw(st.booleans()):
-        edge = draw(st.sampled_from([-1.0, 1.0])) * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
+        edge = draw(st.sampled_from([0.0, -1.0, 1.0])) * ONPLANE_SNAP_FRACTION * mesh.bbox_diag
         height = float(support[draw(st.integers(0, len(mesh.vertices) - 1))] - edge)
         height += (draw(st.integers(-4, 4)) << draw(st.integers(0, 28))) * np.spacing(height)
     else:
@@ -294,13 +311,12 @@ def snap_edge_planes(draw, name):
 @given(data=st.data())
 def test_support_sides_are_the_projection_sides(name, data):
     # the vertex sides read from the support projection, with the vertices
-    # inside its rounding margin around either snap band edge projected
-    # exactly, are the sides of the full projection; and a clip of a mesh
-    # large enough to take them gives the reference's bytes
-    mesh, plane = data.draw(snap_edge_planes(name))
-    _, origin, heights = _plane_cut(mesh, plane)
-    sides = (heights >= 0.0).view(np.int8) + (heights > 0.0).view(np.int8)
-    assert_bitwise(_support_sides(mesh, plane, origin), sides, "sides")
+    # inside its rounding margin around the plane projected exactly, are
+    # the strict signs of the full projection; and a clip of a mesh large
+    # enough to take them gives the reference's bytes
+    mesh, plane = data.draw(side_edge_planes(name))
+    origin, heights = strict_heights(mesh, plane)
+    assert_bitwise(_support_sides(mesh, plane, origin), strict_sides(heights), "sides")
     if len(mesh.vertices) >= _SUPPORT_SIDES_VERTICES:
         cold = TriMesh(mesh.vertices, mesh.triangles)
         assert_same_clip(clip_volume(cold, plane), oracles.clip_sums_reference(mesh, plane))
@@ -312,22 +328,33 @@ def test_support_sides_are_the_projection_sides(name, data):
 def test_edge_ends_projected_as_a_block_are_the_full_projection(name, data):
     # the crossings read only the heights of the cut's crossing-edge ends,
     # projected as one block of 2k rows; each is the full projection's row
-    mesh, plane = data.draw(snap_edge_planes(name))
-    cut, origin, heights = _plane_cut(mesh, plane)
+    mesh, plane = data.draw(side_edge_planes(name))
+    origin, heights = strict_heights(mesh, plane)
+    cut = _cut(mesh, strict_sides(heights))
     assert_bitwise((cut.ends - origin) @ plane.normal,
                    np.concatenate([heights[cut.lo], heights[cut.hi]]), "edge ends")
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_support_ends_clip_empty_full_and_chordless(name):
-    # a tilted plane through the lowest vertex holds nothing; one through
-    # the single highest vertex holds everything, and its band, the
-    # triangles around that vertex, has no chord
+    # a tilted plane below the mesh holds nothing, and one above it exactly
+    # the capacity.  The clip takes the strict sign of the lowest and the
+    # highest vertex's rounded height: through the lowest it holds at most
+    # rounding dust, through the highest all but that.  A body's cut snaps
+    # them onto the plane: through the lowest vertex it is empty, and
+    # through the single highest full, with a band of the triangles around
+    # that vertex and no chord
     mesh = FIXTURES[name]
     normal = unit_vector([0.3, -0.2, 1.0])
+    capacity, clips = mesh_volume(mesh), []
     for height in support_ends(mesh, normal):
         plane = LiquidPlane(normal, height)
-        assert_same_clip(clip_volume(mesh, plane), oracles.clip_sums_reference(mesh, plane))
+        clips.append(clip_volume(mesh, plane))
+        assert_same_clip(clips[-1], oracles.clip_sums_reference(mesh, plane))
+    below, low, high, above = clips
+    assert below == (0.0, 0.0, True, False) and above == (capacity, 0.0, False, True)
+    assert low.volume <= 1e-12 * capacity and not low.full
+    assert high.volume >= capacity * (1.0 - 1e-12) and not high.empty
     below, low, high, above = (_clip_table(mesh, LiquidPlane(normal, height))[0]
                                for height in support_ends(mesh, normal))
     assert below.empty and low.empty and not low.full
@@ -592,17 +619,16 @@ def test_body_of_a_body_matches_public_rebuild(name, data):
     assert abs(mesh_volume(again[0]) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
 
 
-# Draws of test_body_of_a_body_matches_public_rebuild[cube] that hit known
-# defects.  The draws depend on the literals of the loaded modules, which
-# Hypothesis adds to its pool, so a change to the source can bring either
-# one back into the property; each is pinned here on its own.
+# Two draws of test_body_of_a_body_matches_public_rebuild[cube], each pinned
+# here on its own: the draws depend on the literals of the loaded modules,
+# which Hypothesis adds to its pool, so a change to the source can drop
+# either one from the property.
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 11: a body thinner than the on-plane snap band, clipped at "
-    "its top, holds 1.000000064e-09 while its clip reads 9.166667058e-10"
-))
 def test_thin_body_clipped_at_its_top_matches_the_clip():
+    # a body thinner than the snap band, cut at the top of its support:
+    # liquid_geometry returns the body whole, and the clip, which takes the
+    # strict sides of the body's vertices, holds the body's volume
     mesh = FIXTURES["cube"]
     body = liquid_geometry(mesh, [0.0, 2e-9, -1.0], -0.499999999)
     normal = unit_vector([0.0, 0.0, 1.0])
@@ -654,10 +680,6 @@ def test_cut_area_is_volume_derivative(case):
     # face in the plane is the limit: a jump)
     meets = (s.min(axis=1) <= 2.0 * delta) & (s.max(axis=1) >= -2.0 * delta)
     assume(not (meets & (tilt_cos > np.cos(1e-2))).any())
-    # a vertex that a stencil plane snaps onto itself moves that cut by up
-    # to the snap band, a volume error the quotient would divide by delta
-    snap = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
-    assume(not (np.abs(np.abs(s) - delta) <= 2.0 * snap).any())
     area = clip_volume(mesh, LiquidPlane(normal, height)).cut_area
     # a kink at a vertex height biases the quotient by about delta * dA/dh;
     # on areas above 1% of diag^2 that stays below the tolerance

@@ -29,7 +29,7 @@ from labmech import (
     save_mesh,
     unit_vector,
 )
-from labmech.mesh import _clip_table
+from labmech.mesh import AREA_FLOOR_FRACTION, ONPLANE_SNAP_FRACTION, _clip_table
 from labmech.mesh import height_search as _height_search
 
 
@@ -215,6 +215,16 @@ class TestClipVolume:
         cold = TriMesh(mesh.vertices, mesh.triangles)
         assert clip_volume(mesh, plane) == clip_volume(cold, plane)
 
+    def test_empty_clip_builds_no_gather(self):
+        # a plane with no vertex below holds nothing: the clip neither
+        # builds the container's flux terms nor the cut's gather
+        mesh = cylinder_mesh(segments=48)
+        for height in (-0.6, -0.5):
+            res = clip_volume(mesh, LiquidPlane(np.array([0.0, 0.0, 1.0]), height))
+            assert res == (0.0, 0.0, True, False)
+            assert "_whole_flux" not in vars(mesh)
+            assert mesh.__dict__["_last_cut"][1].gather is None
+
     def test_body_cut_builds_no_flux_terms(self):
         # the whole-triangle flux sum is clip_volume's alone: a body cut from
         # a freshly built container neither builds the container's
@@ -228,12 +238,9 @@ class TestClipVolume:
         clip_volume(mesh, LiquidPlane(normal, 0.1))
         assert "_whole_flux" in vars(mesh)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "FOUND in CHANGES.md: a liquid body thinner than the on-plane snap "
-        "band snaps every vertex onto a plane through it, so its clip is "
-        "empty and full at once"
-    ))
     def test_thin_body_clip_is_not_empty_and_full(self):
+        # a body thinner than the snap band: a clip through its middle takes
+        # the strict sides of its vertices, some below and some above
         body = liquid_geometry(box_mesh(), [0.0, 2e-9, 1.0], -0.499999999)
         res = clip_volume(body, LiquidPlane(np.array([0.0, 0.0, 1.0]), 0.0))
         assert not (res.empty and res.full)
@@ -382,12 +389,15 @@ class TestSolveHeight:
         [
             (box_mesh(), unit_vector([1.0, -1.0, 1.0]), 2),
             (cylinder_mesh(segments=48), unit_vector([1.0, 1.0, 0.0]), 0),
+            (l_prism_mesh(), unit_vector([1.0, 1.0, 0.0]), 3),
+            (icosphere_mesh(subdivisions=4), unit_vector([0.3, -0.2, 1.0]), 100),
         ],
-        ids=["cube-three-vertices", "cylinder-48-side-vertices"],
+        ids=["cube-three-vertices", "cylinder-48-side-vertices", "l-prism-reflex-vertex",
+             "icosphere-4-vertex"],
     )
     def test_plane_through_vertices_meets_iteration_budget(self, mesh, normal, vertex):
-        # the root is a plane that snaps mesh vertices onto itself, where
-        # the volume grows slower than the cut area says
+        # the root is a plane through mesh vertices, where the volume's
+        # cubic changes from one piece to the next
         height = (mesh.vertices[vertex] - mesh.bbox_center) @ normal
         target = clip_volume(mesh, LiquidPlane(normal, height)).volume
         found = _height_search(mesh, normal, target)
@@ -403,8 +413,9 @@ class TestSolveHeight:
         assert _height_search(cube, normal, 1.0 - 1e-4).iterations <= 20
 
     def test_degenerate_cut_area_bisects(self, monkeypatch):
-        # a warm start within the snap band of the lowest vertex clips
-        # empty, with no cut area for Newton: the next iterate bisects
+        # a warm start 0.5e-9 diag above the lowest vertex clips a sliver
+        # whose cut area is under the area floor, no slope for Newton: the
+        # next iterate bisects
         mesh = icosphere_mesh(subdivisions=4)
         normal = np.array([0.0, 0.0, 1.0])
         support = mesh._centered @ normal
@@ -418,8 +429,9 @@ class TestSolveHeight:
         monkeypatch.setattr("labmech.mesh.clip_volume", recording)
         target = 0.3 * mesh_volume(mesh)
         found = _height_search(mesh, normal, target, h_prev=start)
-        (first, empty), (second, _) = clips[:2]
-        assert first == start and empty.empty and empty.cut_area == 0.0
+        (first, sliver), (second, _) = clips[:2]
+        assert first == start and not sliver.empty
+        assert 0.0 < sliver.cut_area <= AREA_FLOOR_FRACTION * mesh.bbox_diag**2
         assert second == 0.5 * (start + float(support.max()))
         assert found.iterations == len(clips) <= 20
         reference = oracles.bisect_height(mesh, normal, target)
@@ -586,11 +598,16 @@ class TestLiquidGeometry:
         liquid_geometry(cube, normal, -0.6181218509648088)
 
     def test_vertices_snap_onto_the_plane(self, cube):
-        # a plane within the snap band of the bottom face classifies those
-        # vertices as on-plane: nothing lies strictly below
+        # a plane within the snap band of the bottom face: a body's cut
+        # classifies those vertices as on-plane, so nothing lies strictly
+        # below and the body is empty.  The clip takes their strict signs
+        # and holds the 1e-11 slab under the plane, which is less than twice
+        # the snap times the cut area
         res = clip_volume(cube, LiquidPlane(np.array([0.0, 0.0, 1.0]), -0.5 + 1e-11))
-        assert res.empty
-        assert res.volume == 0.0
+        assert not res.empty and not res.full
+        assert res.volume == pytest.approx(1e-11, rel=1e-5)
+        assert res.cut_area == pytest.approx(1.0, rel=1e-12)
+        assert res.volume <= 2.0 * ONPLANE_SNAP_FRACTION * cube.bbox_diag * res.cut_area
         body = liquid_geometry(cube, [0.0, 0.0, 1.0], -0.5 + 1e-11)
         assert len(body) == 0
 
