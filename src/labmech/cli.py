@@ -205,10 +205,12 @@ def cmd_sdf_grid(args):
         x, y, z = grid[overflowed[0]].tolist()
         raise ValueError(f"thread field is not finite at grid point ({x!r}, {y!r}, {z!r}); "
                          "the grid reaches past the float range")
+    with _memory_for(points, 3, past):
+        rows = "".join(f"{x!r}\t{y!r}\t{z!r}\t{d!r}\n"
+                       for (x, y, z), d in zip(grid.tolist(), values.tolist()))
     out = Path(args.output)
     with out.open("w") as fh:
-        for (x, y, z), d in zip(grid, values):
-            fh.write(f"{float(x)!r}\t{float(y)!r}\t{float(z)!r}\t{float(d)!r}\n")
+        fh.write(rows)
     return [args.config] if args.config else [], [out]
 
 

@@ -111,6 +111,9 @@ AREA_FLOOR_FRACTION = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
+#: Below this size no square of a component, nor a sum of three, overflows.
+_SQUARE_SAFE = 2.0**511
+
 #: Four float ulps at 1: times the bbox diagonal, the height resolution at
 #: which a Newton step ends the height solve.
 _STEP_FLOOR_EPS = 4.0 * float(np.finfo(float).eps)
@@ -170,8 +173,11 @@ def unit_vector(v) -> np.ndarray:
     A zero or non-finite vector is a ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
+    if max(map(abs, v.ravel().tolist())) < _SQUARE_SAFE:
         squared = v.dot(v)
+    else:  # the square may overflow, which numpy warns about
+        with np.errstate(over="ignore"):
+            squared = v.dot(v)
     if not _SMALLEST_NORMAL <= squared < math.inf:
         largest = np.abs(v).max()
         if largest == 0.0:
@@ -384,6 +390,16 @@ class TriMesh:
         return len(self.triangles)
 
 
+def _unit_normal(normal) -> np.ndarray:
+    """``normal`` as a float array of shape (3,), a ``ValueError`` unless its
+    length is 1 within ``_UNIT_NORMAL_TOLERANCE``."""
+    n = np.asarray(normal, dtype=float).reshape(3)
+    # np.linalg.norm's sum; rejects NaN
+    if not abs(math.sqrt(n.dot(n)) - 1.0) <= _UNIT_NORMAL_TOLERANCE:
+        raise ValueError("plane normal must be a unit vector (within 1e-12)")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class LiquidPlane:
     """Liquid surface: upward unit normal plus signed height offset along it,
@@ -393,11 +409,7 @@ class LiquidPlane:
     height: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        object.__setattr__(self, "normal", n)
-        # np.linalg.norm's sum; rejects NaN
-        if not abs(math.sqrt(n.dot(n)) - 1.0) <= _UNIT_NORMAL_TOLERANCE:
-            raise ValueError("plane normal must be a unit vector (within 1e-12)")
+        object.__setattr__(self, "normal", _unit_normal(self.normal))
         object.__setattr__(self, "height", _finite("height", self.height))
 
     @classmethod
@@ -932,7 +944,7 @@ def height_search(
         h_prev = _finite("h_prev", h_prev)
     if not len(mesh):
         raise ValueError("mesh has no triangles")
-    n = LiquidPlane(normal, 0.0).normal
+    n = _unit_normal(normal)
     total = mesh._capacity
     target = float(target_volume)
     if not math.isfinite(target) or target < 0.0 or target > total * (1.0 + 1e-12):
@@ -1083,65 +1095,42 @@ def _chain_loops(chords) -> list:
     counterclockwise around the upward normal (matching an outward cap).
 
     ``chords`` is a (c, 2) integer array of node ids in the cut's order;
-    returns one int64 array of node ids per loop.  The chords are paired by
-    sorted node ids, with the outcome of walking them in order:
+    returns one int64 array of node ids per loop.  The chords are walked in
+    that order:
 
     * Interior in-plane edges appear twice with opposite directions and
-      cancel.  Per node pair, in chord order, the second chord cancels the
-      first, the fourth the third, and so on; one that runs the same way
-      as the chord it would cancel raises ``duplicate cut chord``.  An odd
-      count leaves the last chord of the pair standing.
-    * The standing chords, in chord order, reversed: two that end at one
-      node raise ``cut boundary branches`` at the later one.  Otherwise
-      each starts where another ends, or the boundary ``failed to close``.
+      cancel: a chord cancels a standing reverse chord, and one that runs
+      the same way as a standing chord raises ``duplicate cut chord``.
+    * Each standing chord links its end node back to its start node; a
+      second link out of one end node raises ``cut boundary branches``, and
+      links that do not close raise ``failed to close``.
     * Each loop starts at the end node of its first standing chord, and
       the loops come in the order of those chords.  A loop has at least
       three nodes: at most one chord stands per node pair, and no chord
       joins a node to itself.
     """
-    chords = np.asarray(chords, dtype=np.int64).reshape(-1, 2)
-    if not len(chords):
-        return []
-    u, w = chords.T
-    lo, hi = np.minimum(u, w), np.maximum(u, w)
-    key = lo * (hi.max() + 1) + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeated = key[1:] == key[:-1]
-    if repeated.any():
-        # rank of each chord among those on its node pair, in chord order
-        opens = np.ones(len(key), dtype=bool)
-        opens[1:] = ~repeated
-        rank = np.arange(len(key))
-        rank -= np.maximum.accumulate(np.where(opens, rank, 0))
-        odd = np.flatnonzero(rank % 2)
-        clash = u[order[odd]] != w[order[odd - 1]]
-        if clash.any():
-            raise OpenCutLoop(f"duplicate cut chord at {u[order[odd[clash]].min()]}")
-        last = np.ones(len(key), dtype=bool)
-        last[:-1] = opens[1:]
-        u, w = chords[np.sort(order[last & (rank % 2 == 0)])].T
-
-    by_end = np.argsort(w, kind="stable")
-    ends = w[by_end]
-    branch = ends[1:] == ends[:-1]
-    if branch.any():
-        raise OpenCutLoop(f"cut boundary branches at node {w[by_end[1:][branch].min()]}")
-    # the ends are distinct, so the boundary closes exactly when the starts
-    # are the same nodes; then each chord continues the one ending at its start
-    if not (np.sort(u) == ends).all():
-        raise OpenCutLoop("cut boundary failed to close into a loop")
-    succ = by_end[np.searchsorted(ends, u)].tolist()
-    loops, seen = [], [False] * len(succ)
-    for k in range(len(succ)):
-        if seen[k]:
+    standing = {}
+    for u, w in np.asarray(chords, dtype=np.int64).reshape(-1, 2).tolist():
+        if standing.pop((w, u), False):
             continue
+        if (u, w) in standing:
+            raise OpenCutLoop(f"duplicate cut chord at {u}")
+        standing[u, w] = True
+    back = {}
+    for u, w in standing:
+        if w in back:
+            raise OpenCutLoop(f"cut boundary branches at node {w}")
+        back[w] = u
+    if back.keys() != set(back.values()):
+        raise OpenCutLoop("cut boundary failed to close into a loop")
+    loops = []
+    for node in list(back):
         loop = []
-        while not seen[k]:
-            seen[k] = True
-            loop.append(k)
-            k = succ[k]
-        loops.append(w[loop])
+        while node in back:
+            loop.append(node)
+            node = back.pop(node)
+        if loop:
+            loops.append(np.array(loop, dtype=np.int64))
     return loops
 
 

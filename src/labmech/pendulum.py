@@ -44,11 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, ZeroGravity, _count, _fields, _finite, _nonnegative, _positive
-from .mesh import _SMALLEST_NORMAL, unit_vector
+from .mesh import unit_vector
 
 _PI = math.pi
-#: Below this size no square of a component, nor a sum of three, overflows.
-_SQUARE_SAFE = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -195,23 +193,15 @@ def integrate_pendulum(
 def init_state(accel) -> PendulumState:
     """State aligned with the effective acceleration, at rest.
 
-    The direction of the returned state is parallel to ``accel``, of any
-    finite, nonzero size: where ``accel . accel`` is not a normal float, it
-    is :func:`~labmech.mesh.unit_vector`'s, which rescales first.  ``phi``
-    is gauged to 0 when the direction sits on a pole.  Raises
-    :class:`ZeroGravity` for a zero vector, ValueError for a non-finite one.
+    The direction of the returned state is :func:`~labmech.mesh.unit_vector`
+    of ``accel``, of any finite, nonzero size.  ``phi`` is gauged to 0 when
+    the direction sits on a pole.  Raises :class:`ZeroGravity` for a zero
+    vector, ValueError for a non-finite one.
     """
     g = np.asarray(accel, dtype=float)
-    # a square that overflows would make numpy warn: leave such a vector
-    # (or a NaN first component) to unit_vector, which gives the same bits
-    # wherever the square is a normal float
-    squared = g.dot(g) if max(map(abs, g.tolist())) < _SQUARE_SAFE else math.inf
-    if _SMALLEST_NORMAL <= squared < math.inf:
-        d = g / math.sqrt(squared)  # np.linalg.norm of a vector
-    elif not g.any():
+    if not g.any():
         raise ZeroGravity("cannot align to a zero acceleration vector")
-    else:
-        d = unit_vector(g)
+    d = unit_vector(g)
     theta = math.acos(max(-1.0, min(1.0, -d[2])))
     phi = 0.0 if (d[0] == 0.0 and d[1] == 0.0) else math.atan2(d[1], d[0])
     return PendulumState(phi=phi, theta=theta, phidot=0.0, thetadot=0.0)

@@ -456,10 +456,11 @@ def chain_loops_walk(chords):
 
 
 def clip_walk(mesh, plane, snap=True):
-    """The clip table of ``mesh`` under ``plane``, one triangle at a time in
-    plain Python: vertex heights, node coordinates, whole-triangle flags,
-    band pieces and cut chords, numbered as ``mesh._Cut`` documents.
-    Pieces and chords are listed one per row, (m, 4) and (c, 2).
+    """The clip table of ``mesh`` under ``plane``, walking the band triangles
+    one at a time in plain Python: vertex heights, node coordinates,
+    whole-triangle flags, band pieces and cut chords, numbered as
+    ``mesh._Cut`` documents.  Pieces and chords are listed one per row,
+    (m, 4) and (c, 2).
 
     The side rule is a liquid body's with ``snap`` (heights within
     ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are zero), and the
@@ -478,7 +479,11 @@ def clip_walk(mesh, plane, snap=True):
         band = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
         heights = [0.0 if abs(s) <= band else s for s in heights]
     signs = [(s > 0.0) - (s < 0.0) for s in heights]
-    triangles = mesh.triangles.tolist()
+    # a triangle is whole when every corner is below, and in the band when
+    # some are: only band triangles have pieces, chords or crossing edges
+    below = np.array(signs)[mesh.triangles] < 0
+    whole = below.all(axis=1)
+    triangles = mesh.triangles[below.any(axis=1) & ~whole].tolist()
 
     crossing = set()
     for tri in triangles:
@@ -493,12 +498,8 @@ def clip_walk(mesh, plane, snap=True):
         t = heights[lo] / (heights[lo] - heights[hi])
         nodes.append([p + t * (q - p) for p, q in zip(vertices[lo], vertices[hi])])
 
-    whole, pieces, chords = [], [], []
+    pieces, chords = [], []
     for tri in triangles:
-        below = [signs[v] < 0 for v in tri]
-        whole.append(all(below))
-        if not any(below) or all(below):
-            continue
         edges = [(min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3])) for k in range(3)]
         walk, steps = walk_triangle([signs[v] for v in tri], tri, [node_of.get(e) for e in edges])
         pieces.append(walk + walk[-1:] * (4 - len(walk)))
@@ -506,7 +507,7 @@ def clip_walk(mesh, plane, snap=True):
     return {
         "heights": np.array(heights),
         "nodes": np.array(nodes).reshape(-1, 3),
-        "whole": np.array(whole, dtype=bool),
+        "whole": whole,
         "pieces": np.array(pieces, dtype=np.int64).reshape(-1, 4),
         "chords": np.array(chords, dtype=np.int64).reshape(-1, 2),
     }

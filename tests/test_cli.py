@@ -59,6 +59,14 @@ class TestSdfGrid:
         for row in rows:
             x, y, z, d = (float(v) for v in row)
             assert d == sdf_thread(spec, [x, y, z]).distance
+        # the bytes of one repr row per grid point
+        grid = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 2)] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        values = sdf_thread(spec, grid).distance
+        assert out.read_text() == "".join(
+            f"{float(x)!r}\t{float(y)!r}\t{float(z)!r}\t{float(d)!r}\n"
+            for (x, y, z), d in zip(grid, values)
+        )
 
     def test_row_major_order_and_count(self, tmp_path, capsys):
         out = tmp_path / "grid.tsv"

@@ -526,6 +526,24 @@ def test_chain_loops_matches_dict_walk(chords):
     assert ours == chain_outcome(oracles.chain_loops_walk, chords)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(chords=chord_lists())
+def test_chained_loops_step_along_reversed_chords(chords):
+    # without the reference walk: every step of a loop, the closing one
+    # included, is an input chord reversed, and no node is on a loop twice
+    try:
+        loops = _chain_loops(chords)
+    except OpenCutLoop:
+        return
+    reversed_chords = {(w, u) for u, w in chords}
+    nodes = [node for loop in loops for node in loop.tolist()]
+    assert len(nodes) == len(set(nodes))
+    for loop in loops:
+        assert loop.dtype == np.int64 and len(loop) >= 3
+        steps = zip(loop.tolist(), np.roll(loop, -1).tolist())
+        assert set(steps) <= reversed_chords
+
+
 @PROPERTY_SETTINGS
 @given(case=planes())
 def test_body_volume_matches_clip(case, tmp_path_factory):

@@ -15,6 +15,7 @@ from labmech import (
     NoConvergence,
     NonStarShapedCutLoop,
     NotWatertight,
+    OpenCutLoop,
     TriMesh,
     VolumeOutOfRange,
     box_mesh,
@@ -596,6 +597,29 @@ class TestLiquidGeometry:
     def test_thin_cap_with_node_near_a_corner(self, cube):
         normal = unit_vector([9.61523948e-01, -2.74721128e-01, 1.09888451e-06])
         liquid_geometry(cube, normal, -0.6181218509648088)
+
+    @staticmethod
+    def assert_body_caps_with_the_clip_volume(mesh, normal, height):
+        body = liquid_geometry(mesh, normal, height)
+        expected = clip_volume(mesh, LiquidPlane(normal, height)).volume
+        assert abs(mesh_volume(body) - expected) <= 1e-9 * expected + 1e-12 * mesh_volume(mesh)
+
+    @pytest.mark.xfail(raises=OpenCutLoop, strict=True, reason=(
+        "ROADMAP item 4: a plane through the L-prism's top reflex vertex "
+        "pinches the cut into two loops that touch there, and chaining "
+        "raises 'cut boundary branches at node 10'"
+    ))
+    def test_l_prism_cut_pinched_at_the_reflex_vertex(self):
+        self.assert_body_caps_with_the_clip_volume(
+            l_prism_mesh(), unit_vector([1.0, 1.0, 1.0]), 0.2886751345948129)
+
+    @pytest.mark.xfail(raises=NonStarShapedCutLoop, strict=True, reason=(
+        "ROADMAP item 4: an oblique plane cuts the L-prism in a loop that is "
+        "not star-shaped around its centroid, so the centroid fan cannot cap it"
+    ))
+    def test_l_prism_cut_loop_not_star_shaped(self):
+        self.assert_body_caps_with_the_clip_volume(
+            l_prism_mesh(), unit_vector([-1.0, -2.0, -4.0]), -0.2182178902359924)
 
     def test_vertices_snap_onto_the_plane(self, cube):
         # a plane within the snap band of the bottom face: a body's cut
