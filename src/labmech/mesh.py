@@ -23,15 +23,17 @@ interior with the halfspace below a plane.  Conventions used throughout:
   import from the boundary walk.  All of that is a function of the side
   of the plane each vertex lies on: it is the cut topology, one
   read-only record (``_Cut``) that each mesh keeps for its last clip,
-  keyed by the bytes of the vertex side codes.  Two rules give the
-  sides.  :func:`clip_volume` takes the strict sign of each vertex's
-  height, so the volume is an exact cubic in the height between vertex
-  heights; a liquid body (``_clip_table``) snaps vertices within
-  ``ONPLANE_SNAP_FRACTION * bbox_diag`` onto the plane, so that it has no
-  sliver triangles.  The two share a topology exactly when their codes
-  agree, as they do unless a vertex lies inside the snap band.  A clip
-  with the same sides, as most clips of a rollout are, returns that
-  record with the projected vertices, and nothing else.
+  keyed by the bytes of the vertex side codes.  A vertex's height is
+  its support, its offset along the normal from the bbox center, minus
+  the plane's height, and two rules give the sides from it.
+  :func:`clip_volume` takes the strict sign of each vertex's height, so
+  the volume is an exact cubic in the height between consecutive
+  distinct support values; a liquid body (``_clip_table``) snaps
+  vertices within ``ONPLANE_SNAP_FRACTION * bbox_diag`` onto the plane,
+  so that it has no sliver triangles.  The two share a topology exactly
+  when their codes agree, as they do unless a vertex lies inside the
+  snap band.  A clip with the same sides, as most clips of a rollout
+  are, returns that record with the vertex heights, and nothing else.
   :func:`clip_volume` sums the divergence flux with the reference point
   on the plane, so the cap contributes zero flux and is never built in
   the height-solving hot path: the band pieces directly, the whole
@@ -49,13 +51,18 @@ interior with the halfspace below a plane.  Conventions used throughout:
   :class:`TriMesh`).
 
 The cost of a clip that reuses the topology (a hit) is the vertex sides,
-the one pass over the mesh, plus the arithmetic of the band.  A small
-mesh projects every vertex for its sides.  A mesh of at least
-``_SUPPORT_SIDES_VERTICES`` vertices reads them from its support
-projection along the normal, which the height solve derives once per
-normal for its bracket, and projects exactly only the vertices within a
-proven rounding margin of the plane and the ends of the
-cut's crossing edges, the only heights the crossings read.  On its first
+the one pass over the mesh, plus the arithmetic of the band.  Every clip
+and every body cut takes its vertex heights as ``mesh._support(n) - h``:
+the mesh keeps the support projection of its last normal, which the
+height solve derives once per normal for its bracket, so a clip
+subtracts the height, takes the signs, and reads its crossing heights
+from the same array.  Each slab between two consecutive distinct support
+values is therefore one side pattern, one topology.  The sums take their
+plane point as ``bbox_center + h n``, which lies on the plane these
+heights measure for a unit normal; a normal that is unit only within
+:class:`LiquidPlane`'s 1e-12 puts the two planes ``|h| |n . n - 1|``
+apart, so the cap's flux, which the sums take as zero, is off by at most
+about ``2e-12 |h|`` times the cut area.  On its first
 use by :func:`clip_volume` a topology gets a gather (``_Gather``): the
 band's vertex rows under compact node ids and flat indices of the
 components each sum reads.  A hit then interpolates the crossing nodes,
@@ -121,25 +128,6 @@ _STEP_FLOOR_EPS = 4.0 * float(np.finfo(float).eps)
 #: :class:`LiquidPlane` accepts a normal whose length is 1 within this.
 _UNIT_NORMAL_TOLERANCE = 1e-12
 
-#: The unit roundoff of a float operation, 2**-53.
-_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
-
-#: The part of :func:`_support_sides`'s rounding margin per unit of |height|:
-#: 32 u for the rounding, and a bound on |n . n - 1| for a normal that
-#: :class:`LiquidPlane` accepts, its length checked in floats.
-_SIDE_SLOPE = 2.0 * _UNIT_NORMAL_TOLERANCE + 32.0 * _UNIT_ROUNDOFF
-
-#: A mesh with at least this many vertices takes :func:`clip_volume`'s vertex
-#: sides from the support projection (:func:`_support_sides`), a smaller one
-#: projects every vertex.  It is the crossover measured on UV spheres, whose
-#: band grows as the square root of the vertex count, in 60 rounds of tilted
-#: hit clips at fills 0.2-0.8 on a 2-core VM: the upper quartile of the
-#: per-round time ratio, support to full projection, was 1.004 at 762
-#: vertices and 0.999 at 842 (0.80 at icosphere-4's 2562).
-#: A cylinder's band holds every vertex, and its support path was 8-11%
-#: slower at 800 and 2048 vertices.
-_SUPPORT_SIDES_VERTICES = 800
-
 
 def _cross(a, b) -> np.ndarray:
     """Row-wise cross product of (3, m) component arrays, written out to
@@ -170,10 +158,13 @@ def unit_vector(v) -> np.ndarray:
     ``v . v`` is not a normal float (it underflowed to zero or a subnormal,
     or overflowed), ``v`` is first divided by its largest |component|, so
     a vector of any finite, nonzero size is normalized to full precision.
-    A zero or non-finite vector is a ``ValueError``.
+    An array of any shape other than (3,), and a zero or non-finite
+    vector, is a ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
-    if max(map(abs, v.ravel().tolist())) < _SQUARE_SAFE:
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got an array of shape {v.shape}")
+    if max(map(abs, v.tolist())) < _SQUARE_SAFE:
         squared = v.dot(v)
     else:  # the square may overflow, which numpy warns about
         with np.errstate(over="ignore"):
@@ -202,7 +193,10 @@ class TriMesh:
     the flux terms and the ``v x y z`` rows that :func:`save_mesh` writes
     (each formatted on its first write, see :meth:`_rows`), all cached from
     them, cannot go stale.  Nor can the support projection of the last
-    normal (:meth:`_support`), reused only for the same normal bytes, or
+    normal (:meth:`_support`), reused only for the same normal bytes, from
+    which every clip and body cut takes its vertex heights as
+    ``support - h`` (for a normal unit only within 1e-12, the cap's flux
+    is then off by at most about ``2e-12 |h|`` times the cut area), or
     the cut topology of the last clip (see :func:`_topology`): it is a
     function of these arrays and of the vertex side codes, and it is
     reused only for the exact same codes.
@@ -315,12 +309,10 @@ class TriMesh:
 
     @cached_property
     def _capacity(self) -> float:
-        """Interior volume: signed tetrahedra det(v0, v1, v2)/6 anchored at
-        the origin."""
-        if len(self) == 0:
-            return 0.0
-        c = self.vertices[self.triangles]
-        return float(np.einsum("ij,ij->i", np.cross(c[:, 0], c[:, 1]), c[:, 2]).sum() / 6.0)
+        """Interior volume: signed tetrahedra det(a, b, c)/6 anchored at
+        the bbox center (row 0 of the flux terms), so a container far from
+        the origin keeps its volume to rounding."""
+        return float(self._whole_flux[0].sum() / 6.0)
 
     @cached_property
     def _row_cache(self) -> tuple:
@@ -365,13 +357,13 @@ class TriMesh:
 
     def _support(self, normal: np.ndarray) -> np.ndarray:
         """``_centered @ normal``: each vertex's height above the bbox center
-        along a unit ``normal``.  A mesh whose clips read their vertex sides
-        from it (see :func:`_support_sides`) keeps the last normal's,
+        along a unit ``normal``, from which every clip and body cut takes its
+        vertex heights as ``support - h``.  The mesh keeps the last normal's,
         read-only and keyed by its bytes, so a height solve derives it once,
-        for its bracket and for every clip it makes; a smaller mesh keeps
-        none."""
-        if len(self.vertices) < _SUPPORT_SIDES_VERTICES:
-            return self._centered @ normal
+        for its bracket and for every clip it makes.  For a normal unit only
+        within 1e-12 those heights measure a plane ``|h| |n . n - 1|`` from
+        the sums' plane point, and the cap's flux is off by at most about
+        ``2e-12 |h|`` times the cut area."""
         key = normal.tobytes()
         last = self.__dict__.get("_last_support")
         if last is None or last[0] != key:
@@ -379,12 +371,6 @@ class TriMesh:
             support.setflags(write=False)
             last = self.__dict__["_last_support"] = (key, support)
         return last[1]
-
-    @cached_property
-    def _side_slack(self) -> float:
-        """The part of :func:`_support_sides`'s rounding margin that does not
-        grow with the height: ``32 u (diag + |bbox_center|)``."""
-        return 32.0 * _UNIT_ROUNDOFF * (self.bbox_diag + float(np.linalg.norm(self.bbox_center)))
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -433,7 +419,7 @@ class ClipResult(NamedTuple):
 
 def mesh_volume(mesh: TriMesh) -> float:
     """Interior volume by the divergence theorem: sum of signed tetrahedra
-    det(v0, v1, v2)/6 anchored at the origin.  Positive for outward
+    det(v0, v1, v2)/6 anchored at the bbox center.  Positive for outward
     orientation; exact for polyhedra.  Computed once per mesh."""
     return mesh._capacity
 
@@ -516,9 +502,8 @@ class _Cut:
     chords: np.ndarray  # (2, c) polygon steps with both nodes on the plane
     lo: np.ndarray  # (k,) lower vertex id of each crossing edge
     hi: np.ndarray  # (k,) its higher vertex id
-    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``, the first rows of ``ends``
+    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``
     span: np.ndarray  # (k, 3) V[hi] - v_lo
-    ends: np.ndarray  # (2k, 3) coordinates of ``lo``, then of ``hi``
     nodes: np.ndarray  # (b + k,) node ids of the band: its vertices, then V .. V + k - 1
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
@@ -635,7 +620,7 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     ends = mesh.vertices.take(lo_hi.ravel(), axis=0)
     pieces = picked[:4]
     arrays = (whole, pieces, picked[4:].compress(_CHORD.take(case), axis=1), *lo_hi, ends[:k],
-              ends[k:] - ends[:k], ends, nodes)
+              ends[k:] - ends[:k], nodes)
     for array in arrays:
         array.setflags(write=False)  # half the cost of assigning flags.writeable
     return _Cut(*arrays, np.bool_(pieces.size == 0 and not whole.any()), (side <= 1).all())
@@ -725,74 +710,48 @@ def _sides(s: np.ndarray) -> np.ndarray:
     return (s >= 0.0).view(np.int8) + (s > 0.0).view(np.int8)
 
 
-def _support_sides(mesh: TriMesh, plane: LiquidPlane, origin: np.ndarray) -> np.ndarray:
-    """The strict vertex side codes of ``plane``, whose point is ``origin``,
-    that a projection of every vertex gives (see :func:`clip_volume`), read
-    from the mesh's support projection (:meth:`TriMesh._support`) instead.
-
-    A vertex's ``support - h`` differs from its projection ``s`` only by
-    rounding, and by ``h (n . n - 1)`` for a normal that is unit within
-    :class:`LiquidPlane`'s tolerance.  The rounding of ``o = bc + h n``,
-    of ``v - o``, of both 3-term dots (with or without fused multiply-adds)
-    and of ``support - h`` bounds the difference near the plane by
-    ``u (8 diag + 6 |h| + sum_j |n_j bc_j|)`` to first order, where u is
-    the unit roundoff.  The margin ``32 u (diag + |bc|) + 32 u |h|`` is at
-    least twice that, and ``2e-12 |h|`` more covers ``|h| |n . n - 1|``.
-    A vertex whose ``|support - h|`` exceeds the margin is therefore on the
-    side the projection gives it.  The others are projected exactly, as one
-    block of at least two rows, which rounds each row as the whole array
-    does (a row projected alone can round differently).  A loose margin
-    costs time, never bits.
-    """
-    n, h = plane.normal, plane.height
-    d = mesh._support(n) - h
-    side = _sides(d)
-    np.abs(d, out=d)  # each vertex's distance to the plane, to rounding
-    margin = mesh._side_slack + _SIDE_SLOPE * abs(h)
-    if d.min() <= margin:
-        rows = np.flatnonzero(d <= margin)
-        rows = rows.repeat(2) if len(rows) == 1 else rows
-        side[rows] = _sides((mesh.vertices.take(rows, axis=0) - origin) @ n)
-    return side
-
-
-def _crossings(cut: _Cut, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    """(k, 3) crossing nodes of ``cut`` at the heights ``s_lo`` and ``s_hi``
-    of its edges' ends, each interpolated from its edge's lower vertex."""
+def _crossings(cut: _Cut, s: np.ndarray) -> np.ndarray:
+    """(k, 3) crossing nodes of ``cut`` at the signed vertex heights ``s``,
+    each interpolated from its edge's lower vertex."""
+    s_lo, s_hi = s[cut.lo], s[cut.hi]
     return cut.v_lo + (s_lo / (s_lo - s_hi))[:, None] * cut.span
 
 
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
-    """``(cut, origin, heights, nodes)`` of ``mesh`` under ``plane`` by the
-    body path's side rule: the cut topology (:class:`_Cut`), the plane
-    point at ``height`` above the bbox center, the signed vertex heights,
-    and the coordinates of every node that the topology numbers, the mesh
-    vertices and then the crossing nodes.
+    """``(cut, heights, nodes)`` of ``mesh`` under ``plane`` by the body
+    path's side rule: the cut topology (:class:`_Cut`), the signed vertex
+    heights, and the coordinates of every node that the topology numbers,
+    the mesh vertices and then the crossing nodes.
 
-    The heights are projected from the whole C-contiguous vertex array for
-    every plane (a row projected alone can round differently), and those
-    within ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are snapped
-    to zero: such a vertex lies on the plane, so a body has no sliver
-    triangle where the plane passes next to a vertex.  The full node order
-    is the body path's: :func:`liquid_geometry` lists a body's vertices in
-    it.  :func:`clip_volume` classifies by the strict signs instead, so a
-    body's volume may differ from the clip by the container's volume within
-    the snap band around the plane: about the band's width, twice the snap,
+    The heights are the support projection less the plane's height, as a
+    clip takes them (see :func:`clip_volume`), and those within
+    ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are snapped to zero:
+    such a vertex lies on the plane, so a body has no sliver triangle where
+    the plane passes next to a vertex.  The full node order is the body
+    path's: :func:`liquid_geometry` lists a body's vertices in it.
+    :func:`clip_volume` classifies by the strict signs instead, so a body's
+    volume may differ from the clip by the container's volume within the
+    snap band around the plane: about the band's width, twice the snap,
     times the cut area.
     """
-    o = mesh.bbox_center + plane.height * plane.normal
-    s = (mesh.vertices - o) @ plane.normal
+    s = mesh._support(plane.normal) - plane.height
     s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
     cut = _topology(mesh, _sides(s))
-    return cut, o, s, np.concatenate([mesh.vertices, _crossings(cut, s[cut.lo], s[cut.hi])])
+    return cut, s, np.concatenate([mesh.vertices, _crossings(cut, s)])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     """Volume of the container interior below the plane, plus the cut area.
 
-    Each vertex lies below, on or above the plane by the strict sign of its
-    height, with no snap, so the volume is an exact cubic in the height
-    between consecutive vertex heights.  A liquid body classifies by a snap
+    A vertex's height is ``mesh._support(n) - h``, its offset along the
+    normal from the bbox center less the plane's height, and it lies below,
+    on or above the plane by the strict sign of that height, with no snap.
+    So the sides are constant, and the volume is an exact cubic in the
+    height, on each slab between two consecutive distinct support values.
+    For a normal unit only within :class:`LiquidPlane`'s 1e-12, these
+    heights measure a plane ``|h| |n . n - 1|`` from the sums' plane point
+    ``bbox_center + h n``, and the cap's flux is off by at most about
+    ``2e-12 |h|`` times the cut area.  A liquid body classifies by a snap
     band instead (see :func:`_clip_table`), and its volume may differ from
     the clip by about twice the snap times the cut area.
 
@@ -804,13 +763,9 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     pieces.  A clip that leaves every vertex on the side it was on at the
     mesh's previous clip reuses that clip's topology and its band-local
     gather, and then costs the vertex sides, the crossing nodes and the
-    band and chord sums over the band's own nodes.  A mesh of fewer than
-    ``_SUPPORT_SIDES_VERTICES`` vertices takes the sides and the crossing
-    heights from a projection of every vertex; a larger one reads the sides
-    from its support along the normal (:func:`_support_sides`) and projects
-    the cut's crossing-edge ends as one block, which gives the same sides
-    and heights to the bit.  A plane with no vertex below it holds nothing
-    and builds no gather.
+    band and chord sums over the band's own nodes; the crossings read their
+    edges' end heights from the same array as the sides.  A plane with no
+    vertex below it holds nothing and builds no gather.
     The cut area is Green's sum over the cut chords, referenced to a chord
     node so that a small cut far from the bbox center keeps its accuracy:
     every step of a band piece's boundary walk whose two nodes both lie on
@@ -833,13 +788,8 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         exactly :func:`mesh_volume`, whatever its height.
     """
     n, h = plane.normal, plane.height
-    origin = mesh.bbox_center + h * n
-    small = len(mesh.vertices) < _SUPPORT_SIDES_VERTICES
-    if small:
-        heights = (mesh.vertices - origin) @ n
-        cut = _topology(mesh, _sides(heights))
-    else:
-        cut = _topology(mesh, _support_sides(mesh, plane, origin))
+    heights = mesh._support(n) - h
+    cut = _topology(mesh, _sides(heights))
     if cut.empty:
         return ClipResult(0.0, 0.0, True, bool(cut.full))
     if cut.full and not cut.pieces.size:
@@ -847,17 +797,13 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
         # would only scale its rounding dust by the plane's height
         return ClipResult(mesh._capacity, 0.0, False, True)
     gather = cut.gather or _gather(mesh, cut)
-    if small:
-        s_lo, s_hi = heights[cut.lo], heights[cut.hi]
-    else:
-        # the crossings read no other height: the edge ends, as one block
-        s_lo, s_hi = ((cut.ends - origin) @ n).reshape(2, -1)
-    nodes = np.concatenate([gather.vertices, _crossings(cut, s_lo, s_hi)])
+    nodes = np.concatenate([gather.vertices, _crossings(cut, heights)])
     # whole triangles: the plane point is height * normal off the bbox center
     whole = gather.whole_flux
     six_volume = whole[0] - h * (n @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
+    origin = mesh.bbox_center + h * n
     p = (nodes - origin).ravel()[gather.pieces]  # rows a, c1, c2, b1, b2, d1, d2
     six_volume += (p[0] * (p[1] * (p[6] - p[4]) - p[2] * (p[5] - p[3]))).sum()
     # the cap runs each chord backwards: w x u over the chords (u, w), both
@@ -905,10 +851,14 @@ def height_search(
     The arguments are checked once, here; the solve itself runs on the
     checked floats.  It takes the support interval from the mesh's support
     projection along the normal, derived once per normal and cached on the
-    mesh, where the clips of a large mesh read their vertex sides too.  It
-    calls the module's :func:`clip_volume` with a plane per iteration that
-    it builds without checking again, since the normal and every height it
-    tries are checked already.
+    mesh, from which every clip it makes takes its vertex heights as
+    ``support - h``: each slab between consecutive distinct support values
+    is one cut topology, on which the volume is an exact cubic.  For a
+    normal unit only within 1e-12, the cap's flux is then off by at most
+    about ``2e-12 |h|`` times the cut area.  It calls the module's
+    :func:`clip_volume` with a plane per iteration that it builds without
+    checking again, since the normal and every height it tries are checked
+    already.
 
     However the solve ends (an exact hit included), one rule decides: the
     last clipped height is returned, with its own residual and the number
@@ -960,8 +910,10 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     triangles, a unit normal array, a float target within the capacity, a
     finite float ``h_prev`` or None, a nonnegative float ``tol_rel`` and an
     integer ``max_iter`` of at least 1.  The bracket is the range of
-    ``mesh._support(n)``, from which the clips of a large mesh read their
-    vertex sides: one projection per normal serves both."""
+    ``mesh._support(n)``, from which every clip takes its vertex heights as
+    ``support - h``: one projection per normal serves both, and a normal
+    unit only within 1e-12 leaves the cap's flux off by at most about
+    ``2e-12 |h|`` times the cut area."""
     total = mesh._capacity
     support = mesh._support(n)
     h_lo, h_hi = float(support.min()), float(support.max())
@@ -1044,7 +996,7 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
     for any mesh with these arrays.
     """
     plane = LiquidPlane(unit_vector(normal), height)
-    cut, _, _, nodes = _clip_table(mesh, plane)
+    cut, _, nodes = _clip_table(mesh, plane)
     if cut.empty:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     if cut.full:

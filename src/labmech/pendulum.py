@@ -196,10 +196,11 @@ def init_state(accel) -> PendulumState:
     The direction of the returned state is :func:`~labmech.mesh.unit_vector`
     of ``accel``, of any finite, nonzero size.  ``phi`` is gauged to 0 when
     the direction sits on a pole.  Raises :class:`ZeroGravity` for a zero
-    vector, ValueError for a non-finite one.
+    vector, ValueError for a non-finite one or for an array of any shape
+    other than (3,).
     """
     g = np.asarray(accel, dtype=float)
-    if not g.any():
+    if g.shape == (3,) and not g.any():
         raise ZeroGravity("cannot align to a zero acceleration vector")
     d = unit_vector(g)
     theta = math.acos(max(-1.0, min(1.0, -d[2])))

@@ -465,16 +465,14 @@ def clip_walk(mesh, plane, snap=True):
     The side rule is a liquid body's with ``snap`` (heights within
     ``ONPLANE_SNAP_FRACTION * bbox_diag`` of the plane are zero), and the
     strict sign of each height, as ``clip_volume`` takes it, without.  The
-    heights are the one numpy projection ``(vertices - origin) @ normal``
-    that the code under test computes too (a plain-Python sum rounds
-    differently from the BLAS kernel); the snap, the crossing-edge
-    numbering (edges ordered by their (lower, higher) vertex ids), the
-    node interpolation from the lower vertex id and the walks are
-    recomputed here.
+    heights are the one numpy projection ``(vertices - bbox_center) @
+    normal - height`` that the code under test computes too (a
+    plain-Python sum rounds differently from the BLAS kernel); the snap,
+    the crossing-edge numbering (edges ordered by their (lower, higher)
+    vertex ids), the node interpolation from the lower vertex id and the
+    walks are recomputed here.
     """
-    normal = [float(x) for x in plane.normal]
-    origin = [c + plane.height * n for c, n in zip(mesh.bbox_center.tolist(), normal)]
-    heights = ((mesh.vertices - np.array(origin)) @ plane.normal).tolist()
+    heights = ((mesh.vertices - mesh.bbox_center) @ plane.normal - plane.height).tolist()
     if snap:
         band = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
         heights = [0.0 if abs(s) <= band else s for s in heights]

@@ -3,16 +3,16 @@ the clip table equals a plain-Python boundary walk bit for bit, in each of
 the 27 sign cases of a triangle too, and on planes clipped in turn, whose
 cut topology is reused exactly while no vertex changes side; clip_volume's
 sums from the band-local gather equal the full-node-array reference bit
-for bit on cold, repeated and walked clips, at the ends of the support and
-along a rollout; the volume path classifies vertices by their strict sign
-and a liquid body's cut by the snap band; the vertex sides read from the
-support projection and
-the crossing-edge ends projected as a block are the full projection's,
-on a mesh far from the origin too; the cut chords chain into the loops of
-a dict walk; the liquid body agrees with clip_volume, is watertight, saves
-the bytes of a row-by-row writer, has the edge table of a public TriMesh,
-clips and caps again as one and caps with the centroids of an np.cross
-fan; the cut area is the volume derivative; the height solve meets its
+for bit on cold, repeated and walked clips, at the ends of the support,
+along a rollout and at the edges of the side rule, on a mesh far from the
+origin too; the volume path classifies vertices by the strict sign of
+their support less the height and a liquid body's cut by the snap band;
+clips between two consecutive support values share one cut, and their
+volumes one cubic; the cut chords chain into the loops of a dict walk;
+the liquid body agrees with clip_volume, is watertight, saves the bytes
+of a row-by-row writer, has the edge table of a public TriMesh, clips and
+caps again as one and caps with the centroids of an np.cross fan; the cut
+area is the volume derivative; the height solve meets its
 budget and agrees with bisection.
 
 Planes are drawn free across the support interval or snapped through a
@@ -20,6 +20,7 @@ mesh vertex or a mesh edge, the places where classification is exact.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,13 +53,10 @@ from labmech.mesh import (
     _CHORD,
     _CUT,
     _SLOTS,
-    _SUPPORT_SIDES_VERTICES,
     ONPLANE_SNAP_FRACTION,
     _chain_loops,
     _clip_table,
-    _cut,
     _gather,
-    _support_sides,
     height_search,
 )
 
@@ -69,6 +67,12 @@ FIXTURES = {
     "icosphere-3": icosphere_mesh(subdivisions=3),
     "icosphere-4": icosphere_mesh(subdivisions=4),
 }
+
+# icosphere-4 far from the origin, where the rounding of the plane point
+# exceeds the snap band
+FAR = TriMesh(FIXTURES["icosphere-4"].vertices + [3e6, -5e6, 2e6],
+              FIXTURES["icosphere-4"].triangles)
+SIDE_MESHES = {**FIXTURES, "icosphere-4-far": FAR}
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -84,7 +88,7 @@ def planes(draw, names=tuple(sorted(FIXTURES))):
     """(fixture name, unit normal, height) with the plane free, through a
     vertex, or containing an edge."""
     name = draw(st.sampled_from(names))
-    mesh = FIXTURES[name]
+    mesh = SIDE_MESHES[name]
     normal = draw(directions)
     kind = draw(st.sampled_from(["free", "vertex", "edge"]))
     tri = mesh.triangles[draw(st.integers(0, len(mesh) - 1))]
@@ -119,8 +123,8 @@ def table_fields(mesh, clip):
     in the layout of ``oracles.clip_walk``: the cut keeps one per column,
     the walk one per row.  ``whole_flux`` is the lazy sum of the cut's
     gather, built here if no clip has built it."""
-    cut, origin, heights, nodes = clip
-    return {"origin": origin, "heights": heights, "nodes": nodes, "whole": cut.whole,
+    cut, heights, nodes = clip
+    return {"heights": heights, "nodes": nodes, "whole": cut.whole,
             "pieces": cut.pieces.T, "chords": cut.chords.T,
             "whole_flux": (cut.gather or _gather(mesh, cut)).whole_flux,
             "empty": cut.empty, "full": cut.full}
@@ -133,10 +137,9 @@ def assert_table_is_walk(mesh, clip, walk):
 
 
 def strict_heights(mesh, plane):
-    """The plane point and the vertex heights, unsnapped, whose strict signs
-    give clip_volume's vertex sides."""
-    origin = mesh.bbox_center + plane.height * plane.normal
-    return origin, (mesh.vertices - origin) @ plane.normal
+    """The vertex heights, unsnapped, whose strict signs give clip_volume's
+    vertex sides: the support projection less the plane's height."""
+    return (mesh.vertices - mesh.bbox_center) @ plane.normal - plane.height
 
 
 def strict_sides(heights):
@@ -185,7 +188,7 @@ def test_every_sign_case_on_a_mesh(signs):
     height = -float(offset[0]) / np.linalg.norm(gradient) - float(normal @ mesh.bbox_center)
     plane = LiquidPlane(normal, height)
     table = _clip_table(mesh, plane)
-    _, _, heights, _ = table
+    _, heights, _ = table
     assert np.sign(heights[mesh.triangles[0]]).tolist() == list(signs)
     assert_table_is_walk(mesh, table, oracles.clip_walk(mesh, plane))
 
@@ -198,7 +201,7 @@ def plane_walks(draw, name):
     on or just above the plane (two snap bands off), a jump to an
     unrelated plane or a return to a plane visited before the current
     one."""
-    mesh = FIXTURES[name]
+    mesh = SIDE_MESHES[name]
     walk = [draw(planes((name,)))[1:]]
     kinds = st.sampled_from(["nudge", "vertex", "jump", "return"])
     moves = ["nudge"] + draw(st.lists(kinds, max_size=4))
@@ -241,7 +244,7 @@ def test_clips_in_turn_reuse_the_cut_only_while_no_vertex_changes_side(name, dat
         cold.__dict__.pop("_last_cut", None)
         assert_same_clip(got, clip_volume(cold, plane))
         cuts = table[0], volume.__dict__["_last_cut"][1]
-        signs = np.sign(table[2]), np.sign(strict_heights(volume, plane)[1])
+        signs = np.sign(table[1]), np.sign(strict_heights(volume, plane))
         if before is not None:
             same = [(now == then).all() for now, then in zip(signs, before[1])]
             assert [now is then for now, then in zip(cuts, before[0])] == same
@@ -258,7 +261,7 @@ def support_ends(mesh, normal):
     return [low - mesh.bbox_diag, low, high, high + mesh.bbox_diag]
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("name", sorted(SIDE_MESHES))
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_clip_sums_match_reference(name, data):
@@ -267,7 +270,7 @@ def test_clip_sums_match_reference(name, data):
     # a cold clip, on the same clip repeated and along a walk of clips in
     # turn, and at the ends of the support
     moves, walk = data.draw(plane_walks(name))
-    mesh = FIXTURES[name]
+    mesh = SIDE_MESHES[name]
     normal = walk[0][0]
     walk += [(normal, height) for height in support_ends(mesh, normal)]
     warm, cold, reference = (TriMesh(mesh.vertices, mesh.triangles) for _ in range(3))
@@ -277,13 +280,6 @@ def test_clip_sums_match_reference(name, data):
         cold.__dict__.pop("_last_cut", None)
         for got in (clip_volume(cold, plane), clip_volume(warm, plane), clip_volume(warm, plane)):
             assert_same_clip(got, expected)
-
-
-# icosphere-4 far from the origin, where the rounding of the plane point
-# exceeds the snap band; it has enough vertices to clip by its support
-FAR = TriMesh(FIXTURES["icosphere-4"].vertices + [3e6, -5e6, 2e6],
-              FIXTURES["icosphere-4"].triangles)
-SIDE_MESHES = {**FIXTURES, "icosphere-4-far": FAR}
 
 
 @st.composite
@@ -309,41 +305,61 @@ def side_edge_planes(draw, name):
 @pytest.mark.parametrize("name", sorted(SIDE_MESHES))
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_support_sides_are_the_projection_sides(name, data):
-    # the vertex sides read from the support projection, with the vertices
-    # inside its rounding margin around the plane projected exactly, are
-    # the strict signs of the full projection; and a clip of a mesh large
-    # enough to take them gives the reference's bytes
+def test_side_edge_clips_match_reference(name, data):
+    # at the edges of the side rule, a normal whose length is off 1 by up
+    # to 0.999e-12 and a plane within ulps of a vertex or of the snap band,
+    # a cold clip sides each vertex by the strict sign of its support less
+    # the height, and gives the reference's bytes
     mesh, plane = data.draw(side_edge_planes(name))
-    origin, heights = strict_heights(mesh, plane)
-    assert_bitwise(_support_sides(mesh, plane, origin), strict_sides(heights), "sides")
-    if len(mesh.vertices) >= _SUPPORT_SIDES_VERTICES:
-        cold = TriMesh(mesh.vertices, mesh.triangles)
-        assert_same_clip(clip_volume(cold, plane), oracles.clip_sums_reference(mesh, plane))
+    cold = TriMesh(mesh.vertices, mesh.triangles)
+    got = clip_volume(cold, plane)
+    assert cold.__dict__["_last_cut"][0] == strict_sides(strict_heights(mesh, plane)).tobytes()
+    assert_same_clip(got, oracles.clip_sums_reference(mesh, plane))
 
 
-@pytest.mark.parametrize("name", sorted(SIDE_MESHES))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "ROADMAP item 1: the band sums round crossing nodes and the plane point at the "
+        "container's world position, so on icosphere-4 moved to (3e6, -5e6, 2e6) the "
+        "volume in a slab is a cubic only to about 3e-11 of capacity"
+    ))) if name == "icosphere-4-far" else name
+    for name in sorted(SIDE_MESHES)
+])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_edge_ends_projected_as_a_block_are_the_full_projection(name, data):
-    # the crossings read only the heights of the cut's crossing-edge ends,
-    # projected as one block of 2k rows; each is the full projection's row
-    mesh, plane = data.draw(side_edge_planes(name))
-    origin, heights = strict_heights(mesh, plane)
-    cut = _cut(mesh, strict_sides(heights))
-    assert_bitwise((cut.ends - origin) @ plane.normal,
-                   np.concatenate([heights[cut.lo], heights[cut.hi]]), "edge ends")
+def test_clips_in_a_slab_share_a_cut_and_a_cubic(name, data):
+    # between two consecutive distinct support values no vertex changes
+    # side, so the clips of a warm mesh there share one cut topology, and
+    # the volume is a cubic in the height: four clips in the slab predict
+    # the volume at a fifth height between them
+    mesh = SIDE_MESHES[name]
+    normal = unit_vector(data.draw(directions))
+    support = np.unique((mesh.vertices - mesh.bbox_center) @ normal)
+    lo, hi = support[data.draw(st.integers(0, len(support) - 2)) + np.arange(2)].tolist()
+    fractions = [0.1, 0.35, 0.65, 0.9, data.draw(st.floats(0.1, 0.9))]
+    heights = [lo + fraction * (hi - lo) for fraction in fractions]
+    assume(lo < min(heights) and max(heights) < hi and len(set(heights[:4])) == 4)
+    warm = TriMesh(mesh.vertices, mesh.triangles)
+    volumes, cuts = [], []
+    for height in heights:
+        volumes.append(clip_volume(warm, LiquidPlane(normal, height)).volume)
+        cuts.append(warm.__dict__["_last_cut"][1])
+    assert all(cut is cuts[0] for cut in cuts)
+    *known, (at, volume) = zip(heights, volumes)
+    predicted = sum(v * math.prod((at - x) / (h - x) for x, _ in known if x != h)
+                    for h, v in known)
+    assert abs(predicted - volume) <= 1e-12 * mesh_volume(mesh)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_support_ends_clip_empty_full_and_chordless(name):
     # a tilted plane below the mesh holds nothing, and one above it exactly
-    # the capacity.  The clip takes the strict sign of the lowest and the
-    # highest vertex's rounded height: through the lowest it holds at most
-    # rounding dust, through the highest all but that.  A body's cut snaps
-    # them onto the plane: through the lowest vertex it is empty, and
-    # through the single highest full, with a band of the triangles around
-    # that vertex and no chord
+    # the capacity.  The clip takes the strict sign of each vertex's support
+    # less the height: through the lowest vertex no vertex is below, so it
+    # holds exactly nothing, and through the highest all but rounding dust.
+    # A body's cut snaps them onto the plane: through the lowest vertex it
+    # is empty, and through the single highest full, with a band of the
+    # triangles around that vertex and no chord
     mesh = FIXTURES[name]
     normal = unit_vector([0.3, -0.2, 1.0])
     capacity, clips = mesh_volume(mesh), []
@@ -352,8 +368,7 @@ def test_support_ends_clip_empty_full_and_chordless(name):
         clips.append(clip_volume(mesh, plane))
         assert_same_clip(clips[-1], oracles.clip_sums_reference(mesh, plane))
     below, low, high, above = clips
-    assert below == (0.0, 0.0, True, False) and above == (capacity, 0.0, False, True)
-    assert low.volume <= 1e-12 * capacity and not low.full
+    assert below == low == (0.0, 0.0, True, False) and above == (capacity, 0.0, False, True)
     assert high.volume >= capacity * (1.0 - 1e-12) and not high.empty
     below, low, high, above = (_clip_table(mesh, LiquidPlane(normal, height))[0]
                                for height in support_ends(mesh, normal))
@@ -561,7 +576,7 @@ def test_body_volume_matches_clip(case, tmp_path_factory):
     save_mesh(body, path)
     back = load_mesh(path)  # raises unless closed and consistently oriented
     np.testing.assert_array_equal(back.vertices, body.vertices)
-    # mesh_volume anchors its tetrahedra at the origin, which leaves a
+    # mesh_volume anchors its tetrahedra at the bbox center, which leaves a
     # roundoff of order eps * capacity; a near-empty body is judged on that
     floor = 1e-12 * mesh_volume(mesh)
     assert abs(mesh_volume(back) - expected) <= 1e-9 * expected + floor

@@ -1,5 +1,6 @@
 """Unit and property tests for meshes, clipping, and height solving."""
 
+import re
 import warnings
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestUnitVector:
             with pytest.raises(ValueError, match="non-finite vector"):
                 unit_vector(v)
 
+    @pytest.mark.parametrize("v, shape", [
+        ([], (0,)), ([3.0, 4.0], (2,)), ([[1.0, 0.0, 0.0]], (1, 3)), ([1.0, 0.0, 0.0, 0.0], (4,)),
+    ])
+    def test_only_3_vectors_accepted(self, v, shape):
+        with pytest.raises(ValueError, match=re.escape(f"3-vector, got an array of shape {shape}")):
+            unit_vector(v)
+
 
 class TestTriMesh:
     def test_cube_is_valid(self, cube):
@@ -158,6 +166,16 @@ class TestMeshVolume:
         mesh = l_prism_mesh(outer=(2.0, 2.0), notch=(1.0, 1.0), height=1.0)
         assert mesh_volume(mesh) == pytest.approx(3.0, rel=1e-13)
 
+    @pytest.mark.parametrize("shift", [10.0, 1000.0])
+    @pytest.mark.parametrize("mesh", [cylinder_mesh(segments=48),
+                                      icosphere_mesh(radius=0.015, subdivisions=4)],
+                             ids=["cylinder-48", "icosphere-4"])
+    def test_capacity_far_from_the_origin(self, mesh, shift):
+        # the tetrahedra are anchored at the bbox center, so a container far
+        # from the origin loses nothing to cancellation
+        moved = TriMesh(mesh.vertices + shift * np.array([1.0, -0.5, 0.3]), mesh.triangles)
+        assert abs(mesh_volume(moved) - mesh_volume(mesh)) <= 1e-11 * mesh_volume(mesh)
+
 
 class TestClipVolume:
     def test_horizontal_prism(self, cube):
@@ -207,7 +225,7 @@ class TestClipVolume:
         mesh = cylinder_mesh(segments=48)
         plane = LiquidPlane(unit_vector([0.1, -0.2, 1.0]), 0.1)
         cut = _clip_table(mesh, plane)[0]
-        for field in ("whole", "pieces", "chords", "lo", "hi", "ends", "nodes"):
+        for field in ("whole", "pieces", "chords", "lo", "hi", "nodes"):
             array = getattr(cut, field)
             assert array.size and array.flags.c_contiguous, field
             with pytest.raises(ValueError, match="read-only"):
@@ -256,7 +274,7 @@ class TestClipVolume:
             support = (mesh.vertices - mesh.bbox_center) @ normal
             depth = 10.0 ** rng.uniform(-7.0, -4.0) * mesh.bbox_diag
             plane = LiquidPlane(normal, support.min() + depth)
-            cut, _, _, nodes = _clip_table(mesh, plane)
+            cut, _, nodes = _clip_table(mesh, plane)
             starts, ends = nodes[cut.chords]
             exact = oracles.exact_chord_area(starts, ends, normal)
             assert abs(clip_volume(mesh, plane).cut_area - exact) <= 1e-12 * exact

@@ -239,6 +239,11 @@ class TestInitAndDirection:
         with pytest.raises(ZeroGravity):
             init_state((0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("accel", [[], [3.0, 4.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]])
+    def test_only_3_vectors_accepted(self, accel):
+        with pytest.raises(ValueError, match="3-vector, got an array of shape"):
+            init_state(accel)
+
     # accel . accel overflows or underflows to zero there; numpy must not warn
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
