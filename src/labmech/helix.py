@@ -29,32 +29,40 @@ Cost model: a batch query makes one ``atan2`` and one ``cos``/``sin`` pass
 per point, for the aligned candidate clamped into the window; the endpoint
 candidate is evaluated only for the points whose turn index was clamped.
 The winner's offset and distance are kept, not recomputed.  That array
-kernel costs some 50 numpy calls whatever the batch size, about 35-50 µs
-on a 2-core VM.  A call of at most ``_SHORT_CALL_POINTS`` (17) points, the
+kernel costs some 50 numpy calls whatever the batch size, about 100 µs
+at 18 points.  A call of at most ``_SHORT_CALL_POINTS`` (17) points, the
 crossover, takes the short-call path instead: the same operations in the
 same order, point by point in Python floats with numpy's own ``arctan2``,
 ``cos`` and ``sin``, so its results are bitwise the array kernel's.  It
-costs about 6 µs for one point and 2 µs for each further point.  The
+costs about 23 µs for one point and 4 µs for each further point.  The
 point count alone selects the path, for :func:`sdf_bounded` and
 :func:`sdf_thread` alike.  :func:`sdf_gradient` evaluates the six
 stencil points of all its queries in one field call: one query makes a
-short call, three or more reach the array kernel.
+short call, three or more reach the array kernel.  (Times here are
+medians of ``tools/layer_ab.py`` over 40 rounds on a 2-core VM, which
+interleaves two processes; a warm loop in one process makes the
+one-point short call in about 6 µs.)
 :func:`thread_engagement` builds each nut's probe cloud once, as (3, N)
-columns cached per nut and sampling.  Per call it maps columns through
-the pose, first the nut's centerline probes, then only the wire rings
-that could hold the minimum, and evaluates the field only on the probes
-among them that could.
+columns cached per nut and sampling with the cloud's box, its least and
+greatest coordinate on each axis.  Per call it maps columns through the
+pose, first the nut's centerline probes, then only the wire rings that
+could hold the minimum, and evaluates the field only on the probes among
+them that could.  The probes are screened by ``|rho - r1|`` alone when
+the box, mapped through the pose, lies within the bolt's candidate band,
+and by the axial bound below otherwise.
 
 The broad phase rests on one fact: every candidate the field can pick,
 the clamped and endpoint ones of short windows included, is a centerline
 point ``H(t)`` with ``t`` in a known range (see :func:`_candidate_band`), so
 it lies on the cylinder ``rho = r1`` inside a known height band.  A point is
 therefore no nearer the centerline than its distance to that piece of the
-cylinder, ``hypot(|rho - r1|, gap of z to the band)``, and since a distance
-to a set changes by at most the distance moved, a point within ``reach`` of
-another is no nearer than the other's bound minus ``reach``.
-:func:`thread_engagement` uses both facts in two levels, on groups (a nut
-centerline probe and its wire ring) and on single probes.
+cylinder, ``hypot(|rho - r1|, gap of z to the band)``, the *axial bound*,
+and since a distance to a set changes by at most the distance moved, a
+point within ``reach`` of another is no nearer than the other's bound
+minus ``reach``.  :func:`thread_engagement` uses both facts in two levels,
+on groups (a nut centerline probe and its wire ring) and on single probes.
+Where every probe's height lies in the band, every gap is 0 and the axial
+bound is ``|rho - r1|``, which takes under half its numpy calls.
 """
 
 from __future__ import annotations
@@ -420,8 +428,9 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     :func:`sdf_thread` call over the six stencil points of every query,
     and the difference, its norm and the normalisation are Python floats
     again, point by point.  One point makes a short call of six points,
-    about 40 µs in all on a 2-core VM; a batch of three or more points
-    reaches the array kernel and costs about 3.5 µs per point.
+    about 56 µs in all; a batch of three or more points reaches the array
+    kernel and costs about 6 µs per point at 100 points (medians of
+    ``tools/layer_ab.py`` over 40 rounds on a 2-core VM).
     """
     delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else _finite("step", step)
     if delta == 0.0:
@@ -515,6 +524,9 @@ class _ProbeGroups(NamedTuple):
     offset: float
     #: largest absolute coordinate in the cloud
     extent: float
+    #: the cloud's least and greatest coordinate on each axis: its box
+    low: tuple
+    high: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -537,6 +549,8 @@ def _probe_groups(nut: HelixSpec, angular_step_deg: float, wire_directions: int)
         rows=rows,
         offset=float(np.sqrt((offsets * offsets).sum(axis=-1)).max()),
         extent=float(np.abs(probes).max()),
+        low=tuple(columns.min(axis=1).tolist()),
+        high=tuple(columns.max(axis=1).tolist()),
     )
 
 
@@ -571,10 +585,11 @@ def _candidate_band(spec: HelixSpec) -> tuple[float, float]:
     return min(ends) - pad, max(ends) + pad
 
 
-def _axis_bound(spec: HelixSpec, band, x, y, z) -> np.ndarray:
-    """Lower bound on the centerline distance of points with coordinates
-    ``x, y, z``: their distance ``hypot(|rho - r1|, gap of z to band)`` to
-    the piece of the cylinder ``rho = r1`` where every candidate lies."""
+def _axis_bound(spec: HelixSpec, band, points) -> np.ndarray:
+    """Lower bound on the centerline distance of the (3, N) ``points``: their
+    distance ``hypot(|rho - r1|, gap of z to band)`` to the piece of the
+    cylinder ``rho = r1`` where every candidate lies."""
+    x, y, z = points
     bound = np.sqrt(x * x + y * y)
     bound -= spec.r1
     gap = z - band[1]
@@ -585,6 +600,48 @@ def _axis_bound(spec: HelixSpec, band, x, y, z) -> np.ndarray:
     gap *= gap
     bound += gap
     return np.sqrt(bound, out=bound)
+
+
+def _radial_bound(spec: HelixSpec, points) -> np.ndarray:
+    """``|rho - r1|`` of the (3, N) ``points``: their distance to the whole
+    cylinder ``rho = r1``, a lower bound on their centerline distance
+    wherever they lie.  For points whose heights lie in the band, whose
+    gaps are then 0, it is :func:`_axis_bound` to the bit: a correctly
+    rounded ``sqrt`` of a rounded square gives back ``|rho - r1|`` unless
+    the square underflows or overflows."""
+    x, y = points[0], points[1]
+    bound = x * x
+    bound += y * y
+    np.sqrt(bound, out=bound)
+    bound -= spec.r1
+    return np.abs(bound, out=bound)
+
+
+def _mapped(rotation, shift, probes) -> np.ndarray:
+    """Probe columns mapped through a pose: ``rotation @ probes + shift``."""
+    points = rotation @ probes
+    points += shift
+    return points
+
+
+def _height_range(groups: _ProbeGroups, row, size: float) -> tuple[float, float]:
+    """Heights between which every probe of the cloud lies once mapped
+    through a pose whose third row is ``row`` (``R_z0, R_z1, R_z2, t_z``).
+
+    A mapped height is linear in the probe, so over the cloud's box it lies
+    between ``t_z + sum_j min(R_zj*low_j, R_zj*high_j)`` and the same sum of
+    maxima (Arvo 1990, "Transforming Axis-Aligned Bounding Boxes").  The
+    range is padded by ``1e-9 * size``, with ``size`` the query's
+    ``|R|_inf * extent + |t|_inf``: some 10**6 times the rounding of both
+    the mapping and these sums.  A product that overflows leaves an
+    infinite or NaN end, which lies in no band.
+    """
+    g, h, i, t = row
+    (x0, y0, z0), (x1, y1, z1) = groups.low, groups.high
+    x0, x1, y0, y1, z0, z1 = g * x0, g * x1, h * y0, h * y1, i * z0, i * z1
+    pad = 1e-9 * size
+    return (t + min(x0, x1) + min(y0, y1) + min(z0, z1) - pad,
+            t + max(x0, x1) + max(y0, y1) + max(z0, z1) + pad)
 
 
 #: Below this, ``|R|_inf * extent + |t|_inf`` leaves room for the rounding of
@@ -627,7 +684,13 @@ def thread_engagement(
     layout: columns of the cached (3, N) cloud, as ``R @ columns + t``.
     Per call:
 
-    1. map only the centerline probes and bound each (``_axis_bound``);
+    0. map the cloud's box through the pose (:func:`_height_range`): if the
+       heights it spans, padded, lie within the bolt's candidate band, so
+       does every mapped probe, every gap is 0, and all three screens
+       below take ``|rho - r1|`` (``_radial_bound``); any other pose, e.g.
+       a nut lifted past the window or tilted out of the band, takes the
+       axial bound (``_axis_bound``);
+    1. map only the centerline probes and bound each;
     2. bound each group by its centerline probe's bound minus ``reach``;
     3. map the group of least bound and evaluate the field on its probe of
        least bound: its centerline distance is a ceiling ``U`` on the
@@ -642,15 +705,23 @@ def thread_engagement(
     exact and the field is bitwise independent of the batch, so the result
     is bitwise the minimum over the whole cloud.
 
-    Cost model: step 1 maps ``1/(1 + wire_directions)`` of the cloud, and
-    the field is evaluated twice, once on one probe and once on the few
-    that survive, both short calls at a typical pose.  Worst case: every
-    group survives, e.g. a nut coaxial with the bolt, whose every ring has
-    a probe as near the bolt's cylinder as the ceiling.  The whole cloud is
-    then mapped in one product and screened by ``|rho - r1|`` alone (the
-    axial term would cost a pass and cull little in a cloud whose every
-    ring reaches the ceiling), so the query costs steps 1-3 more than one
-    screened pass over the whole cloud.
+    Cost model: the pose's scalars (``size``, the box heights and the
+    row sums of ``R^T R``) are Python floats from one ``tolist``; step 1
+    maps ``1/(1 + wire_directions)`` of the cloud, and the field is
+    evaluated twice, once on one probe and once on the few that survive,
+    both short calls at a typical pose.  The screen is a pass of 5 numpy
+    calls in the band and of 13 outside it.  On perfbench's bolt and nut
+    a screwed-on query costs about 170 µs and one lifted or tilted out of
+    the band about 730 µs, most of it in the field on the probes that the
+    band's loose end height lets through (medians of ``tools/layer_ab.py
+    --layer thread_engagement`` over 40 rounds on a 2-core VM).  Worst
+    case: every group survives, e.g. a nut coaxial with the bolt, whose
+    every ring has a probe as near the bolt's cylinder as the ceiling.
+    The whole cloud is then mapped in one product and screened by ``|rho -
+    r1|`` alone, in or out of the band (the axial term would cost a pass
+    and cull little in a cloud whose every ring reaches the ceiling), so
+    the query costs steps 1-3 more than one screened pass over the whole
+    cloud.
 
     Returns
     -------
@@ -671,56 +742,56 @@ def thread_engagement(
     pose = np.asarray(relative_pose, dtype=float)
     if pose.shape != (4, 4):
         raise ValueError(f"relative_pose must be 4x4, got {pose.shape}")
-    if not np.isfinite(pose).all():
-        raise ValueError(f"relative_pose must be finite, got {pose.tolist()}")
+    rows = pose.tolist()
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        raise ValueError(f"relative_pose must be finite, got {rows}")
 
     groups = _probe_groups(nut, _positive("angular_step_deg", angular_step_deg),
                            _count("wire_directions", wire_directions, 1))
     columns, rotation, shift = groups.columns, pose[:3, :3], pose[:3, 3:]
-
-    def mapped(probes):
-        """Probe columns of the cloud mapped through the pose."""
-        points = rotation @ probes
-        points += shift
-        return points
-
-    magnitudes = np.abs(pose[:3]).tolist()
-    size = (max(a + b + c for a, b, c, _ in magnitudes) * groups.extent
-            + max(row[3] for row in magnitudes))
-    if not size < _MAPPABLE and not np.isfinite(mapped(columns)).all():
+    (a, b, c, tx), (d, e, f, ty), (g, h, i, tz) = rows[:3]
+    size = (max(abs(a) + abs(b) + abs(c), abs(d) + abs(e) + abs(f), abs(g) + abs(h) + abs(i))
+            * groups.extent + max(abs(tx), abs(ty), abs(tz)))
+    if not size < _MAPPABLE and not np.isfinite(_mapped(rotation, shift, columns)).all():
         raise ValueError("relative_pose maps the nut's probes past the float range")
+
+    # step 0: when the cloud's mapped box lies in the band, so does every
+    # mapped probe; its axial gap is 0 and |rho - r1| is its whole bound
+    band = _candidate_band(bolt)
+    low, high = _height_range(groups, rows[2], size)
+    if band[0] <= low and high <= band[1]:
+        bound = functools.partial(_radial_bound, bolt)
+    else:
+        bound = functools.partial(_axis_bound, bolt, band)
 
     # steps 1-3: bound the groups by their centerline probes, and take the
     # ceiling from the least bound probe of the least bound group
-    band = _candidate_band(bolt)
     n = len(groups.rows)
-    group_bound = _axis_bound(bolt, band, *mapped(columns[:, :n]))
-    members = mapped(columns.take(groups.rows[np.argmin(group_bound)], axis=1))
-    best = np.argmin(_axis_bound(bolt, band, *members))
+    group_bound = bound(_mapped(rotation, shift, columns[:, :n]))
+    members = _mapped(rotation, shift, columns.take(groups.rows[np.argmin(group_bound)], axis=1))
+    best = np.argmin(bound(members))
     ceiling = sdf_thread(bolt, members[:, best]).distance + bolt.r2
 
-    # step 4: the groups that can reach the ceiling, then their probes
-    gram = np.abs(rotation.T @ rotation).sum(axis=1).max()
-    # an overflowing product can leave NaN in R^T R; the norm is huge then
-    norm = math.sqrt(gram) if gram < math.inf else math.inf
+    # step 4: the groups that can reach the ceiling, then their probes;
+    # |R|_2 from the absolute row sums of R^T R, whose entries are dot
+    # products of R's columns
+    gram = [abs(u * a + v * d + w * g) + abs(u * b + v * e + w * h) + abs(u * c + v * f + w * i)
+            for u, v, w in ((a, d, g), (b, e, h), (c, f, i))]
+    # an overflowing product can leave inf or NaN in R^T R; the norm is huge then
+    norm = math.sqrt(max(gram)) if all(map(math.isfinite, gram)) else math.inf
     reach = norm * groups.offset + 1e-9 * (bolt.r1 + ceiling + size)
     keep = np.flatnonzero(group_bound <= ceiling + reach)
     limit = ceiling + 1e-9 * (bolt.r1 + ceiling)
     if keep.size < n:
         # take is several times faster than fancy indexing
-        points = mapped(columns.take(groups.rows.take(keep, axis=0).ravel(), axis=1))
-        near = _axis_bound(bolt, band, *points) <= limit
+        points = _mapped(rotation, shift,
+                         columns.take(groups.rows.take(keep, axis=0).ravel(), axis=1))
+        near = bound(points) <= limit
     else:
         # every group survives: the whole cloud in one product, screened
         # by |rho - r1| alone
-        points = mapped(columns)
-        x, y = points[0], points[1]
-        radial = x * x
-        radial += y * y
-        np.sqrt(radial, out=radial)
-        radial -= bolt.r1
-        np.abs(radial, out=radial)
-        near = radial <= limit
+        points = _mapped(rotation, shift, columns)
+        near = _radial_bound(bolt, points) <= limit
     points = points.take(np.flatnonzero(near), axis=1).T
 
     clearance = float(np.min(sdf_thread(bolt, points).distance))

@@ -4,9 +4,11 @@ between seeds; several workloads print one line per workload and seed,
 in the order given; and the digests of every workload at seeds 1 and 777
 over 24 ops are pinned."""
 
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -37,8 +39,13 @@ def test_digest_prints_one_line_per_workload_and_seed(capsys):
 # The digests of every benchmark workload at seeds 1 and 777 over 24 ops,
 # as this checkout computes them with the numpy and BLAS build of the
 # machine that recorded them (numpy 2.4.6 with OpenBLAS 0.3.31 on a 2-core
-# x86-64 VM, one BLAS thread as ``tools/digest.py`` sets): another build
-# can round a projection differently.  A change that moves a trace or an
+# x86-64 VM with AVX-512, one BLAS thread as ``tools/digest.py`` sets).
+# The pins hold the bits of that machine's kernels, in two places:
+# OpenBLAS picks its kernel for ``@`` by CPU (SkylakeX there;
+# ``OPENBLAS_CORETYPE`` overrides it), and another kernel rounds the
+# projections of every workload differently; numpy dispatches
+# ``np.arctan2`` to an AVX-512 loop whose bits differ from its AVX2 loop,
+# which moves ``thread-engage``.  A change that moves a trace or an
 # exported body updates these values and says why in CHANGES.md.
 PINNED_DIGESTS = {
     ("slosh-half-cyl48", 1): "ea0754644d5fcc5124c8c862ef89a8fbd6baaafb1f907056b97a442f49cb16f9",
@@ -52,6 +59,21 @@ PINNED_DIGESTS = {
 }
 
 
+def platform() -> str:
+    """numpy's version, the CPU features its dispatch uses on this host and
+    the OpenBLAS kernel override: what a pin depends on besides the code."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    dispatched = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return (f"numpy {np.__version__}, dispatched CPU features {dispatched}, "
+            f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '(unset)')}")
+
+
 @pytest.mark.parametrize("workload, seed", sorted(PINNED_DIGESTS))
 def test_digest_is_pinned(workload, seed):
-    assert digest.seed_digest(workload, seed, 24) == PINNED_DIGESTS[workload, seed]
+    got = digest.seed_digest(workload, seed, 24)
+    assert got == PINNED_DIGESTS[workload, seed], (
+        f"digest {got} is not the pin; on a host other than the one that recorded "
+        f"the pins this can be a platform difference, not a fault ({platform()})")

@@ -451,21 +451,50 @@ class TestEngagement:
         assert all((members == p).all(axis=1).any() for p in calls[1])
         assert report.min_clearance == np.min(sdf_thread(bolt, mapped).distance)
 
-    def test_broad_phase_evaluates_a_handful_of_probes(self, monkeypatch):
-        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
-        nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
-        sizes = []
+    @staticmethod
+    def screened_query(monkeypatch, bolt, nut, pose):
+        """The query's report, the sizes of its field calls and the names of
+        the screens it ran, in order."""
+        sizes, screens = [], []
 
         def counted(spec, point):
             sizes.append(np.size(point) // 3)
             return sdf_thread(spec, point)
 
+        def named(name, screen):
+            def recorded(*args):
+                screens.append(name)
+                return screen(*args)
+            return recorded
+
         monkeypatch.setattr(helix, "sdf_thread", counted)
+        monkeypatch.setattr(helix, "_axis_bound", named("axial", helix._axis_bound))
+        monkeypatch.setattr(helix, "_radial_bound", named("radial", helix._radial_bound))
+        return thread_engagement(bolt, nut, pose), sizes, screens
+
+    def test_broad_phase_evaluates_a_handful_of_probes(self, monkeypatch):
+        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
+        nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
         pose = screw_pose(nut, 1.3)
         pose[:2, 3] += [1.0e-4, -0.5e-4]
-        thread_engagement(bolt, nut, pose)
+        report, sizes, screens = self.screened_query(monkeypatch, bolt, nut, pose)
         assert sizes[0] == 1 and len(sizes) == 2
         assert sizes[1] <= 0.01 * len(_nut_probes(nut, 1.0, 8))
+        # the nut's mapped box lies in the bolt's band: all three screens are radial
+        assert screens == ["radial"] * 3
+        want = full_cloud_minimum(bolt, nut, pose, 1.0, 8)
+        assert np.float64(report.min_clearance).tobytes() == want.tobytes()
+
+    def test_nut_lifted_past_the_window_takes_the_axial_bound(self, monkeypatch):
+        bolt = HelixSpec(r1=5.0e-3, r2=0.4e-3, p=3.0e-4, l=0.0, h=8.0)
+        nut = HelixSpec(r1=5.9e-3, r2=0.4e-3, p=3.0e-4, l=2.0, h=6.3)
+        pose = screw_pose(nut, 1.3)
+        pose[:2, 3] += [1.0e-4, -0.5e-4]
+        pose[2, 3] += 12.0e-3
+        report, sizes, screens = self.screened_query(monkeypatch, bolt, nut, pose)
+        assert len(sizes) == 2 and screens == ["axial"] * 3
+        want = full_cloud_minimum(bolt, nut, pose, 1.0, 8)
+        assert np.float64(report.min_clearance).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("step, wires", [(1.0, 8), (2.5, 3), (0.7, 1)])
     def test_matches_field_minimum_over_oracle_probes(self, step, wires):
@@ -732,6 +761,34 @@ def distorted_engagements(draw):
         distance = 10.0 ** rng.uniform(0.0, 6.0) * bolt.r1
         pose[:3, 3] += distance / np.linalg.norm(direction) * direction
     return bolt, nut, pose, step, wires
+
+
+@PROPERTY_SETTINGS
+@given(case=st.one_of(engagements(), distorted_engagements()))
+def test_mapped_box_holds_the_height_of_every_mapped_probe(case):
+    # the premise of the radial screen: a probe whose height the range
+    # holds lies in the band whenever the range does
+    bolt, nut, pose, step, wires = case
+    heights, ranges = [], []
+    mapped, height_range = helix._mapped, helix._height_range
+
+    def recorded_mapped(*args):
+        points = mapped(*args)
+        heights.append(points[2].copy())
+        return points
+
+    def recorded_range(*args):
+        ranges.append(height_range(*args))
+        return ranges[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(helix, "_mapped", recorded_mapped)
+        patch.setattr(helix, "_height_range", recorded_range)
+        thread_engagement(bolt, nut, pose, step, wires)
+    (low, high), = ranges
+    assert len(heights) >= 3
+    for z in heights:
+        assert low <= z.min() and z.max() <= high
 
 
 @st.composite

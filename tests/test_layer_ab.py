@@ -72,3 +72,10 @@ def test_body_layers_time_rollouts_after_the_random_planes(layer, tmp_path):
     # left the random planes' inputs and names as they were
     assert list(layer_ab.inputs(layer, tmp_path)) == [
         "icosphere-3", "cylinder-48", "l-prism", "cylinder-48 rollout", "icosphere-3 rollout"]
+
+
+def test_engagement_layer_times_the_poses_past_the_band_after_the_screw_poses(tmp_path):
+    # the screw poses come first, so that adding the second input left
+    # their draws and name as they were
+    assert list(layer_ab.inputs("thread_engagement", tmp_path)) == [
+        "bolt and nut", "lifted and tilted"]

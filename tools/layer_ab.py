@@ -58,7 +58,13 @@ Layers and inputs (times in microseconds):
   100 points.  The points lie 1.5-3 gauge radii outward of the wire and
   within half a gauge radius of its height, as in that workload.
 * ``thread_engagement``: per query, perfbench's bolt and nut at twenty
-  seeded screw poses with lateral offsets up to 0.2 mm.
+  seeded screw poses with lateral offsets up to 0.2 mm; and, as ``lifted
+  and tilted``, ten such poses lifted 12 mm, past the bolt's window, and
+  ten tilted 0.01-0.05 rad about a horizontal axis through the nut's
+  mid-height and lifted 3-4 mm, so that the nut straddles the bolt's end.
+  The screw poses keep the nut's mapped probe box inside the bolt's
+  candidate band, the other twenty do not, so the query screens the first
+  input by ``|rho - r1|`` alone and the second by the axial bound.
 
 The controller uses only the standard library; the workers use what
 labmech uses and take perfbench's fixtures from its workload module.
@@ -260,14 +266,37 @@ def inputs(layer, workdir):
                                      calls)
         return out
     if layer == "thread_engagement":
-        poses = []
-        for _ in range(20):
+        def screwed(rng):
             pose = screw_pose(nut, rng.uniform(0.0, 2.0 * np.pi))
             pose[:2, 3] += rng.uniform(-0.2e-3, 0.2e-3, 2)
-            poses.append(pose)
-        return {"bolt and nut": (lambda: None,
-                                 lambda _: [thread_engagement(bolt, nut, pose) for pose in poses],
-                                 len(poses))}
+            return pose
+
+        def queries(poses):
+            return lambda _: [thread_engagement(bolt, nut, pose) for pose in poses]
+
+        screws = [screwed(rng) for _ in range(20)]
+        # a generator of their own, so that the poses above stay the draws
+        # they were before this input
+        past = np.random.default_rng([SEED, 1])
+        lifted = [screwed(past) for _ in range(10)]
+        for pose in lifted:
+            pose[2, 3] += 12.0e-3
+        # tilted about a horizontal axis through the nut's mid-height, as
+        # a nut started crooked on the bolt's end
+        mid = 0.5 * nut.p * (nut.t_min + nut.t_max)
+        tilted = []
+        for _ in range(10):
+            pose = screwed(past)
+            angle = past.uniform(0.01, 0.05)
+            c, s = np.cos(angle), np.sin(angle)
+            tilt = np.eye(4)
+            tilt[1:3] = [[0.0, c, -s, s * mid], [0.0, s, c, mid - c * mid]]
+            pose = pose @ tilt
+            pose[2, 3] += past.uniform(3.0e-3, 4.0e-3)
+            tilted.append(pose)
+        return {"bolt and nut": (lambda: None, queries(screws), len(screws)),
+                "lifted and tilted": (lambda: None, queries(lifted + tilted),
+                                      len(lifted) + len(tilted))}
     raise ValueError(f"unknown layer {layer!r}")
 
 
