@@ -554,8 +554,10 @@ def _probe_groups(nut: HelixSpec, angular_step_deg: float, wire_directions: int)
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _candidate_band(spec: HelixSpec) -> tuple[float, float]:
-    """Height band ``(z_lo, z_hi)`` of every candidate :func:`_nearest` can pick.
+    """Height band ``(z_lo, z_hi)`` of every candidate :func:`_nearest` can
+    pick; cached per spec.
 
     Every candidate has ``t`` in ``[min(t_min, t_max - 2*pi),
     max(t_max, t_min + 2*pi)]``.  Proof: with ``turns = t0/(2*pi)``,
