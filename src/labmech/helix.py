@@ -428,8 +428,8 @@ def sdf_gradient(spec: HelixSpec, point, step: float | None = None) -> np.ndarra
     :func:`sdf_thread` call over the six stencil points of every query,
     and the difference, its norm and the normalisation are Python floats
     again, point by point.  One point makes a short call of six points,
-    about 56 µs in all; a batch of three or more points reaches the array
-    kernel and costs about 6 µs per point at 100 points (medians of
+    about 52 µs in all; a batch of three or more points reaches the array
+    kernel and costs about 5.5 µs per point at 100 points (medians of
     ``tools/layer_ab.py`` over 40 rounds on a 2-core VM).
     """
     delta = GRADIENT_STEP_FRACTION * spec.r1 if step is None else _finite("step", step)
@@ -640,10 +640,10 @@ def _height_range(groups: _ProbeGroups, row, size: float) -> tuple[float, float]
     """
     g, h, i, t = row
     (x0, y0, z0), (x1, y1, z1) = groups.low, groups.high
-    x0, x1, y0, y1, z0, z1 = g * x0, g * x1, h * y0, h * y1, i * z0, i * z1
+    by_x, by_y, by_z = (g * x0, g * x1), (h * y0, h * y1), (i * z0, i * z1)
     pad = 1e-9 * size
-    return (t + min(x0, x1) + min(y0, y1) + min(z0, z1) - pad,
-            t + max(x0, x1) + max(y0, y1) + max(z0, z1) + pad)
+    return (t + min(by_x) + min(by_y) + min(by_z) - pad,
+            t + max(by_x) + max(by_y) + max(by_z) + pad)
 
 
 #: Below this, ``|R|_inf * extent + |t|_inf`` leaves room for the rounding of
@@ -714,7 +714,7 @@ def thread_engagement(
     both short calls at a typical pose.  The screen is a pass of 5 numpy
     calls in the band and of 13 outside it.  On perfbench's bolt and nut
     a screwed-on query costs about 170 µs and one lifted or tilted out of
-    the band about 730 µs, most of it in the field on the probes that the
+    the band about 740 µs, most of it in the field on the probes that the
     band's loose end height lets through (medians of ``tools/layer_ab.py
     --layer thread_engagement`` over 40 rounds on a 2-core VM).  Worst
     case: every group survives, e.g. a nut coaxial with the bolt, whose

@@ -64,7 +64,9 @@ Layers and inputs (times in microseconds):
   mid-height and lifted 3-4 mm, so that the nut straddles the bolt's end.
   The screw poses keep the nut's mapped probe box inside the bolt's
   candidate band, the other twenty do not, so the query screens the first
-  input by ``|rho - r1|`` alone and the second by the axial bound.
+  input by ``|rho - r1|`` alone and the second by the axial bound (but
+  for one tilted pose whose every probe group survives, which screens
+  the whole cloud by ``|rho - r1|``, in or out of the band).
 
 The controller uses only the standard library; the workers use what
 labmech uses and take perfbench's fixtures from its workload module.
