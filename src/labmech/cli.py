@@ -66,8 +66,11 @@ EXIT_VOLUME = 4
 CONFIG_VERSION = 1
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digests(paths) -> dict:
+    """SHA-256 of each input file by path.  A command takes them before it
+    writes its first output, so an output written over one of its inputs
+    leaves the digest of the bytes the command read."""
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
 def _write_manifest(command, args, inputs, outputs, duration) -> None:
@@ -79,7 +82,7 @@ def _write_manifest(command, args, inputs, outputs, duration) -> None:
     manifest = {
         "command": command,
         "parameters": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
         "duration_s": duration,
     }
@@ -178,8 +181,8 @@ def _load_trajectory(path) -> FrameTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# commands: each raises on failure and returns the (inputs, outputs) it
-# wrote, or None when it only prints
+# commands: each raises on failure and returns the digests of its inputs
+# (see _digests) and the outputs it wrote, or None when it only prints
 
 
 def cmd_sdf_grid(args):
@@ -208,10 +211,11 @@ def cmd_sdf_grid(args):
     with _memory_for(points, 3, past):
         rows = "".join(f"{x!r}\t{y!r}\t{z!r}\t{d!r}\n"
                        for (x, y, z), d in zip(grid.tolist(), values.tolist()))
+    inputs = _digests([args.config] if args.config else [])
     out = Path(args.output)
     with out.open("w") as fh:
         fh.write(rows)
-    return [args.config] if args.config else [], [out]
+    return inputs, [out]
 
 
 def _scene_from(args) -> tuple[SceneConfig, list]:
@@ -242,13 +246,14 @@ def cmd_liquid(args):
     config, inputs = _scene_from(args)
     trajectory = _load_trajectory(args.trajectory)
     result = run_liquid_scene(config, trajectory)
+    inputs = _digests([*inputs, args.trajectory])
     write_trace(result, args.output)
     nx, ny, nz, height, residual = map(result.column, ("nx", "ny", "nz", "height", "residual"))
     print(
         f"final_normal {nx[-1]:.15f} {ny[-1]:.15f} {nz[-1]:.15f} "
         f"final_height {height[-1]:.15f} max_residual {residual.max():.6e}"
     )
-    return [*inputs, args.trajectory], [Path(args.output)]
+    return inputs, [Path(args.output)]
 
 
 def cmd_clip(args):
@@ -277,6 +282,7 @@ def cmd_detent_sim(args):
         profile, args.torque, merged["inertia"],
         dt=args.dt, duration=args.duration, q0=args.q0, qdot0=args.qdot0,
     )
+    inputs = _digests([args.config] if args.config else [])
     write_trace(result, args.output)
     last = result.data[-1]
     print(
@@ -284,7 +290,7 @@ def cmd_detent_sim(args):
             last[1], last[2], int(last[3])
         )
     )
-    return [args.config] if args.config else [], [Path(args.output)]
+    return inputs, [Path(args.output)]
 
 
 def cmd_screw_sim(args):
@@ -304,10 +310,11 @@ def cmd_screw_sim(args):
         with _memory_for(steps + 1, 3, past):
             angles = np.linspace(0.0, 2.0 * np.pi * args.turns, steps + 1)
             result = run_screw_scene(spec, angles, dt=args.dt)
+    inputs = _digests([p for p in (args.config, args.profile) if p])
     write_trace(result, args.output)
     last = result.data[-1]
     print(f"final_angle {last[1]:.15f} final_axial {last[2]:.15f}")
-    return [p for p in (args.config, args.profile) if p], [Path(args.output)]
+    return inputs, [Path(args.output)]
 
 
 def cmd_score(args):
@@ -322,9 +329,11 @@ def cmd_replay(args):
     if args.export == "table":
         if not args.output:
             raise ValueError("table export needs --output")
+        table = trace_table(read_trace(args.trace))
+        inputs = _digests([args.trace])
         out = Path(args.output)
-        out.write_text(trace_table(read_trace(args.trace)))
-        return [args.trace], [out]
+        out.write_text(table)
+        return inputs, [out]
     # mesh export: rebuild the liquid body for every record
     if not args.outdir:
         raise ValueError("mesh export needs --outdir")
@@ -337,6 +346,7 @@ def cmd_replay(args):
         raise ValueError("trace has no records")
     nx, ny, nz, height = map(result.column, ("nx", "ny", "nz", "height"))
     container = load_mesh(args.mesh)
+    inputs = _digests([args.trace, args.mesh])
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -349,7 +359,7 @@ def cmd_replay(args):
         path = outdir / f"step_{i:06d}.mesh"
         save_mesh(body, path)
         outputs.append(path)
-    return [args.trace, args.mesh], outputs
+    return inputs, outputs
 
 
 # ---------------------------------------------------------------------------

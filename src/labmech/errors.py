@@ -1,7 +1,6 @@
 """Exception types shared across the kernel, the rule every scalar
 parameter and step schedule is checked by, and the guard on output sizes."""
 
-import contextlib
 import math
 import operator
 import sys
@@ -117,8 +116,12 @@ def _step_count(dt, duration, minimum=1) -> int:
     """Whole steps of a positive ``dt`` in a nonnegative ``duration``,
     ``round(duration / dt)``; ValueError unless it is at least ``minimum``
     and below ``_MAX_STEPS``."""
-    dt = _positive("dt", dt)
-    duration = _nonnegative("duration", duration)
+    return _whole_steps(_positive("dt", dt), _nonnegative("duration", duration), minimum)
+
+
+def _whole_steps(dt: float, duration: float, minimum=1) -> int:
+    """:func:`_step_count` of a ``dt`` and a ``duration`` that the caller
+    has checked: a positive and a nonnegative finite float."""
     steps = duration / dt
     if not steps < _MAX_STEPS:
         raise ValueError(f"duration {duration} at dt {dt} has too many steps to count")
@@ -128,14 +131,27 @@ def _step_count(dt, duration, minimum=1) -> int:
     return steps
 
 
-@contextlib.contextmanager
-def _memory_for(rows: int, columns: int, message: str):
+class _memory_for:
     """Run a block that builds arrays of ``rows`` rows of ``columns`` floats;
-    ValueError ``message`` when numpy cannot describe such an array, past
-    ``sys.maxsize`` bytes, or the host refuses to allocate one."""
-    if rows > sys.maxsize // (8 * columns):
-        raise ValueError(message)
-    try:
-        yield
-    except MemoryError:
-        raise ValueError(message) from None
+    ValueError ``message.format(*args)`` when numpy cannot describe such an
+    array, past ``sys.maxsize`` bytes, or the host refuses to allocate one.
+    The message is formatted only then, so a block that fits costs a
+    comparison."""
+
+    __slots__ = ("message", "args")
+
+    def __init__(self, rows: int, columns: int, message: str, *args):
+        self.message, self.args = message, args
+        if rows > sys.maxsize // (8 * columns):
+            raise ValueError(self._text())
+
+    def _text(self) -> str:
+        return self.message.format(*self.args) if self.args else self.message
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, MemoryError):
+            raise ValueError(self._text()) from None
+        return False

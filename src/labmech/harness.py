@@ -21,11 +21,11 @@ import numpy as np
 from .detent import DetentProfile, KnobState, nearest_detent, step_knob
 from .errors import (
     DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange,
-    _fields, _memory_for, _nonnegative, _positive, _step_count,
+    _memory_for, _nonnegative, _positive, _step_count, _whole_steps,
 )
 from .helix import HelixSpec, screw_advance
-from .mesh import TriMesh, height_search, mesh_volume
-from .pendulum import PendulumParams, direction_of, init_state, step_pendulum
+from .mesh import TriMesh, _highest, height_search, mesh_volume
+from .pendulum import PendulumParams, _direction, init_state, step_pendulum
 from .trace import ReplayTrace
 
 
@@ -41,16 +41,22 @@ KNOB_COLUMNS = ("time", "q", "qdot", "index")
 
 
 def _uniform_step(times) -> float:
-    """Spacing of two or more timestamps; raises ValueError unless they
-    are strictly increasing and uniformly spaced (within 1e-9 relative)."""
-    gaps = np.diff(times)
+    """Spacing of two or more timestamps, a 1-D float array; raises
+    ValueError unless they are strictly increasing and uniformly spaced
+    (within 1e-9 relative)."""
+    gaps = times[1:] - times[:-1]  # the subtraction np.diff makes, bit for bit
+    first = float(gaps[0])
+    # np.allclose(gaps, first, rtol=1e-9, atol=0.0) written out as one
+    # largest deviation, which a NaN fails; gaps that close to a positive,
+    # finite first gap are positive too, so this decides every ordinary
+    # trajectory
+    if 0.0 < first < math.inf and _highest(np.abs(gaps - first)) <= 1e-9 * first:
+        return first
     if not (gaps > 0.0).all():
         raise ValueError("timestamps must be strictly increasing")
-    first = gaps[0]
-    # np.allclose(gaps, first, rtol=1e-9, atol=0.0) written out; an infinite
-    # first gap (the difference of two huge timestamps) is close only to itself
-    close = np.abs(gaps - first) <= 1e-9 * first if first < math.inf else gaps == first
-    if not close.all():
+    # an infinite first gap (the difference of two huge timestamps) is
+    # close only to itself
+    if not (first == math.inf and (gaps == first).all()):
         raise ValueError("timestamps must be uniformly spaced")
     return first
 
@@ -68,8 +74,6 @@ class FrameTrajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).reshape(-1)
         accels = np.asarray(self.accels, dtype=float).reshape(-1, 3)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "accels", accels)
         if len(times) == 0:
             raise ValueError("trajectory needs at least one sample")
         if len(times) != len(accels):
@@ -77,9 +81,8 @@ class FrameTrajectory:
         if not (np.isfinite(times).all() and np.isfinite(accels).all()):
             raise ValueError("trajectory samples must be finite")
         # index_at reads the start and the spacing as floats, infinite for one sample
-        object.__setattr__(self, "_start", float(times[0]))
-        object.__setattr__(self, "_spacing",
-                           float(_uniform_step(times)) if len(times) > 1 else math.inf)
+        self.__dict__.update(times=times, accels=accels, _start=float(times[0]),
+                             _spacing=_uniform_step(times) if len(times) > 1 else math.inf)
         if self.orientations is not None:
             quats = np.asarray(self.orientations, dtype=float).reshape(-1, 4)
             object.__setattr__(self, "orientations", quats)
@@ -142,12 +145,12 @@ class SceneConfig:
 
     def __post_init__(self):
         g = np.asarray(self.gravity, dtype=float).reshape(3)
-        object.__setattr__(self, "gravity", g)
-        if not np.isfinite(g).all():
+        if not all(map(math.isfinite, g.tolist())):
             raise ValueError("gravity must be finite")
-        _fields(self, _positive, "dt")
-        _fields(self, _nonnegative, "duration", "liquid_volume")
-        object.__setattr__(self, "_steps", _step_count(self.dt, self.duration))
+        dt, duration = _positive("dt", self.dt), _nonnegative("duration", self.duration)
+        self.__dict__.update(gravity=g, dt=dt, duration=duration,
+                             liquid_volume=_nonnegative("liquid_volume", self.liquid_volume),
+                             _steps=_whole_steps(dt, duration))
         if not len(self.container):
             raise ValueError("container mesh has no triangles")
         total = mesh_volume(self.container)
@@ -188,10 +191,19 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     frame when the trajectory carries orientations, read as floats.
     Solver failures propagate with the failing step index; a duration with
     more rows than memory can hold is a ValueError.
+
+    Outside the solve's clips a step costs its arithmetic plus two public
+    calls, which this module looks up as globals: :func:`step_pendulum`,
+    one RK4 step on floats that builds one ``PendulumState`` without
+    checking it again, and :func:`height_search`, whose argument checks,
+    support projection and bracket come before the first clip.  The
+    normal is the negated :func:`~labmech.pendulum.direction_of`, bit for
+    bit, taken as three floats; they fill the row and make the one array
+    the solve reads.
     """
     steps = config.steps
-    with _memory_for(steps, len(LIQUID_COLUMNS), f"duration {config.duration} needs "
-                     f"{steps} steps, more rows than memory can hold"):
+    with _memory_for(steps, len(LIQUID_COLUMNS), "duration {} needs {} steps, more rows than "
+                     "memory can hold", config.duration, steps):
         rows = np.empty((steps, len(LIQUID_COLUMNS)))
     # the samples the steps read run from the first step's to the last's,
     # since index_at does not decrease with t
@@ -203,26 +215,22 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
         for k in {trajectory.index_at(i * config.dt) - first for i in range(steps)}:
             forcing[k] = rotate_world_to_frame(trajectory.orientations[first + k],
                                                forcing[k]).tolist()
+    dt, params, container = config.dt, config.pendulum, config.container
     state = init_state(forcing[0])
     h_prev = None
     for i in range(steps):
-        t = i * config.dt
+        t = i * dt
         g_eff = forcing[trajectory.index_at(t) - first]
         try:
-            state = step_pendulum(config.pendulum, state, g_eff, config.dt)
-            normal = -direction_of(state)
-            found = height_search(
-                config.container, normal, config.liquid_volume, h_prev
-            )
+            state = step_pendulum(params, state, g_eff, dt)
+            dx, dy, dz = _direction(state.phi, state.theta)
+            normal = (-dx, -dy, -dz)  # -direction_of(state), as floats
+            h_prev, residual, _ = height_search(container, np.array(normal),
+                                                config.liquid_volume, h_prev)
         except (NoConvergence, VolumeOutOfRange, NonFiniteState) as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-        h_prev = found.height
-        rows[i] = (
-            t + config.dt,
-            state.phi, state.theta, state.phidot, state.thetadot,
-            normal[0], normal[1], normal[2],
-            found.height, found.residual,
-        )
+        rows[i] = (t + dt, state.phi, state.theta, state.phidot, state.thetadot, *normal,
+                   h_prev, residual)
     return ReplayTrace(kind="liquid", columns=LIQUID_COLUMNS, data=rows)
 
 
@@ -256,8 +264,8 @@ def run_knob_scene(
     steps = _step_count(dt, duration)
     torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
-    with _memory_for(steps, len(KNOB_COLUMNS), f"duration {duration} needs "
-                     f"{steps} steps, more rows than memory can hold"):
+    with _memory_for(steps, len(KNOB_COLUMNS), "duration {} needs {} steps, more rows than "
+                     "memory can hold", duration, steps):
         rows = np.empty((steps, len(KNOB_COLUMNS)))
     for i in range(steps):
         try:

@@ -77,6 +77,15 @@ class PendulumState:
     def __post_init__(self):
         _fields(self, _finite, "phi", "theta", "phidot", "thetadot")
 
+    @classmethod
+    def _of(cls, phi: float, theta: float, phidot: float, thetadot: float) -> PendulumState:
+        """The state of four finite floats, ``theta`` in [0, pi], that the
+        caller has checked: the fields public construction would give,
+        without the checks."""
+        state = object.__new__(cls)
+        state.__dict__.update(phi=phi, theta=theta, phidot=phidot, thetadot=thetadot)
+        return state
+
 
 def lagrangian(params: PendulumParams, state: PendulumState, accel) -> float:
     """Lagrangian evaluated at ``state`` under effective acceleration ``accel``."""
@@ -102,7 +111,7 @@ def ode_rhs(
 def _constants(params, accel) -> tuple:
     """What :func:`_rhs` reads besides the state, fixed under one forcing:
     ``(m*l, m*l*l, damping_phi, damping_theta, epsilon, gx, gy, gz)``."""
-    gx, gy, gz = (float(a) for a in accel)
+    gx, gy, gz = map(float, accel)
     ml = params.mass * params.length
     return (ml, ml * params.length, params.damping_phi, params.damping_theta, params.epsilon,
             gx, gy, gz)
@@ -162,11 +171,34 @@ def _step(k, y, dt):
     )
 
 
+def _advance(k, y, dt):
+    """:func:`_step`, checked: a step that overflows, divides by zero or
+    leaves a non-finite state raises :class:`NonFiniteState`."""
+    try:
+        y = _step(k, y, dt)
+    except (ArithmeticError, ValueError) as exc:
+        raise NonFiniteState(f"pendulum step failed: {exc}") from exc
+    phi, theta, phidot, thetadot = y
+    if not (math.isfinite(phi) and math.isfinite(theta)
+            and math.isfinite(phidot) and math.isfinite(thetadot)):
+        raise NonFiniteState(f"pendulum state diverged: {y}")
+    return y
+
+
 def step_pendulum(
     params: PendulumParams, state: PendulumState, accel, dt: float
 ) -> PendulumState:
-    """One RK4 step of duration ``dt`` with ``accel`` held constant."""
-    return integrate_pendulum(params, state, accel, dt, 1)
+    """One RK4 step of duration ``dt`` with ``accel`` held constant: the
+    state, error and message of ``integrate_pendulum(..., 1)``, bit for
+    bit.  It checks ``dt``, takes the one checked step that
+    :func:`integrate_pendulum` repeats, and builds the state from the
+    floats that step found finite, without checking them again: it costs
+    the step's arithmetic, four stage evaluations on floats, plus one
+    ``PendulumState``."""
+    dt = _positive("dt", dt)
+    y = _advance(_constants(params, accel),
+                 (state.phi, state.theta, state.phidot, state.thetadot), dt)
+    return PendulumState._of(*y)
 
 
 def integrate_pendulum(
@@ -179,14 +211,8 @@ def integrate_pendulum(
     steps = _count("steps", steps)
     k = _constants(params, accel)
     y = (state.phi, state.theta, state.phidot, state.thetadot)
-    try:
-        for _ in range(steps):
-            y = _step(k, y, dt)
-            if not (math.isfinite(y[0]) and math.isfinite(y[1])
-                    and math.isfinite(y[2]) and math.isfinite(y[3])):
-                raise NonFiniteState(f"pendulum state diverged: {y}")
-    except (ArithmeticError, ValueError) as exc:
-        raise NonFiniteState(f"pendulum step failed: {exc}") from exc
+    for _ in range(steps):
+        y = _advance(k, y, dt)
     return PendulumState(*y)
 
 
@@ -200,21 +226,20 @@ def init_state(accel) -> PendulumState:
     other than (3,).
     """
     g = np.asarray(accel, dtype=float)
-    if g.shape == (3,) and not g.any():
+    if g.shape == (3,) and not any(g.tolist()):
         raise ZeroGravity("cannot align to a zero acceleration vector")
-    d = unit_vector(g)
-    theta = math.acos(max(-1.0, min(1.0, -d[2])))
-    phi = 0.0 if (d[0] == 0.0 and d[1] == 0.0) else math.atan2(d[1], d[0])
-    return PendulumState(phi=phi, theta=theta, phidot=0.0, thetadot=0.0)
+    dx, dy, dz = unit_vector(g).tolist()
+    theta = math.acos(max(-1.0, min(1.0, -dz)))
+    phi = 0.0 if (dx == 0.0 and dy == 0.0) else math.atan2(dy, dx)
+    return PendulumState._of(phi, theta, 0.0, 0.0)
 
 
 def direction_of(state: PendulumState) -> np.ndarray:
     """Unit direction vector of the pendulum (along effective gravity at rest)."""
-    st = math.sin(state.theta)
-    return np.array(
-        [
-            st * math.cos(state.phi),
-            st * math.sin(state.phi),
-            -math.cos(state.theta),
-        ]
-    )
+    return np.array(_direction(state.phi, state.theta))
+
+
+def _direction(phi: float, theta: float) -> tuple:
+    """:func:`direction_of` as a tuple of floats."""
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), -math.cos(theta)

@@ -16,6 +16,7 @@ shortest round-trip decimals for inspection and diffing.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -47,17 +48,11 @@ class ReplayTrace:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown trace kind {self.kind!r}; expected one of {KINDS}")
-        cols = tuple(str(c) for c in self.columns)
-        object.__setattr__(self, "columns", cols)
-        if len(cols) == 0:
-            raise ValueError("a trace needs at least one column")
-        if len(set(cols)) != len(cols):
-            raise ValueError("duplicate column names")
-        for c in cols:
-            if len(c.encode("ascii")) > _NAME_BYTES:
-                raise ValueError(f"column name {c!r} exceeds {_NAME_BYTES} bytes")
-        data = np.asarray(self.data, dtype=np.float64).reshape(-1, len(cols))
-        object.__setattr__(self, "data", data)
+        cols = _checked_columns(tuple(map(str, self.columns)))
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 2 or data.shape[1] != len(cols):
+            data = data.reshape(-1, len(cols))
+        self.__dict__.update(columns=cols, data=data)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -77,6 +72,21 @@ class ReplayTrace:
         if name not in self.columns:
             raise ValueError(f"{self.kind} trace has no column '{name}'")
         return self.data[:, self.columns.index(name)]
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_columns(cols: tuple) -> tuple:
+    """``cols``, a tuple of column names, once they are checked: at least
+    one, no two alike, each at most 16 ASCII bytes.  A tuple that passed
+    is remembered, so a scene's fixed columns are checked once."""
+    if len(cols) == 0:
+        raise ValueError("a trace needs at least one column")
+    if len(set(cols)) != len(cols):
+        raise ValueError("duplicate column names")
+    for c in cols:
+        if len(c.encode("ascii")) > _NAME_BYTES:
+            raise ValueError(f"column name {c!r} exceeds {_NAME_BYTES} bytes")
+    return cols
 
 
 def write_trace(trace: ReplayTrace, path) -> None:

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 
 from labmech import (
     ClipResult, LiquidPlane, MeshFormatError, OpenCutLoop, clip_volume, lagrangian, mesh_volume,
-    ode_rhs,
+    ode_rhs, unit_vector,
 )
 from labmech.mesh import ONPLANE_SNAP_FRACTION
 from labmech.pendulum import _renormalize
@@ -302,6 +302,28 @@ def sample_index_reference(times, t):
     dt = times[1] - times[0]
     i = int(math.floor((t - times[0]) / dt + 1e-12))
     return min(max(i, 0), len(times) - 1)
+
+
+def init_angles_reference(accel):
+    """``(phi, theta)`` of :func:`init_state` by the array formula: the
+    components of ``unit_vector(accel)`` read as numpy scalars."""
+    d = unit_vector(np.asarray(accel, dtype=float))
+    theta = math.acos(max(-1.0, min(1.0, -d[2])))
+    phi = 0.0 if (d[0] == 0.0 and d[1] == 0.0) else math.atan2(d[1], d[0])
+    return phi, theta
+
+
+def uniform_step_reference(times):
+    """The spacing that ``harness._uniform_step`` returns, by ``np.diff``
+    and three separate checks; ValueError with its message otherwise."""
+    gaps = np.diff(times)
+    if not (gaps > 0.0).all():
+        raise ValueError("timestamps must be strictly increasing")
+    first = gaps[0]
+    close = np.abs(gaps - first) <= 1e-9 * first if first < math.inf else gaps == first
+    if not close.all():
+        raise ValueError("timestamps must be uniformly spaced")
+    return float(first)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -666,6 +668,52 @@ class TestReplay:
             capsys,
         )
         assert code == 2
+
+    def test_table_over_its_own_trace_records_the_bytes_read(self, tmp_path, cube_path, capsys):
+        # the table replaces the trace it was read from; the manifest keeps
+        # the digest of the trace's bytes, not of the table written over them
+        trace_path = self.make_trace(tmp_path, cube_path, capsys, steps=2)
+        read = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+        code, _, err = run(
+            ["replay", "--trace", trace_path, "--export", "table", "--output", trace_path],
+            capsys,
+        )
+        assert code == 0, err
+        assert trace_path.read_text().startswith("# kind=liquid records=2\n")
+        manifest = json.loads(Path(f"{trace_path}.manifest.json").read_text())
+        assert manifest["inputs"] == {str(trace_path): read}
+        assert manifest["outputs"] == [str(trace_path)]
+
+    def test_mesh_export_over_its_own_trace_records_the_bytes_read(self, tmp_path, cube_path,
+                                                                   capsys):
+        # the first body is written over the trace, inside --outdir
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        trace_path = frames / "step_000000.mesh"
+        self.make_trace(tmp_path, cube_path, capsys, steps=2).rename(trace_path)
+        read = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (trace_path, cube_path)}
+        code, _, err = run(
+            ["replay", "--trace", trace_path, "--export", "meshes",
+             "--mesh", cube_path, "--outdir", frames],
+            capsys,
+        )
+        assert code == 0, err
+        assert load_mesh(trace_path).vertices.size
+        manifest = json.loads(Path(f"{trace_path}.manifest.json").read_text())
+        assert manifest["inputs"] == read
+
+    def test_liquid_over_its_own_trajectory_records_the_bytes_read(self, tmp_path, cube_path,
+                                                                   capsys):
+        scene = TestLiquid.write_scene(tmp_path, cube_path, duration=2e-3)
+        traj = TestLiquid.write_trajectory(tmp_path, [[0.0, 0.0, 0.0, 0.0]])
+        read = hashlib.sha256(traj.read_bytes()).hexdigest()
+        code, _, err = run(
+            ["liquid", "--scene", scene, "--trajectory", traj, "--output", traj], capsys,
+        )
+        assert code == 0, err
+        assert len(read_trace(traj)) == 2
+        manifest = json.loads(Path(f"{traj}.manifest.json").read_text())
+        assert manifest["inputs"][str(traj)] == read
 
     def test_table_without_output_exits_2(self, tmp_path, capsys):
         code, _, err = run(["replay", "--trace", tmp_path / "x", "--export", "table"], capsys)

@@ -79,3 +79,11 @@ def test_engagement_layer_times_the_poses_past_the_band_after_the_screw_poses(tm
     # their draws and name as they were
     assert list(layer_ab.inputs("thread_engagement", tmp_path)) == [
         "bolt and nut", "lifted and tilted"]
+
+
+def test_pendulum_layer_steps_the_slosh_ops(tmp_path):
+    # every step of the twenty slosh-half-cyl48 ops, then their starts, so
+    # that a per-layer claim can name step_pendulum and init_state apart
+    cases = layer_ab.inputs("pendulum", tmp_path)
+    assert list(cases) == ["step_pendulum", "init_state"]
+    assert [count for _, _, count in cases.values()] == [40, 20]

@@ -2,7 +2,13 @@
 RK4 kernel, which builds its constants once per forcing, against the
 reference kernel in ``oracles`` that recomputes them at every stage, and
 ``FrameTrajectory.index_at``, which reads its start and spacing as floats,
-against the formula that takes them from the timestamps on every call."""
+against the formula that takes them from the timestamps on every call.
+
+The private paths of the step are pinned the same way: ``step_pendulum``
+against ``integrate_pendulum(..., 1)``, the states it and ``init_state``
+build without the public checks against public construction,
+``init_state``'s angles against the array formula, and
+``_uniform_step``'s one-subtraction gaps against ``np.diff``."""
 
 import dataclasses
 import math
@@ -14,8 +20,10 @@ from hypothesis import strategies as st
 
 import oracles
 from labmech import (
-    FrameTrajectory, NonFiniteState, PendulumParams, PendulumState, ode_rhs, step_pendulum,
+    FrameTrajectory, NonFiniteState, PendulumParams, PendulumState, ZeroGravity, init_state,
+    integrate_pendulum, ode_rhs, step_pendulum,
 )
+from labmech.harness import _uniform_step
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -120,3 +128,137 @@ def test_index_at_matches_the_numpy_scalar_formula(case):
     trajectory, queries = case
     for t in queries:
         assert trajectory.index_at(t) == oracles.sample_index_reference(trajectory.times, t)
+
+
+def result(call):
+    """The bytes of the fields of the state ``call()`` returns, or the type
+    and message of the error it raises."""
+    try:
+        return bits(dataclasses.astuple(call()))
+    except (ArithmeticError, ValueError, LookupError, TypeError, NonFiniteState,
+            ZeroGravity) as exc:
+        return type(exc), str(exc)
+
+
+# a state whose rates overflow the step and leave the angles finite: the
+# check of the stepped state, not the arithmetic, fails
+DIVERGING = (POLE_PARAMS, PendulumState(0.3, 1.0, 0.0, 1e150), (1.0, 2.0, -9.81), 1e-3)
+
+
+@PROPERTY_SETTINGS
+@given(case=pendulum_cases())
+@example(case=(POLE_PARAMS, PendulumState(0.4, 1e-4, 1.5, -2.0), (1.0, -0.5, -9.81), 1e-3))
+@example(case=DIVERGING)
+# rates whose step overflows an angle, where the arithmetic fails
+@example(case=(POLE_PARAMS, PendulumState(0.3, 1.0, 1e160, -1e160), (1.0, 2.0, -9.81), 1e-3))
+def test_step_is_one_step_of_integrate_bit_for_bit(case):
+    params, state, accel, dt = case
+    assert result(lambda: step_pendulum(params, state, accel, dt)) == result(
+        lambda: integrate_pendulum(params, state, accel, dt, 1))
+
+
+def test_diverging_example_fails_in_both():
+    params, state, accel, dt = DIVERGING
+    failure = result(lambda: step_pendulum(params, state, accel, dt))
+    assert failure[0] is NonFiniteState and "diverged" in failure[1]
+    assert failure == result(lambda: integrate_pendulum(params, state, accel, dt, 1))
+
+
+@pytest.mark.parametrize("dt, accel", [
+    (0.0, (0.0, 0.0, -9.81)), (-1e-3, (0.0, 0.0, -9.81)), (math.nan, (0.0, 0.0, -9.81)),
+    (math.inf, (0.0, 0.0, -9.81)), (10**400, (0.0, 0.0, -9.81)), ("fast", (0.0, 0.0, -9.81)),
+    (1e-3, (0.0, -9.81)), (1e-3, (0.0, 0.0, -9.81, 1.0)), (1e-3, (0.0, "down", -9.81)),
+    (1e-3, 9.81),
+], ids=["zero", "negative", "nan", "inf", "huge-int", "text", "two", "four", "word", "scalar"])
+def test_step_rejects_what_integrate_rejects_with_its_message(dt, accel):
+    state = PendulumState(0.1, 0.2, 0.0, 0.0)
+    failure = result(lambda: step_pendulum(POLE_PARAMS, state, accel, dt))
+    assert not isinstance(failure, bytes)
+    assert failure == result(lambda: integrate_pendulum(POLE_PARAMS, state, accel, dt, 1))
+
+
+def assert_like_public_construction(built):
+    public = PendulumState(*dataclasses.astuple(built))
+    assert built == public and hash(built) == hash(public)
+    assert vars(built) == vars(public)
+    assert all(type(v) is float for v in vars(built).values())
+    for name in ("phi", "theta", "phidot", "thetadot"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(case=pendulum_cases())
+@example(case=(POLE_PARAMS, PendulumState(-2.0, math.pi - 1e-4, 0.0, 2.0), (0.0, 3.0, 9.81), 1e-3))
+def test_built_states_are_the_states_public_construction_gives(case):
+    params, state, accel, dt = case
+    try:
+        assert_like_public_construction(step_pendulum(params, state, accel, dt))
+    except NonFiniteState:
+        pass
+    if any(accel):
+        assert_like_public_construction(init_state(accel))
+
+
+@PROPERTY_SETTINGS
+@given(case=pendulum_cases())
+# the poles, a zero vector, and vectors whose square underflows or overflows
+@example(case=(POLE_PARAMS, PendulumState(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -9.81), 1e-3))
+@example(case=(POLE_PARAMS, PendulumState(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 9.81), 1e-3))
+@example(case=(POLE_PARAMS, PendulumState(0.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.0), 1e-3))
+@example(case=(POLE_PARAMS, PendulumState(0.0, 0.0, 0.0, 0.0), (5e-324, -1e-320, 0.0), 1e-3))
+@example(case=(POLE_PARAMS, PendulumState(0.0, 0.0, 0.0, 0.0), (1e308, -1e308, 1e308), 1e-3))
+def test_init_state_angles_are_the_array_formula_bit_for_bit(case):
+    accel = case[2]
+    try:
+        state = init_state(accel)
+    except ZeroGravity:
+        assert not any(accel)
+        return
+    phi, theta = oracles.init_angles_reference(accel)
+    assert bits([state.phi, state.theta]) == bits([phi, theta])
+    assert state.phidot == state.thetadot == 0.0
+
+
+@st.composite
+def timestamps(draw):
+    """Two or more timestamps: uniform ones from any start and spacing,
+    the same with one sample nudged by up to a few times the 1e-9 relative
+    tolerance or swapped with its neighbour, huge ones whose gaps overflow,
+    and, as the CLI's profile reader may give, non-finite ones."""
+    n = draw(st.integers(2, 30))
+    spacing = draw(st.one_of(st.sampled_from([0.1, 1e-3, 1.0 / 3.0]), st.floats(1e-300, 1e3)))
+    start = spacing * draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    times = start + spacing * np.arange(n)
+    kind = draw(st.sampled_from(["uniform", "nudged", "swapped", "huge", "non-finite"]))
+    k = draw(st.integers(0, n - 1))
+    if kind == "nudged":
+        times[k] += draw(st.floats(-3e-9, 3e-9)) * spacing
+    elif kind == "swapped" and k + 1 < n:
+        times[[k, k + 1]] = times[[k + 1, k]]
+    elif kind == "huge":
+        times = np.array([-1.7e308, 1.7e308, 1.75e308, 1.79e308][:n])
+    elif kind == "non-finite":
+        times[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return times
+
+
+def spacing_or_error(call):
+    try:
+        return bits([call()])
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(times=timestamps())
+@example(times=np.array([0.0, 1.0, 2.0 + 1e-9, 3.0]))
+@example(times=np.array([0.0, 1.0, 2.0 + 1.0000001e-9, 3.0]))
+@example(times=np.array([-1.7e308, 1.7e308]))
+@example(times=np.array([-1.7e308, 1.7e308, 1.7e308]))
+@example(times=np.array([0.0, 5e-324, 1e-323]))
+def test_uniform_step_takes_np_diff_gaps_and_keeps_its_messages(times):
+    got = spacing_or_error(lambda: _uniform_step(times))
+    assert got == spacing_or_error(lambda: oracles.uniform_step_reference(times))
+    if isinstance(got, bytes):
+        assert got == bits([np.diff(times)[0]])

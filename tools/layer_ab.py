@@ -49,6 +49,12 @@ Layers and inputs (times in microseconds):
   ``slosh-half-cyl48`` ops (cylinder-48 at fill 0.5, 2 steps) as
   ``cylinder-48`` and ten ``tilt-ico4`` ops (icosphere-4 at fills 0.2-0.4,
   4 steps) as ``icosphere-4``.
+* ``pendulum``: per call, on the forcings of the twenty ``slosh-half-cyl48``
+  ops at seed 11, formed as ``run_liquid_scene`` forms them (gravity less
+  the frame acceleration, as floats): ``step_pendulum`` on every step of
+  every op, from the state the scene steps from, as ``step_pendulum``
+  (40 calls); and ``init_state`` on each op's first sample, as
+  ``init_state`` (20 calls).
 * ``sdf_thread``: per call, perfbench's bolt at batches of 1, 4, 6, 17, 18,
   1549 and 13941 points near its wire.  ``thread-engage`` sends 1 and 4-5
   points per engagement query and 6 per contact normal, and its set-up 1549
@@ -87,7 +93,7 @@ from bench_record import describe, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("save_mesh", "liquid_geometry", "clip_volume", "height_search", "liquid_scene",
-          "sdf_thread", "sdf_gradient", "thread_engagement")
+          "pendulum", "sdf_thread", "sdf_gradient", "thread_engagement")
 SEED = 11
 
 
@@ -142,9 +148,10 @@ def inputs(layer, workdir):
     """Per input name, ``(prepare, run, count)``: a round calls ``prepare()``
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
     import numpy as np
-    from labmech import (LiquidPlane, TriMesh, clip_volume, cylinder_mesh, height_search,
-                         helix_point, icosphere_mesh, l_prism_mesh, liquid_geometry, mesh_volume,
-                         save_mesh, screw_pose, sdf_gradient, sdf_thread, thread_engagement)
+    from labmech import (FrameTrajectory, LiquidPlane, TriMesh, clip_volume, cylinder_mesh,
+                         height_search, helix_point, icosphere_mesh, init_state, l_prism_mesh,
+                         liquid_geometry, mesh_volume, save_mesh, screw_pose, sdf_gradient,
+                         sdf_thread, step_pendulum, thread_engagement)
 
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
@@ -235,6 +242,26 @@ def inputs(layer, workdir):
                          [wl.run(fx, item, NullRecorder()) for item in items],
                          len(items))
         return out
+    if layer == "pendulum":
+        wl = workloads.WORKLOADS["slosh-half-cyl48"]
+        fx = wl.setup(SEED, workdir)
+        params, dt = workloads.PENDULUM, workloads.DT
+        firsts, steps = [], []
+        for i in range(20):
+            _, times, accels = wl.make_input(fx, i)
+            forcing = (np.asarray(workloads.GRAVITY) - accels).tolist()
+            trajectory = FrameTrajectory(times, accels)
+            state = init_state(forcing[0])
+            firsts.append(forcing[0])
+            for k in range(wl.op_steps):
+                g = forcing[trajectory.index_at(k * dt)]
+                steps.append((state, g))
+                state = step_pendulum(params, state, g, dt)
+        return {"step_pendulum": (lambda: None,
+                                  lambda _: [step_pendulum(params, s, g, dt) for s, g in steps],
+                                  len(steps)),
+                "init_state": (lambda: None, lambda _: [init_state(g) for g in firsts],
+                               len(firsts))}
     # perfbench's thread-engage fixture
     threads = workloads.WORKLOADS["thread-engage"].setup(SEED, workdir)
     bolt, nut = threads.bolt, threads.nut
