@@ -841,9 +841,17 @@ def height_search(
 ) -> HeightSearch:
     """Solve clip_volume(height) == target_volume by safeguarded Newton.
 
-    Newton steps use the cut area as the exact derivative dV/dh and fall
-    back to bisection whenever the step would leave the bracket (the
-    mesh's support interval along the normal) or the cut area degenerates.
+    A cold solve starts at the height at which a ball spanning the bracket
+    (the mesh's support interval along the normal) holds the fill
+    ``phi = target_volume / mesh_volume(mesh)``: the root in (0, 1) of the
+    sphere-cap law ``3x^2 - 2x^3 = phi``, as a fraction of the bracket from
+    its lower end, or the bracket midpoint if that height rounds onto an
+    end.  At ``phi = 0.5`` it is the midpoint bit for bit.  This inverts a
+    volume law instead of searching blind, as PLIC volume-of-fluid methods
+    position their planes (Scardovelli & Zaleski 2000, J. Comput. Phys.
+    164).  Newton steps use the cut area as the exact derivative dV/dh and
+    fall back to bisection whenever the step would leave the bracket or
+    the cut area degenerates.
     Iteration continues past the volume tolerance until the Newton step is
     at most ``4 * eps * bbox_diag``, the floating-point resolution of a
     height on this mesh: the step estimates the remaining height error, so
@@ -866,8 +874,11 @@ def height_search(
     already.  Beyond its clips a solve costs the scalar checks, the
     normal's length (one dot product), the projection (one product of the
     centered vertices and the normal, reused by every clip) and its two
-    ends (two reductions), and per iteration a plane and a few float
-    operations.
+    ends (two reductions), a cold start's arcsine and sine, and per
+    iteration a plane and a few float operations.  The clips dominate,
+    and on a large mesh a clip that misses the cached cut topology costs
+    several that hit it: a start near the root saves the clips, and most
+    of the misses, that a start at the midpoint spends closing in.
 
     However the solve ends (an exact hit included), one rule decides: the
     last clipped height is returned, with its own residual and the number
@@ -885,8 +896,9 @@ def height_search(
         Desired liquid volume, within ``[0, mesh_volume(mesh)]``
         (:class:`VolumeOutOfRange` otherwise).
     h_prev : float, optional
-        Initial guess, e.g. the previous step's height; the bracket
-        midpoint when omitted or out of bracket.  Must be finite.
+        Initial guess, e.g. the previous step's height.  Must be finite.
+        When omitted or not strictly inside the bracket, the solve starts
+        cold, at the sphere-cap height of the fill.
     tol_rel : float
         Volume residual tolerance relative to the total mesh volume;
         nonnegative and finite.
@@ -922,7 +934,10 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     ``mesh._support(n)``, from which every clip takes its vertex heights as
     ``support - h``: one projection per normal serves both, and a normal
     unit only within 1e-12 leaves the cap's flux off by at most about
-    ``2e-12 |h|`` times the cut area."""
+    ``2e-12 |h|`` times the cut area.  The first iterate is ``h_prev``
+    when it lies strictly inside the bracket, and otherwise the cold
+    start of :func:`height_search`; the Newton steps after it do not
+    depend on which start it was."""
     total = mesh._capacity
     support = mesh._support(n)
     h_lo, h_hi = float(_lowest(support)), float(_highest(support))
@@ -935,7 +950,15 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     area_floor = AREA_FLOOR_FRACTION * mesh.bbox_diag**2
     step_floor = _STEP_FLOOR_EPS * mesh.bbox_diag
     lo, hi = h_lo, h_hi
-    h_next = h_prev if (h_prev is not None and lo < h_prev < hi) else 0.5 * (lo + hi)
+    if h_prev is not None and lo < h_prev < hi:
+        h_next = h_prev
+    else:
+        # the height at which a ball spanning the bracket holds the fill:
+        # the root in (0, 1) of the sphere-cap law 3x^2 - 2x^3 = phi
+        phi = target / total
+        h_next = 0.5 * (lo + hi) - math.sin(math.asin(1.0 - 2.0 * phi) / 3.0) * (hi - lo)
+        if not (lo < h_next < hi):
+            h_next = 0.5 * (lo + hi)
     for iteration in range(1, max_iter + 1):
         h = h_next
         res = clip_volume(mesh, LiquidPlane._of(n, h))

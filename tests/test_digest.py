@@ -50,10 +50,10 @@ def test_digest_prints_one_line_per_workload_and_seed(capsys):
 PINNED_DIGESTS = {
     ("slosh-half-cyl48", 1): "ea0754644d5fcc5124c8c862ef89a8fbd6baaafb1f907056b97a442f49cb16f9",
     ("slosh-half-cyl48", 777): "6477b33ba8f1af372a29b971ad16753f9a7049482de5b9cc7a242609e325e5fe",
-    ("tilt-ico4", 1): "0a0f0d64592705896304b87b0d0973c73e5ad7efe0ee57711e8c4b79b133a3cd",
-    ("tilt-ico4", 777): "7e4d524c73a131ac05c21449355a5cbbd27737097a1ad3039dbb8fc106e1a8f7",
-    ("replay-bodies", 1): "946ee49fee4d873d5e0db6726de9732cc9c2b3c3a30e330aaa7c8a810dfae3e4",
-    ("replay-bodies", 777): "02bba9db32af81fed5abdd647774183d728f05a3d5ab2af524c56b585e2d71f9",
+    ("tilt-ico4", 1): "df42dcee9260982aa872b558e3b8090f2fbf1bc1d1453cfe54f6edd2628196de",
+    ("tilt-ico4", 777): "989bcb734f519f66e0a7d91660252100adece9c0d10e4015c927c748b0246d33",
+    ("replay-bodies", 1): "79446d15d98afb4e96529861c983560f272fc2b55078e108a972d1b8b4141226",
+    ("replay-bodies", 777): "0e5bdebcceb1ec4da3567d508189c49604fb38c72a1342ccda2758a921f74686",
     ("thread-engage", 1): "5ddb36ead1e73f2b696796bc8d66f6f87dfd1c5bb353d451e6a23661e7fda540",
     ("thread-engage", 777): "49ff8441060ae9790101477341c3e78be8d9415bd11800eed1a381a615a1694b",
 }

@@ -87,3 +87,12 @@ def test_pendulum_layer_steps_the_slosh_ops(tmp_path):
     cases = layer_ab.inputs("pendulum", tmp_path)
     assert list(cases) == ["step_pendulum", "init_state"]
     assert [count for _, _, count in cases.values()] == [40, 20]
+
+
+def test_height_layer_solves_cold_off_half_fill_after_the_scene_fixtures(tmp_path):
+    # the cold solves on the L-prism and the cube come after the scene
+    # fixtures' inputs, so that adding them left those draws as they were
+    cases = layer_ab.inputs("height_search", tmp_path)
+    assert list(cases) == ["cylinder-48 cold", "cylinder-48 warm", "icosphere-4 cold",
+                           "icosphere-4 warm", "l-prism cold", "cube cold"]
+    assert [count for _, _, count in cases.values()] == [10, 10, 10, 10, 11, 11]

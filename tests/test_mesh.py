@@ -423,13 +423,78 @@ class TestSolveHeight:
         assert found.iterations <= 20
         assert abs(found.height - height) <= 1e-9 * mesh.bbox_diag
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "safeguarded Newton creeps toward a near-full root from a cold start: "
-        "each step covers a fraction of the remaining distance"
-    ))
     def test_near_full_meets_iteration_budget(self, cube):
         normal = unit_vector([-0.75, -0.6, -0.285])
         assert _height_search(cube, normal, 1.0 - 1e-4).iterations <= 20
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: safeguarded Newton creeps toward a near-full root from a "
+        "cold start, each step covering a fraction of the remaining distance"
+    ))
+    def test_nearer_full_meets_iteration_budget(self, cube):
+        normal = unit_vector([-0.75, -0.6, -0.285])
+        assert _height_search(cube, normal, 1.0 - 1e-12).iterations <= 20
+
+    @staticmethod
+    def _fixtures():
+        return {"cube": box_mesh(), "cylinder-48": cylinder_mesh(segments=48),
+                "l-prism": l_prism_mesh(), "icosphere-3": icosphere_mesh(subdivisions=3),
+                "icosphere-4": icosphere_mesh(subdivisions=4)}
+
+    def test_cold_start_is_inside_the_bracket(self, monkeypatch):
+        # the first clipped height of a cold solve is the sphere-cap height
+        # of its fill, or the midpoint where that lands on a bracket end;
+        # at half fill it is the midpoint bit for bit
+        fills = [5e-324, 1e-300, 1e-17, 1e-4, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+        heights = []
+
+        def recording(mesh, plane, clip=clip_volume):
+            heights.append(plane.height)
+            return clip(mesh, plane)
+
+        monkeypatch.setattr("labmech.mesh.clip_volume", recording)
+        rng = np.random.default_rng(131)
+        for name, mesh in self._fixtures().items():
+            capacity = mesh_volume(mesh)
+            for _ in range(6):
+                normal = unit_vector(rng.normal(size=3))
+                support = mesh._centered @ normal
+                lo, hi = float(support.min()), float(support.max())
+                for fill in fills:
+                    heights.clear()
+                    _height_search(mesh, normal, fill * capacity)
+                    first = heights[0]
+                    assert lo < first < hi, (name, normal, fill)
+                    if fill == 0.5:
+                        assert first == 0.5 * (lo + hi), (name, normal)
+
+    def test_cold_start_takes_no_more_clips_than_the_midpoint(self):
+        # a solve warm-started at the bracket midpoint is the cold solve
+        # that started there; on the spheres, where the start inverts the
+        # exact volume law up to faceting, every cold solve of a moderate
+        # fill takes at most four clips
+        rng = np.random.default_rng(137)
+        for name, mesh in self._fixtures().items():
+            capacity = mesh_volume(mesh)
+            counts = {"cold": 0, "midpoint": 0}
+            for k in range(80):
+                normal = unit_vector(rng.normal(size=3))
+                support = mesh._centered @ normal
+                midpoint = 0.5 * (float(support.min()) + float(support.max()))
+                if k % 4:
+                    fill = rng.uniform(0.02, 0.98)
+                else:  # 1e-3 to 1e-2 from empty or full
+                    fill = rng.uniform(1e-3, 1e-2)
+                    fill = fill if k % 8 else 1.0 - fill
+                cold = _height_search(mesh, normal, fill * capacity).iterations
+                warm = _height_search(mesh, normal, fill * capacity, h_prev=midpoint).iterations
+                counts["cold"] += cold
+                counts["midpoint"] += warm
+                if warm <= 20:
+                    assert cold <= 20, (name, normal, fill)
+                if name.startswith("icosphere") and 0.02 <= fill <= 0.98:
+                    assert cold <= 4, (name, normal, fill)
+            assert counts["cold"] <= counts["midpoint"], (name, counts)
 
     def test_degenerate_cut_area_bisects(self, monkeypatch):
         # a warm start 0.5e-9 diag above the lowest vertex clips a sliver

@@ -43,6 +43,11 @@ Layers and inputs (times in microseconds):
   cylinder-48 at fill 0.5 and icosphere-4 at a fill drawn from 0.2-0.4:
   ten normals of a seeded tilt sweep (0.01 rad a step), each solved cold
   and warm-started from the previous normal's height, as a scene steps.
+  A cold solve starts at the sphere-cap height of its fill, which at fill
+  0.5 is the bracket midpoint; so that the A/B shows that start on
+  non-spheres and off half fill too, ``l-prism cold`` and ``cube cold``
+  solve eleven tilt-sweep normals cold, each at its own fill drawn from
+  0.1-0.9.
 * ``liquid_scene``: per op, the ops of perfbench's two scene workloads at
   seed 11, run as perfbench runs them, so that each builds its
   ``SceneConfig`` and ``FrameTrajectory`` inside the timing: twenty
@@ -148,10 +153,10 @@ def inputs(layer, workdir):
     """Per input name, ``(prepare, run, count)``: a round calls ``prepare()``
     untimed, then times ``run(prepared)``, which covers ``count`` items."""
     import numpy as np
-    from labmech import (FrameTrajectory, LiquidPlane, TriMesh, clip_volume, cylinder_mesh,
-                         height_search, helix_point, icosphere_mesh, init_state, l_prism_mesh,
-                         liquid_geometry, mesh_volume, save_mesh, screw_pose, sdf_gradient,
-                         sdf_thread, step_pendulum, thread_engagement)
+    from labmech import (FrameTrajectory, LiquidPlane, TriMesh, box_mesh, clip_volume,
+                         cylinder_mesh, height_search, helix_point, icosphere_mesh, init_state,
+                         l_prism_mesh, liquid_geometry, mesh_volume, save_mesh, screw_pose,
+                         sdf_gradient, sdf_thread, step_pendulum, thread_engagement)
 
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
@@ -229,6 +234,16 @@ def inputs(layer, workdir):
                                    [height_search(mesh, n, target, h) for n, h in
                                     zip(normals[1:], hints)],
                                    len(hints))
+        # cold solves off half fill on two non-spheres; a generator of their
+        # own, so that the inputs above stay the draws they were before
+        off_half = np.random.default_rng([SEED, 1])
+        for name, mesh in (("l-prism", l_prism_mesh()), ("cube", box_mesh())):
+            normals = _tilt_sweep(10, off_half)
+            targets = off_half.uniform(0.1, 0.9, len(normals)) * mesh_volume(mesh)
+            out[f"{name} cold"] = (lambda: None,
+                                   lambda _, mesh=mesh, normals=normals, targets=targets:
+                                   [height_search(mesh, n, t) for n, t in zip(normals, targets)],
+                                   len(normals))
         return out
     if layer == "liquid_scene":
         out = {}
