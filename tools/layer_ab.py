@@ -46,8 +46,10 @@ Layers and inputs (times in microseconds):
   A cold solve starts at the sphere-cap height of its fill, which at fill
   0.5 is the bracket midpoint; so that the A/B shows that start on
   non-spheres and off half fill too, ``l-prism cold`` and ``cube cold``
-  solve eleven tilt-sweep normals cold, each at its own fill drawn from
-  0.1-0.9.
+  solve ten seeded normals cold, drawn uniformly over the sphere (a tilt
+  sweep near +z would cut a prism's walls only, where the volume is
+  linear in the height and any start in the slab takes the same clips),
+  each at its own fill drawn from 0.1-0.9.
 * ``liquid_scene``: per op, the ops of perfbench's two scene workloads at
   seed 11, run as perfbench runs them, so that each builds its
   ``SceneConfig`` and ``FrameTrajectory`` inside the timing: twenty
@@ -238,7 +240,8 @@ def inputs(layer, workdir):
         # own, so that the inputs above stay the draws they were before
         off_half = np.random.default_rng([SEED, 1])
         for name, mesh in (("l-prism", l_prism_mesh()), ("cube", box_mesh())):
-            normals = _tilt_sweep(10, off_half)
+            normals = off_half.normal(size=(10, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             targets = off_half.uniform(0.1, 0.9, len(normals)) * mesh_volume(mesh)
             out[f"{name} cold"] = (lambda: None,
                                    lambda _, mesh=mesh, normals=normals, targets=targets:
