@@ -39,6 +39,7 @@ from .errors import (
     MalformedTrace,
     MeshFormatError,
     VolumeOutOfRange,
+    ZeroGravity,
     _count,
     _memory_for,
     _step_count,
@@ -54,7 +55,9 @@ from .harness import (
     run_screw_scene,
 )
 from .helix import HelixSpec, sdf_thread
-from .mesh import LiquidPlane, clip_volume, height_search, liquid_geometry, load_mesh, save_mesh, unit_vector
+from .mesh import (
+    LiquidPlane, clip_volume, height_search, liquid_geometry, load_mesh, save_mesh, unit_vector,
+)
 from .pendulum import PendulumParams
 from .trace import read_trace, trace_table, write_trace
 
@@ -494,6 +497,7 @@ def main(argv=None) -> int:
         MeshFormatError: EXIT_USAGE,
         MalformedTrace: EXIT_USAGE,
         DegenerateTerm: EXIT_USAGE,
+        ZeroGravity: EXIT_USAGE,
         VolumeOutOfRange: EXIT_VOLUME,
         LabmechError: EXIT_SOLVER,
     }

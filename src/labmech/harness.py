@@ -20,7 +20,7 @@ import numpy as np
 
 from .detent import DetentProfile, KnobState, nearest_detent, step_knob
 from .errors import (
-    DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange,
+    DegenerateTerm, NoConvergence, NonFiniteState, VolumeOutOfRange, ZeroGravity,
     _memory_for, _nonnegative, _positive, _step_count, _whole_steps,
 )
 from .helix import HelixSpec, screw_advance
@@ -189,7 +189,8 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
     the first sample, at rest.  The forcing of each sample the steps read
     is formed once: one subtraction, and one rotation into the container
     frame when the trajectory carries orientations, read as floats.
-    Solver failures propagate with the failing step index; a duration with
+    Solver failures propagate with the failing step index, a zero first
+    forcing as :class:`ZeroGravity` naming its sample; a duration with
     more rows than memory can hold is a ValueError.
 
     Outside the solve's clips a step costs its arithmetic plus two public
@@ -216,7 +217,11 @@ def run_liquid_scene(config: SceneConfig, trajectory: FrameTrajectory) -> Replay
             forcing[k] = rotate_world_to_frame(trajectory.orientations[first + k],
                                                forcing[k]).tolist()
     dt, params, container = config.dt, config.pendulum, config.container
-    state = init_state(forcing[0])
+    try:
+        state = init_state(forcing[0])
+    except ZeroGravity as exc:
+        raise ZeroGravity(f"trajectory sample {first} at t = {float(trajectory.times[first])}: "
+                          f"its frame acceleration cancels gravity; {exc}") from exc
     h_prev = None
     for i in range(steps):
         t = i * dt
@@ -260,9 +265,14 @@ def run_knob_scene(
     and record position, velocity, and the nearest detent index.  Raises
     ValueError unless ``dt`` is positive and ``duration`` covers at least
     one whole step and no more rows than memory can hold, and, naming the
-    step, for a torque that is not finite."""
+    step, for a torque that is not finite, and naming ``torque`` for one
+    that is neither a scalar nor one sample per step."""
     steps = _step_count(dt, duration)
-    torques = np.broadcast_to(np.asarray(torque, dtype=float), (steps,))
+    torques = np.asarray(torque, dtype=float)
+    if torques.shape not in ((), (1,), (steps,)):
+        raise ValueError(f"torque must be a scalar or one sample per step, got shape "
+                         f"{torques.shape} for {steps} steps")
+    torques = np.broadcast_to(torques, (steps,))
     state = KnobState(q=q0, qdot=qdot0, inertia=inertia)
     with _memory_for(steps, len(KNOB_COLUMNS), "duration {} needs {} steps, more rows than "
                      "memory can hold", duration, steps):

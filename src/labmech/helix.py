@@ -47,9 +47,9 @@ columns cached per nut and sampling with the cloud's box, its least and
 greatest coordinate on each axis.  Per call it maps columns through the
 pose, first the nut's centerline probes, then only the wire rings that
 could hold the minimum, and evaluates the field only on the probes among
-them that could.  The probes are screened by ``|rho - r1|`` alone when
-the box, mapped through the pose, lies within the bolt's candidate band,
-and by the axial bound below otherwise.
+them that could.  One function, :func:`_bound`, screens the probes: by
+``|rho - r1|`` alone when the box, mapped through the pose, lies within
+the bolt's candidate band, and by the axial bound below otherwise.
 
 The broad phase rests on one fact: every candidate the field can pick,
 the clamped and endpoint ones of short windows included, is a centerline
@@ -587,13 +587,22 @@ def _candidate_band(spec: HelixSpec) -> tuple[float, float]:
     return min(ends) - pad, max(ends) + pad
 
 
-def _axis_bound(spec: HelixSpec, band, points) -> np.ndarray:
-    """Lower bound on the centerline distance of the (3, N) ``points``: their
-    distance ``hypot(|rho - r1|, gap of z to band)`` to the piece of the
-    cylinder ``rho = r1`` where every candidate lies."""
-    x, y, z = points
-    bound = np.sqrt(x * x + y * y)
+def _bound(spec: HelixSpec, band, points) -> np.ndarray:
+    """Lower bound on the centerline distance of the (3, N) ``points``:
+    with ``band`` None, ``|rho - r1|``, their distance to the cylinder
+    ``rho = r1``; given the candidate ``band``, ``hypot(|rho - r1|, gap of
+    z to band)``, their distance to the piece of it where every candidate
+    lies.  The two are equal to the bit where every gap is 0: a correctly
+    rounded ``sqrt`` of a rounded square gives back ``|rho - r1|`` unless
+    the square underflows or overflows."""
+    x, y = points[0], points[1]
+    bound = x * x
+    bound += y * y
+    np.sqrt(bound, out=bound)
     bound -= spec.r1
+    if band is None:
+        return np.abs(bound, out=bound)
+    z = points[2]
     gap = z - band[1]
     np.maximum(gap, band[0] - z, out=gap)
     np.maximum(gap, 0.0, out=gap)
@@ -602,21 +611,6 @@ def _axis_bound(spec: HelixSpec, band, points) -> np.ndarray:
     gap *= gap
     bound += gap
     return np.sqrt(bound, out=bound)
-
-
-def _radial_bound(spec: HelixSpec, points) -> np.ndarray:
-    """``|rho - r1|`` of the (3, N) ``points``: their distance to the whole
-    cylinder ``rho = r1``, a lower bound on their centerline distance
-    wherever they lie.  For points whose heights lie in the band, whose
-    gaps are then 0, it is :func:`_axis_bound` to the bit: a correctly
-    rounded ``sqrt`` of a rounded square gives back ``|rho - r1|`` unless
-    the square underflows or overflows."""
-    x, y = points[0], points[1]
-    bound = x * x
-    bound += y * y
-    np.sqrt(bound, out=bound)
-    bound -= spec.r1
-    return np.abs(bound, out=bound)
 
 
 def _mapped(rotation, shift, probes) -> np.ndarray:
@@ -688,10 +682,10 @@ def thread_engagement(
 
     0. map the cloud's box through the pose (:func:`_height_range`): if the
        heights it spans, padded, lie within the bolt's candidate band, so
-       does every mapped probe, every gap is 0, and all three screens
-       below take ``|rho - r1|`` (``_radial_bound``); any other pose, e.g.
-       a nut lifted past the window or tilted out of the band, takes the
-       axial bound (``_axis_bound``);
+       does every mapped probe, every gap is 0, and the band is dropped, so
+       that all three screens below take ``|rho - r1|`` (:func:`_bound`
+       without a band); any other pose, e.g. a nut lifted past the window or
+       tilted out of the band, keeps the band and takes the axial bound;
     1. map only the centerline probes and bound each;
     2. bound each group by its centerline probe's bound minus ``reach``;
     3. map the group of least bound and evaluate the field on its probe of
@@ -711,19 +705,19 @@ def thread_engagement(
     row sums of ``R^T R``) are Python floats from one ``tolist``; step 1
     maps ``1/(1 + wire_directions)`` of the cloud, and the field is
     evaluated twice, once on one probe and once on the few that survive,
-    both short calls at a typical pose.  The screen is a pass of 5 numpy
-    calls in the band and of 13 outside it.  On perfbench's bolt and nut
-    a screwed-on query costs about 170 µs and one lifted or tilted out of
-    the band about 740 µs, most of it in the field on the probes that the
-    band's loose end height lets through (medians of ``tools/layer_ab.py
-    --layer thread_engagement`` over 40 rounds on a 2-core VM).  Worst
-    case: every group survives, e.g. a nut coaxial with the bolt, whose
-    every ring has a probe as near the bolt's cylinder as the ceiling.
-    The whole cloud is then mapped in one product and screened by ``|rho -
-    r1|`` alone, in or out of the band (the axial term would cost a pass
-    and cull little in a cloud whose every ring reaches the ceiling), so
-    the query costs steps 1-3 more than one screened pass over the whole
-    cloud.
+    both short calls at a typical pose.  Each screen is one pass of
+    :func:`_bound`: 5 numpy calls without the band and 13 with it.  On
+    perfbench's bolt and nut a screwed-on query costs about 130 µs and one
+    lifted or tilted out of the band about 540 µs, most of it in the field
+    on the probes that the band's loose end height lets through (medians
+    of ``tools/layer_ab.py --layer thread_engagement`` over 20 rounds on a
+    2-core VM).  Worst case: every group survives, e.g. a nut coaxial with
+    the bolt, whose every ring has a probe as near the bolt's cylinder as
+    the ceiling.  The whole cloud is then mapped in one product and
+    screened by ``|rho - r1|`` alone (:func:`_bound` without a band), in or
+    out of the band (the axial term would cost a pass and cull little in a
+    cloud whose every ring reaches the ceiling), so the query costs steps
+    1-3 more than one screened pass over the whole cloud.
 
     Returns
     -------
@@ -762,16 +756,14 @@ def thread_engagement(
     band = _candidate_band(bolt)
     low, high = _height_range(groups, rows[2], size)
     if band[0] <= low and high <= band[1]:
-        bound = functools.partial(_radial_bound, bolt)
-    else:
-        bound = functools.partial(_axis_bound, bolt, band)
+        band = None
 
     # steps 1-3: bound the groups by their centerline probes, and take the
     # ceiling from the least bound probe of the least bound group
     n = len(groups.rows)
-    group_bound = bound(_mapped(rotation, shift, columns[:, :n]))
+    group_bound = _bound(bolt, band, _mapped(rotation, shift, columns[:, :n]))
     members = _mapped(rotation, shift, columns.take(groups.rows[np.argmin(group_bound)], axis=1))
-    best = np.argmin(bound(members))
+    best = np.argmin(_bound(bolt, band, members))
     ceiling = sdf_thread(bolt, members[:, best]).distance + bolt.r2
 
     # step 4: the groups that can reach the ceiling, then their probes;
@@ -788,13 +780,11 @@ def thread_engagement(
         # take is several times faster than fancy indexing
         points = _mapped(rotation, shift,
                          columns.take(groups.rows.take(keep, axis=0).ravel(), axis=1))
-        near = bound(points) <= limit
     else:
         # every group survives: the whole cloud in one product, screened
         # by |rho - r1| alone
-        points = _mapped(rotation, shift, columns)
-        near = _radial_bound(bolt, points) <= limit
-    points = points.take(np.flatnonzero(near), axis=1).T
+        points, band = _mapped(rotation, shift, columns), None
+    points = points.take(np.flatnonzero(_bound(bolt, band, points) <= limit), axis=1).T
 
     clearance = float(np.min(sdf_thread(bolt, points).distance))
     return EngagementReport(min_clearance=clearance, overlapping=clearance < 0.0)

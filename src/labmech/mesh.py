@@ -135,7 +135,8 @@ _lowest, _highest = np.minimum.reduce, np.maximum.reduce
 def _cross(a, b) -> np.ndarray:
     """Row-wise cross product of (3, m) component arrays, written out to
     skip ``np.cross`` dispatch on small arrays."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _sliver_floor(u, v) -> np.ndarray:
@@ -442,18 +443,16 @@ def _case_table():
     the plane (an on-plane corner or a crossing node) is a cut chord.
 
     Returns ``band`` (27,), the cases with some but not all corners below;
-    ``cut`` (27, 3), the edges that cross; ``slots`` (27, 6), for a band
-    case the four piece slots (a triangle repeats its last) and the two
-    chord slots; and ``chord`` (27,), the band cases with a chord.
+    ``slots`` (27, 6), for a band case the four piece slots (a triangle
+    repeats its last) and the two chord slots; and ``chord`` (27,), the
+    band cases with a chord.
     """
     band = np.zeros(27, dtype=bool)
-    cut = np.zeros((27, 3), dtype=bool)
     slots = np.zeros((27, 6), dtype=np.int64)
     chord = np.zeros(27, dtype=bool)
     for case in range(27):
         sign = (case // 9 - 1, case // 3 % 3 - 1, case % 3 - 1)
         crosses = [sign[k] * sign[(k + 1) % 3] < 0 for k in range(3)]
-        cut[case] = crosses
         band[case] = min(sign) < 0 <= max(sign)
         if not band[case]:
             continue
@@ -471,12 +470,12 @@ def _case_table():
         slots[case, :4] = walk + walk[-1:] * (4 - len(walk))
         slots[case, 4:] = steps[0] if steps else (0, 0)
         chord[case] = bool(steps)
-    for table in (band, cut, slots, chord):
+    for table in (band, slots, chord):
         table.flags.writeable = False
-    return band, cut, slots, chord
+    return band, slots, chord
 
 
-_BAND, _CUT, _SLOTS, _CHORD = _case_table()
+_BAND, _SLOTS, _CHORD = _case_table()
 
 
 @dataclass(eq=False, slots=True)
@@ -1043,9 +1042,10 @@ def liquid_geometry(mesh: TriMesh, normal, height: float) -> TriMesh:
 def _cap_centroid(nodes, loop, ring_ids, nrm) -> np.ndarray:
     """The area centroid of a cut ``loop`` of ``nodes``, as a (1, 3) row:
     the centre of its cap's fan, whose triangles have the rims
-    ``ring_ids`` (each loop node and the next).  Raises :class:`NonStarShapedCutLoop` if the loop encloses no
-    usable area, or if a fan triangle fails the shape test with the cap's
-    orientation about the upward normal ``nrm``."""
+    ``ring_ids`` (each loop node and the next).  Raises
+    :class:`NonStarShapedCutLoop` if the loop encloses no usable area, or
+    if a fan triangle fails the shape test with the cap's orientation about
+    the upward normal ``nrm``."""
     k = len(loop)
     coords = nodes[loop]
     # area centroid of the loop polygon: the node mean can land exactly

@@ -773,6 +773,7 @@ class TestExitCodes:
             "mixed.txt": "0 0 0 0\n0.001 0 0 0 1 0 0 0\n",
             "blank.txt": "# time ax ay az\n\n",
             "uneven.txt": "0 0 0 0\n0.001 0 0 0\n0.003 0 0 0\n",
+            "freefall.txt": "0.0 0 0 -9.81\n0.001 0 0 -9.81\n",
         }
         for name, text in documents.items():
             (tmp_path / name).write_text(text)
@@ -894,6 +895,8 @@ class TestExitCodes:
             ([*LIQUID, "--trajectory", "{dir}/blank.txt"], 2, "{dir}/blank.txt: no data rows"),
             ([*LIQUID, "--trajectory", "{dir}/uneven.txt"],
              2, "{dir}/uneven.txt: timestamps must be uniformly spaced"),
+            ([*LIQUID, "--trajectory", "{dir}/freefall.txt"],
+             2, "trajectory sample 0 at t = 0.0: its frame acceleration cancels gravity"),
             (["sdf-grid", *HELIX, "--min", "0", "0", "0", "--max", "1", "0", "1",
               "--res", "2", "2", "2", "--output", "{dir}/g.tsv"],
              2, "grid max corner must exceed min corner componentwise"),
@@ -922,7 +925,8 @@ class TestExitCodes:
             "sdf-grid-min-nan", "sdf-grid-max-inf", "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
             "sdf-grid-invalid-json", "sdf-grid-config-not-object", "sdf-grid-config-version",
             "sdf-grid-section-not-object", "liquid-trajectory-width", "liquid-trajectory-mixed-widths",
-            "liquid-trajectory-no-rows", "liquid-trajectory-uneven-times", "sdf-grid-max-not-above-min",
+            "liquid-trajectory-no-rows", "liquid-trajectory-uneven-times",
+            "liquid-trajectory-free-fall", "sdf-grid-max-not-above-min",
             "replay-meshes-no-outdir", "replay-meshes-no-mesh", "replay-meshes-screw-trace",
             "replay-meshes-no-records",
         ],

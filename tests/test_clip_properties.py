@@ -51,7 +51,6 @@ from labmech import (
 from labmech.mesh import (
     _BAND,
     _CHORD,
-    _CUT,
     _SLOTS,
     ONPLANE_SNAP_FRACTION,
     _chain_loops,
@@ -165,7 +164,6 @@ def test_case_table_is_the_walk(signs):
     corners, crossings = [10, 11, 12], [20, 21, 22]
     below = [s < 0 for s in signs]
     assert _BAND[case] == (any(below) and not all(below))
-    assert _CUT[case].tolist() == [signs[k] * signs[(k + 1) % 3] < 0 for k in range(3)]
     if not _BAND[case]:
         return
     walk, chords = oracles.walk_triangle(signs, corners, crossings)

@@ -1,6 +1,7 @@
 """Scene stepping, effective acceleration, progress score, trajectories."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from labmech import (
     screw_advance,
     step_pendulum,
     write_trace,
+    ZeroGravity,
 )
 
 G = (0.0, 0.0, -9.81)
@@ -161,6 +163,13 @@ class TestFrameTrajectory:
 
 
 class TestLiquidScene:
+    def test_free_fall_at_the_first_sample_names_it(self):
+        # the scene starts at t = 0, sample 2, where the frame falls freely
+        traj = FrameTrajectory(times=[-0.2, -0.1, 0.0, 0.1],
+                               accels=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], G, G])
+        with pytest.raises(ZeroGravity, match=r"^trajectory sample 2 at t = 0\.0: "):
+            run_liquid_scene(make_scene(duration=0.01), traj)
+
     def test_static_scene_is_constant(self):
         trace = run_liquid_scene(make_scene(duration=0.2), still_trajectory())
         assert len(trace) == 200
@@ -307,6 +316,13 @@ class TestKnobScene:
         with pytest.raises(ValueError, match="^duration 72000000000000.0 needs "
                                              "72000000000000000 steps"):
             run_knob_scene(profile, 0.0, inertia=0.005, duration=7.2e13)
+
+    @pytest.mark.parametrize("torque", [[1.0, 2.0], np.zeros((1, 10))], ids=["short", "2-d"])
+    def test_torque_of_the_wrong_shape_names_torque(self, torque):
+        profile = DetentProfile(positions=[0.0, 0.5], stiffness=10.0)
+        want = re.escape(f"got shape {np.shape(torque)} for 10 steps")
+        with pytest.raises(ValueError, match=f"^torque .* {want}$"):
+            run_knob_scene(profile, torque, inertia=0.005, duration=0.01)
 
     def test_rest_at_detent_is_constant(self):
         profile = DetentProfile([0.0, 0.5, 1.0], 10.0, 0.1)

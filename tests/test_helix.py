@@ -461,15 +461,12 @@ class TestEngagement:
             sizes.append(np.size(point) // 3)
             return sdf_thread(spec, point)
 
-        def named(name, screen):
-            def recorded(*args):
-                screens.append(name)
-                return screen(*args)
-            return recorded
+        def named(spec, band, points, screen=helix._bound):
+            screens.append("radial" if band is None else "axial")
+            return screen(spec, band, points)
 
         monkeypatch.setattr(helix, "sdf_thread", counted)
-        monkeypatch.setattr(helix, "_axis_bound", named("axial", helix._axis_bound))
-        monkeypatch.setattr(helix, "_radial_bound", named("radial", helix._radial_bound))
+        monkeypatch.setattr(helix, "_bound", named)
         return thread_engagement(bolt, nut, pose), sizes, screens
 
     def test_broad_phase_evaluates_a_handful_of_probes(self, monkeypatch):
