@@ -57,24 +57,26 @@ the mesh keeps the support projection of its last normal, which the
 height solve derives once per normal for its bracket, so a clip
 subtracts the height, takes the signs, and reads its crossing heights
 from the same array.  Each slab between two consecutive distinct support
-values is therefore one side pattern, one topology.  The sums take their
-plane point as ``bbox_center + h n``, which lies on the plane these
-heights measure for a unit normal; a normal that is unit only within
-:class:`LiquidPlane`'s 1e-12 puts the two planes ``|h| |n . n - 1|``
-apart, so the cap's flux, which the sums take as zero, is off by at most
-about ``2e-12 |h|`` times the cut area.  On its first
-use by :func:`clip_volume` a topology gets a gather (``_Gather``): the
-band's vertex rows under compact node ids and flat indices of the
-components each sum reads.  A hit then interpolates the crossing nodes,
-stacks them under the band's vertex rows, and reads each sum's operands
-with one gather: a few dozen numpy calls on arrays of the band's size,
-whatever the size of the mesh.  The sums are the same IEEE operations on
-the same operands in the same order as over the full node array, so the
-result is the same to the bit (``clip_sums_reference`` in the tests).  A
-clip that changes a side (a miss) builds the topology in one pass over
-the triangles, which classifies them, and a few over the band, whose
-node numbering one mark over the vertex and edge ids gives; its gather
-reuses that numbering.
+values is therefore one side pattern, one topology.  Every sum is
+centered: it reads the vertices relative to the bbox center
+(``TriMesh._centered``), interpolates its crossing nodes between those
+rows and takes its plane point as ``h n`` (see :meth:`TriMesh._support`
+for a normal unit only within 1e-12), so it rounds at the container's
+own scale wherever the container sits.  Only a liquid body's nodes are
+world coordinates: the container's vertices as they are, then its
+crossing nodes with ``bbox_center`` added back (:func:`_clip_table`).
+On its first use by :func:`clip_volume` a topology gets a gather
+(``_Gather``): the band's centered vertex rows under compact node ids
+and flat indices of the components each sum reads.  A hit then
+interpolates the crossing nodes, stacks them under the band's vertex
+rows, and reads each sum's operands with one gather: a few dozen numpy
+calls on arrays of the band's size, whatever the size of the mesh.  The
+sums are the same IEEE operations on the same operands in the same order
+as over the full node array, so the result is the same to the bit
+(``clip_sums_reference`` in the tests).  A clip that changes a side (a
+miss) builds the topology in one pass over the triangles, which
+classifies them, and a few over the band, whose node numbering one mark
+over the vertex and edge ids gives; its gather reuses that numbering.
 
 File interchange uses an ASCII subset: ``v x y z`` vertex lines and
 ``f i j k`` one-based triangle lines; see :func:`load_mesh`.
@@ -199,11 +201,9 @@ class TriMesh:
     them, cannot go stale.  Nor can the support projection of the last
     normal (:meth:`_support`), reused only for the same normal bytes, from
     which every clip and body cut takes its vertex heights as
-    ``support - h`` (for a normal unit only within 1e-12, the cap's flux
-    is then off by at most about ``2e-12 |h|`` times the cut area), or
-    the cut topology of the last clip (see :func:`_topology`): it is a
-    function of these arrays and of the vertex side codes, and it is
-    reused only for the exact same codes.
+    ``support - h``, or the cut topology of the last clip (see
+    :func:`_topology`): it is a function of these arrays and of the vertex
+    side codes, and it is reused only for the exact same codes.
 
     Every public construction runs all of these checks, the last two by
     deriving the edge tables (the cached ``_edge_tables``).  A
@@ -364,10 +364,13 @@ class TriMesh:
         along a unit ``normal``, from which every clip and body cut takes its
         vertex heights as ``support - h``.  The mesh keeps the last normal's,
         read-only and keyed by its bytes, so a height solve derives it once,
-        for its bracket and for every clip it makes.  For a normal unit only
-        within 1e-12 those heights measure a plane ``|h| |n . n - 1|`` from
-        the sums' plane point, and the cap's flux is off by at most about
-        ``2e-12 |h|`` times the cut area."""
+        for its bracket and for every clip it makes.
+
+        The clip sums take their plane point as ``h n``, centered too, which
+        lies on the plane these heights measure for a unit normal.  A normal
+        unit only within :class:`LiquidPlane`'s 1e-12 puts the two planes
+        ``|h| |n . n - 1|`` apart, so the cap's flux, which the sums take as
+        zero, is off by at most about ``2e-12 |h|`` times the cut area."""
         key = normal.tobytes()
         last = self.__dict__.get("_last_support")
         if last is None or last[0] != key:
@@ -506,8 +509,8 @@ class _Cut:
     chords: np.ndarray  # (2, c) polygon steps with both nodes on the plane
     lo: np.ndarray  # (k,) lower vertex id of each crossing edge
     hi: np.ndarray  # (k,) its higher vertex id
-    v_lo: np.ndarray  # (k, 3) coordinates of ``lo``
-    span: np.ndarray  # (k, 3) V[hi] - v_lo
+    v_lo: np.ndarray  # (k, 3) centered coordinates of ``lo``
+    span: np.ndarray  # (k, 3) centered V[hi] - v_lo
     nodes: np.ndarray  # (b + k,) node ids of the band: its vertices, then V .. V + k - 1
     empty: np.bool_  # no vertex lies strictly below the plane
     full: np.bool_  # no vertex lies strictly above the plane
@@ -530,7 +533,7 @@ class _Gather(NamedTuple):
     operations of :func:`_cross` in its order.
     """
 
-    vertices: np.ndarray  # (b, 3) the band's vertex rows
+    vertices: np.ndarray  # (b, 3) the band's centered vertex rows
     pieces: np.ndarray  # (7, 3, m) a, then c, b and d rolled by one and by two
     chords: np.ndarray  # (2, 2, 3, c) chord starts, then ends, rolled by one and by two
     whole_flux: np.ndarray  # (4,) the whole triangles' summed _whole_flux
@@ -621,7 +624,7 @@ def _cut(mesh: TriMesh, side: np.ndarray) -> _Cut:
     node_of[ids] = nodes
     picked = node_of.take(picked)
     lo_hi = edges.take(ids[b:] - nverts, axis=1)
-    ends = mesh.vertices.take(lo_hi.ravel(), axis=0)
+    ends = mesh._centered.take(lo_hi.ravel(), axis=0)
     pieces = picked[:4]
     arrays = (whole, pieces, picked[4:].compress(_CHORD.take(case), axis=1), *lo_hi, ends[:k],
               ends[k:] - ends[:k], nodes)
@@ -644,12 +647,12 @@ def _gather(mesh: TriMesh, cut: _Cut) -> _Gather:
     same product of the same operands it always was.
     """
     nodes = cut.nodes
-    flat = np.empty(len(mesh.vertices) + len(cut.lo), dtype=np.int64)  # read at nodes only
+    flat = np.empty(len(mesh._centered) + len(cut.lo), dtype=np.int64)  # read at nodes only
     flat[nodes] = np.arange(0, 3 * len(nodes), 3)
     pieces, chords = ((flat[index] + _COMPONENTS).reshape(3 * len(index), index.shape[1])
                       for index in (cut.pieces, cut.chords))
     gather = cut.gather = _Gather(
-        mesh.vertices.take(nodes[: len(nodes) - len(cut.lo)], axis=0),
+        mesh._centered.take(nodes[: len(nodes) - len(cut.lo)], axis=0),
         pieces.take(_PIECE_TABLE, axis=0),
         chords.take(_CHORD_TABLE, axis=0),
         mesh._whole_flux @ cut.whole.astype(float),
@@ -716,7 +719,7 @@ def _sides(s: np.ndarray) -> np.ndarray:
 
 def _crossings(cut: _Cut, s: np.ndarray) -> np.ndarray:
     """(k, 3) crossing nodes of ``cut`` at the signed vertex heights ``s``,
-    each interpolated from its edge's lower vertex."""
+    each interpolated from its edge's lower vertex, centered."""
     s_lo, s_hi = s[cut.lo], s[cut.hi]
     return cut.v_lo + (s_lo / (s_lo - s_hi))[:, None] * cut.span
 
@@ -724,8 +727,10 @@ def _crossings(cut: _Cut, s: np.ndarray) -> np.ndarray:
 def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
     """``(cut, heights, nodes)`` of ``mesh`` under ``plane`` by the body
     path's side rule: the cut topology (:class:`_Cut`), the signed vertex
-    heights, and the coordinates of every node that the topology numbers,
-    the mesh vertices and then the crossing nodes.
+    heights, and the world coordinates of every node that the topology
+    numbers: the mesh vertices as they are, so that a body's whole
+    triangles keep their bits (see :class:`TriMesh`), and then the
+    crossing nodes, interpolated centered with ``bbox_center`` added back.
 
     The heights are the support projection less the plane's height, as a
     clip takes them (see :func:`clip_volume`), and those within
@@ -741,7 +746,7 @@ def _clip_table(mesh: TriMesh, plane: LiquidPlane) -> tuple:
     s = mesh._support(plane.normal) - plane.height
     s[np.abs(s) <= ONPLANE_SNAP_FRACTION * mesh.bbox_diag] = 0.0
     cut = _topology(mesh, _sides(s))
-    return cut, s, np.concatenate([mesh.vertices, _crossings(cut, s)])
+    return cut, s, np.concatenate([mesh.vertices, _crossings(cut, s) + mesh.bbox_center])
 
 
 def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
@@ -752,12 +757,12 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     on or above the plane by the strict sign of that height, with no snap.
     So the sides are constant, and the volume is an exact cubic in the
     height, on each slab between two consecutive distinct support values.
-    For a normal unit only within :class:`LiquidPlane`'s 1e-12, these
-    heights measure a plane ``|h| |n . n - 1|`` from the sums' plane point
-    ``bbox_center + h n``, and the cap's flux is off by at most about
-    ``2e-12 |h|`` times the cut area.  A liquid body classifies by a snap
-    band instead (see :func:`_clip_table`), and its volume may differ from
-    the clip by about twice the snap times the cut area.
+    The sums are centered: they read the vertices relative to the bbox
+    center and take the plane point as ``h n`` (see
+    :meth:`TriMesh._support` for a normal unit only within 1e-12).  A
+    liquid body classifies by a snap band instead (see :func:`_clip_table`),
+    and its volume may differ from the clip by about twice the snap times
+    the cut area.
 
     The volume is the divergence flux of the below-side surface with the
     reference point on the plane, so the cap needs no explicit
@@ -807,8 +812,7 @@ def clip_volume(mesh: TriMesh, plane: LiquidPlane) -> ClipResult:
     six_volume = whole[0] - h * (n @ whole[1:])
     # band quad (a, b, c, d) fans into (a, b, c) + (a, c, d); a triangle has
     # d = c, and a.(b x c) + a.(c x d) = a.(c x (d - b))
-    origin = mesh.bbox_center + h * n
-    p = (nodes - origin).ravel()[gather.pieces]  # rows a, c1, c2, b1, b2, d1, d2
+    p = (nodes - h * n).ravel()[gather.pieces]  # rows a, c1, c2, b1, b2, d1, d2
     six_volume += (p[0] * (p[1] * (p[6] - p[4]) - p[2] * (p[5] - p[3]))).sum()
     # the cap runs each chord backwards: w x u over the chords (u, w), both
     # taken from the first chord's first node (none when there are no chords)
@@ -865,16 +869,15 @@ def height_search(
     projection along the normal, derived once per normal and cached on the
     mesh, from which every clip it makes takes its vertex heights as
     ``support - h``: each slab between consecutive distinct support values
-    is one cut topology, on which the volume is an exact cubic.  For a
-    normal unit only within 1e-12, the cap's flux is then off by at most
-    about ``2e-12 |h|`` times the cut area.  It calls the module's
-    :func:`clip_volume` with a plane per iteration that it builds without
-    checking again, since the normal and every height it tries are checked
-    already.  Beyond its clips a solve costs the scalar checks, the
-    normal's length (one dot product), the projection (one product of the
-    centered vertices and the normal, reused by every clip) and its two
-    ends (two reductions), a cold start's arcsine and sine, and per
-    iteration a plane and a few float operations.  The clips dominate,
+    is one cut topology, on which the volume is an exact cubic (see
+    :meth:`TriMesh._support` for a normal unit only within 1e-12).  It
+    calls the module's :func:`clip_volume` with a plane per iteration that
+    it builds without checking again, since the normal and every height it
+    tries are checked already.  Beyond its clips a solve costs the scalar
+    checks, the normal's length (one dot product), the projection (one
+    product of the centered vertices and the normal, reused by every clip)
+    and its two ends (two reductions), a cold start's arcsine and sine, and
+    per iteration a plane and a few float operations.  The clips dominate,
     and on a large mesh a clip that misses the cached cut topology costs
     several that hit it: a start near the root saves the clips, and most
     of the misses, that a start at the midpoint spends closing in.
@@ -931,12 +934,11 @@ def _solve_height(mesh: TriMesh, n: np.ndarray, target: float, h_prev, tol_rel: 
     finite float ``h_prev`` or None, a nonnegative float ``tol_rel`` and an
     integer ``max_iter`` of at least 1.  The bracket is the range of
     ``mesh._support(n)``, from which every clip takes its vertex heights as
-    ``support - h``: one projection per normal serves both, and a normal
-    unit only within 1e-12 leaves the cap's flux off by at most about
-    ``2e-12 |h|`` times the cut area.  The first iterate is ``h_prev``
-    when it lies strictly inside the bracket, and otherwise the cold
-    start of :func:`height_search`; the Newton steps after it do not
-    depend on which start it was."""
+    ``support - h``: one projection per normal serves both (see
+    :meth:`TriMesh._support` for a normal unit only within 1e-12).  The
+    first iterate is ``h_prev`` when it lies strictly inside the bracket,
+    and otherwise the cold start of :func:`height_search`; the Newton steps
+    after it do not depend on which start it was."""
     total = mesh._capacity
     support = mesh._support(n)
     h_lo, h_hi = float(_lowest(support)), float(_highest(support))
@@ -1294,7 +1296,7 @@ def _read_lines(path, text):
         return MeshFormatError(f"{path}: line {ln}: {what}", line=ln)
 
     verts = []
-    tris = []
+    tris = {}  # by line number
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -1316,13 +1318,15 @@ def _read_lines(path, text):
                 raise malformed(ln, "bad face index")
             if min(idx) < 1:
                 raise malformed(ln, "face indices are 1-based")
-            tris.append([i - 1 for i in idx])
+            tris[ln] = [i - 1 for i in idx]
         else:
             raise malformed(ln, f"unknown record '{fields[0]}'")
-    if tris and max(max(t) for t in tris) >= len(verts):
-        raise MeshFormatError(f"{path}: face index past the last vertex")
+    # vertex lines may follow the faces that use them
+    for ln, tri in tris.items():
+        if max(tri) >= len(verts):
+            raise malformed(ln, "face index past the last vertex")
     return (np.array(verts, dtype=float).reshape(-1, 3),
-            np.array(tris, dtype=np.int64).reshape(-1, 3))
+            np.array(list(tris.values()), dtype=np.int64).reshape(-1, 3))
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

@@ -38,7 +38,9 @@ class ReplayTrace:
 
     ``kind`` names the producing scene ("liquid", "screw", "knob", or
     "generic"), ``columns`` the record fields, and ``data`` holds one
-    float64 row per step.
+    float64 row per step.  Flat data is read as rows of ``len(columns)``
+    values; data whose size (flat) or last axis (any other shape) does not
+    fit the columns is a ``ValueError``.
     """
 
     kind: str
@@ -51,6 +53,10 @@ class ReplayTrace:
         cols = _checked_columns(tuple(map(str, self.columns)))
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != len(cols):
+            fits = data.size % len(cols) == 0 if data.ndim < 2 else data.shape[-1] == len(cols)
+            if not fits:
+                raise ValueError(f"trace data of shape {data.shape} does not fit "
+                                 f"{len(cols)} columns")
             data = data.reshape(-1, len(cols))
         self.__dict__.update(columns=cols, data=data)
 

@@ -382,10 +382,12 @@ def clip_sums_reference(mesh, plane):
     product stacked by ``np.array``, and the chords gathered and referenced
     to the first chord's first node the same way; the whole triangles' flux
     is the mesh's per-triangle terms summed over the walk's whole flags.
-    ``clip_volume`` promises these bytes: the same IEEE operations on the
-    same operands in the same order.  A plane with no vertex strictly below
-    it holds nothing, and a plane past every vertex, whose every triangle
-    is whole, holds the container's ``mesh_volume`` exactly."""
+    Every sum is centered: the walk's nodes are, and the plane point is
+    ``height * normal``.  ``clip_volume`` promises these bytes: the same
+    IEEE operations on the same operands in the same order.  A plane with
+    no vertex strictly below it holds nothing, and a plane past every
+    vertex, whose every triangle is whole, holds the container's
+    ``mesh_volume`` exactly."""
 
     def cross(a, b):
         return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
@@ -398,7 +400,7 @@ def clip_sums_reference(mesh, plane):
     nodes, pieces = table["nodes"], table["pieces"].T
     if full and not pieces.size:
         return ClipResult(volume=mesh_volume(mesh), cut_area=0.0, empty=False, full=True)
-    origin = mesh.bbox_center + plane.height * plane.normal
+    origin = plane.height * plane.normal
     whole = mesh._whole_flux @ table["whole"].astype(float)
     six_volume = whole[0] - plane.height * (plane.normal @ whole[1:])
     a, b, c, d = (nodes.take(pieces, axis=0) - origin).transpose(0, 2, 1)
@@ -493,8 +495,15 @@ def clip_walk(mesh, plane, snap=True):
     the crossing-edge numbering (edges ordered by their (lower, higher)
     vertex ids), the node interpolation from the lower vertex id and the
     walks are recomputed here.
+
+    Crossing nodes are interpolated between the centered rows
+    ``vertices - bbox_center``, the frame of every clip sum.  Without
+    ``snap`` the nodes are those sums' operands: the centered rows, then
+    the crossing nodes.  With it they are a liquid body's: the vertices as
+    they are, then each crossing node with ``bbox_center`` added back.
     """
-    heights = ((mesh.vertices - mesh.bbox_center) @ plane.normal - plane.height).tolist()
+    centered = mesh.vertices - mesh.bbox_center
+    heights = (centered @ plane.normal - plane.height).tolist()
     if snap:
         band = ONPLANE_SNAP_FRACTION * mesh.bbox_diag
         heights = [0.0 if abs(s) <= band else s for s in heights]
@@ -511,12 +520,13 @@ def clip_walk(mesh, plane, snap=True):
             a, b = tri[k], tri[(k + 1) % 3]
             if signs[a] * signs[b] < 0:
                 crossing.add((min(a, b), max(a, b)))
-    vertices = mesh.vertices.tolist()
-    node_of, nodes = {}, list(vertices)
+    rows, center = centered.tolist(), mesh.bbox_center.tolist()
+    node_of, nodes = {}, mesh.vertices.tolist() if snap else list(rows)
     for lo, hi in sorted(crossing):
         node_of[lo, hi] = len(nodes)
         t = heights[lo] / (heights[lo] - heights[hi])
-        nodes.append([p + t * (q - p) for p, q in zip(vertices[lo], vertices[hi])])
+        node = [p + t * (q - p) for p, q in zip(rows[lo], rows[hi])]
+        nodes.append([x + c for x, c in zip(node, center)] if snap else node)
 
     pieces, chords = [], []
     for tri in triangles:
@@ -595,6 +605,7 @@ def read_mesh_lines(path):
 
     verts = []
     tris = []
+    face_lines = []
     with open(path, "r", encoding="ascii") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -618,10 +629,13 @@ def read_mesh_lines(path):
                 if min(idx) < 1:
                     raise malformed(ln, "face indices are 1-based")
                 tris.append([i - 1 for i in idx])
+                face_lines.append(ln)
             else:
                 raise malformed(ln, f"unknown record '{fields[0]}'")
-    if tris and max(max(t) for t in tris) >= len(verts):
-        raise MeshFormatError(f"{path}: face index past the last vertex")
+    # vertex lines may follow the faces that use them
+    for ln, tri in zip(face_lines, tris):
+        if max(tri) >= len(verts):
+            raise malformed(ln, "face index past the last vertex")
     return (np.array(verts, dtype=float).reshape(-1, 3),
             np.array(tris, dtype=np.int64).reshape(-1, 3))
 

@@ -435,7 +435,8 @@ def test_criterion_13_trace_round_trip(tmp_path):
         trace = ReplayTrace(
             kind=kind,
             columns=tuple(f"c{j}" for j in range(ncols)),
-            data=rng.normal(scale=10.0 ** rng.integers(-9, 9), size=(int(rng.integers(0, 50)), ncols)),
+            data=rng.normal(scale=10.0 ** rng.integers(-9, 9),
+                            size=(int(rng.integers(0, 50)), ncols)),
         )
         path = tmp_path / f"rt{i}.trace"
         write_trace(trace, path)

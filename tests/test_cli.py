@@ -874,9 +874,11 @@ class TestExitCodes:
             ([*GRID, "--res", "1000000", "1000000", "1000000"], 2,
              "--res 1000000 1000000 1000000 needs 1000000000000000000 grid points, more than"),
             (["sdf-grid", *HELIX, "--min", "nan", "0", "0", "--max", "1", "1", "1",
-              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2, "--min must be finite, got nan 0.0 0.0"),
+              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2,
+             "--min must be finite, got nan 0.0 0.0"),
             (["sdf-grid", *HELIX, "--min", "0", "0", "0", "--max", "inf", "1", "1",
-              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2, "--max must be finite, got inf 1.0 1.0"),
+              "--res", "2", "2", "2", "--output", "{dir}/g.tsv"], 2,
+             "--max must be finite, got inf 1.0 1.0"),
             ([*FILL, "--guess", "nan"], 2, "h_prev must be finite, got nan"),
             ([*FILL, "--guess", "inf"], 2, "h_prev must be finite, got inf"),
             ([*FILL, "--guess", "-inf"], 2, "h_prev must be finite, got -inf"),
@@ -922,9 +924,11 @@ class TestExitCodes:
             "replay-missing-column", "liquid-duration-past-array", "detent-duration-past-array",
             "detent-duration-past-memory", "liquid-duration-past-memory",
             "screw-duration-past-memory", "sdf-grid-res-past-memory", "sdf-grid-res-past-array",
-            "sdf-grid-min-nan", "sdf-grid-max-inf", "fill-height-guess-nan", "fill-height-guess-inf", "fill-height-guess-minus-inf",
+            "sdf-grid-min-nan", "sdf-grid-max-inf", "fill-height-guess-nan",
+            "fill-height-guess-inf", "fill-height-guess-minus-inf",
             "sdf-grid-invalid-json", "sdf-grid-config-not-object", "sdf-grid-config-version",
-            "sdf-grid-section-not-object", "liquid-trajectory-width", "liquid-trajectory-mixed-widths",
+            "sdf-grid-section-not-object", "liquid-trajectory-width",
+            "liquid-trajectory-mixed-widths",
             "liquid-trajectory-no-rows", "liquid-trajectory-uneven-times",
             "liquid-trajectory-free-fall", "sdf-grid-max-not-above-min",
             "replay-meshes-no-outdir", "replay-meshes-no-mesh", "replay-meshes-screw-trace",

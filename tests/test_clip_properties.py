@@ -5,9 +5,10 @@ cut topology is reused exactly while no vertex changes side; clip_volume's
 sums from the band-local gather equal the full-node-array reference bit
 for bit on cold, repeated and walked clips, at the ends of the support,
 along a rollout and at the edges of the side rule, on a mesh far from the
-origin too; the volume path classifies vertices by the strict sign of
-their support less the height and a liquid body's cut by the snap band;
-clips between two consecutive support values share one cut, and their
+origin too; a container moved without changing its centered vertices
+clips to the same bytes; the volume path classifies vertices by the
+strict sign of their support less the height and a liquid body's cut by
+the snap band; clips between two consecutive support values share one cut, and their
 volumes one cubic; the cut chords chain into the loops of a dict walk;
 the liquid body agrees with clip_volume, is watertight, saves the bytes
 of a row-by-row writer, has the edge table of a public TriMesh, clips and
@@ -67,8 +68,8 @@ FIXTURES = {
     "icosphere-4": icosphere_mesh(subdivisions=4),
 }
 
-# icosphere-4 far from the origin, where the rounding of the plane point
-# exceeds the snap band
+# icosphere-4 far from the origin, where the ulp of a world coordinate
+# (about 1e-9) is near the snap band (about 3.5e-9)
 FAR = TriMesh(FIXTURES["icosphere-4"].vertices + [3e6, -5e6, 2e6],
               FIXTURES["icosphere-4"].triangles)
 SIDE_MESHES = {**FIXTURES, "icosphere-4-far": FAR}
@@ -315,14 +316,24 @@ def test_side_edge_clips_match_reference(name, data):
     assert_same_clip(got, oracles.clip_sums_reference(mesh, plane))
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-        "ROADMAP item 1: the band sums round crossing nodes and the plane point at the "
-        "container's world position, so on icosphere-4 moved to (3e6, -5e6, 2e6) the "
-        "volume in a slab is a cubic only to about 3e-11 of capacity"
-    ))) if name == "icosphere-4-far" else name
-    for name in sorted(SIDE_MESHES)
-])
+@pytest.mark.parametrize("name", ["cube", "l-prism"])
+def test_a_moved_container_clips_to_the_same_bytes(name):
+    # every clip sum reads the vertices relative to the bbox center, and
+    # this shift leaves those unchanged to the bit, so the moved container
+    # clips to the same bytes as the original on every plane
+    mesh = FIXTURES[name]
+    moved = TriMesh(mesh.vertices + [64.0, -128.0, 32.0], mesh.triangles)
+    assert_bitwise(moved.vertices - moved.bbox_center, mesh.vertices - mesh.bbox_center,
+                   "centered")
+    rng = np.random.default_rng(64)
+    for _ in range(200):
+        normal = unit_vector(rng.normal(size=3))
+        support = (mesh.vertices - mesh.bbox_center) @ normal
+        plane = LiquidPlane(normal, support.min() + rng.uniform(0.05, 0.95) * np.ptp(support))
+        assert_same_clip(clip_volume(moved, plane), clip_volume(mesh, plane))
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_MESHES))
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_clips_in_a_slab_share_a_cut_and_a_cubic(name, data):
@@ -511,7 +522,8 @@ def chord_lists(draw):
             chords.insert(draw(st.integers(0, len(chords))), draw(st.sampled_from(chords)))
         elif fault == "branch":
             _, w = draw(st.sampled_from(chords))
-            chords.insert(draw(st.integers(0, len(chords))), (draw(node.filter(lambda v: v != w)), w))
+            at = draw(st.integers(0, len(chords)))
+            chords.insert(at, (draw(node.filter(lambda v: v != w)), w))
         else:
             del chords[draw(st.integers(0, len(chords) - 1))]
     return chords

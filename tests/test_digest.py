@@ -52,8 +52,8 @@ PINNED_DIGESTS = {
     ("slosh-half-cyl48", 777): "6477b33ba8f1af372a29b971ad16753f9a7049482de5b9cc7a242609e325e5fe",
     ("tilt-ico4", 1): "df42dcee9260982aa872b558e3b8090f2fbf1bc1d1453cfe54f6edd2628196de",
     ("tilt-ico4", 777): "989bcb734f519f66e0a7d91660252100adece9c0d10e4015c927c748b0246d33",
-    ("replay-bodies", 1): "79446d15d98afb4e96529861c983560f272fc2b55078e108a972d1b8b4141226",
-    ("replay-bodies", 777): "0e5bdebcceb1ec4da3567d508189c49604fb38c72a1342ccda2758a921f74686",
+    ("replay-bodies", 1): "c461a0648be8842a2cc280cba74e0a8af181d22cb050b0ef60bcbae010c24056",
+    ("replay-bodies", 777): "c90378d632c17a35a55a22f93b0807c43f41d2045ce0ccf1651bc1abf72a3264",
     ("thread-engage", 1): "5ddb36ead1e73f2b696796bc8d66f6f87dfd1c5bb353d451e6a23661e7fda540",
     ("thread-engage", 777): "49ff8441060ae9790101477341c3e78be8d9415bd11800eed1a381a615a1694b",
 }

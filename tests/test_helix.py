@@ -609,7 +609,8 @@ def test_batches_on_both_sides_of_the_short_call_crossover_are_bitwise_equal(cas
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
                     field.__name__, n, name)
         one = field(spec, pts[0])
-        assert (type(one.distance), type(one.nearest_t), type(one.degenerate)) == (float, float, bool)
+        assert ((type(one.distance), type(one.nearest_t), type(one.degenerate))
+                == (float, float, bool))
         assert one.gradient.shape == (3,) and one.gradient.dtype == float
 
 

@@ -756,16 +756,24 @@ class TestMeshIO:
             load_mesh(path)
 
     @pytest.mark.parametrize(
-        "text, line",
-        [("v 0 0 0\nv 1 0 x\n", 2), ("v 0 0 0\nf 1 2 3\n", None), ("vn 0 0 1\n", 1)],
-        ids=["bad-coordinate", "index-past-last-vertex", "unknown-record"],
+        "text, line, what",
+        [("v 0 0 0\nv 1 0 x\n", 2, "bad vertex coordinate"),
+         ("v 0 0 0\nf 1 2 3\n", 2, "face index past the last vertex"),
+         ("vn 0 0 1\n", 1, "unknown record 'vn'"),
+         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", 4, "face index past the last vertex"),
+         ("f 1 2 3\nv 0 0 0\nf 1 2 4\nf 1 5 2\nv 1 0 0\nv 0 1 0\n", 3,
+          "face index past the last vertex")],
+        ids=["bad-coordinate", "index-past-last-vertex", "unknown-record",
+             "index-past-last-vertex-on-the-last-line", "first-face-past-vertices-after-it"],
     )
-    def test_parse_error_names_the_file(self, tmp_path, text, line):
+    def test_parse_error_names_the_file(self, tmp_path, text, line, what):
+        # a face index is checked once every vertex line is read, and the
+        # first face past the last vertex is named by its line
         path = tmp_path / "bad.mesh"
         path.write_text(text)
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
-        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value) == f"{path}: line {line}: {what}"
         assert err.value.line == line
 
     def test_open_mesh_fails_validation(self, tmp_path):

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "labmech").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+SOURCES = sorted(path for folder in ("src/labmech", "tools", "tests", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
 
-#: Longest line, in characters, of the package and the tools.
+#: Longest line, in characters, of the package, the tools, the tests and
+#: the demos.
 MAX_COLUMNS = 100
 
 

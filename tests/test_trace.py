@@ -93,6 +93,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             ReplayTrace(kind="generic", columns=("a", "a"), data=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 6), (6, 2), (0, 2), (2, 2, 2), (7,), ()],
+                             ids=["wide", "narrow", "empty-narrow", "3-d", "flat-ragged", "0-d"])
+    def test_data_of_the_wrong_width_rejected(self, shape):
+        # a table is never reflowed into rows of another width: only flat
+        # data whose size is a multiple of the column count is read as rows
+        with pytest.raises(ValueError) as err:
+            ReplayTrace(kind="generic", columns=("a", "b", "c"), data=np.zeros(shape))
+        assert str(err.value) == f"trace data of shape {shape} does not fit 3 columns"
+
     def test_duplicate_column_names_in_a_file(self, tmp_path):
         trace = ReplayTrace(kind="liquid", columns=("nx", "ny"), data=np.zeros((2, 2)))
         path = tmp_path / "dup.trace"
